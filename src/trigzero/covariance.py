@@ -5,8 +5,10 @@ ensembles oscillate on an O(1) scale.  Two scalar building blocks drive all
 kernels:
 
 * ``c_k(K, tau)`` -- the lag covariance (1/K) * sum_{n=1..K} cos(n*tau/K) of
-  the stationary (cosine+sine) ensemble, evaluated through the Dirichlet-kernel
-  closed form with a direct-sum fallback at resonances,
+  the stationary (cosine+sine) ensemble.  ``c_k_derivs`` folds the lag into
+  [-pi K, pi K] by the period 2 pi K and evaluates c, c', c'' through the
+  Dirichlet-kernel closed form, or through the direct sums at folded lags
+  below _SMALL_LAG = 2,
 * ``sinc(x) = sin(x)/x`` -- its pointwise limit as K grows.
 
 Kernel flavours:
@@ -35,21 +37,17 @@ from .errors import DegeneracyError, UsageError
 # derivatives; 6th-order truncation keeps ~1e-12 accuracy at the boundary.
 _SINC_TAYLOR_CUT = 1e-3
 
-# |sin(tau/(2K))| below this triggers the O(K) direct sum instead of the
-# Dirichlet closed form.
-_DIRICHLET_CUT = 1e-8
+# Folded lags with |tau| below this use the direct sums: the closed-form
+# derivatives lose about eps/tau^2 to cancellation as tau -> 0.
+_SMALL_LAG = 2.0
 
-# Points-times-degree workspace cap for the term-wise derivative sums.
+# Lags-times-degree workspace cap for the direct sums.
 _CHUNK_BUDGET = 4_000_000
 
 
 def _as_array(x):
     a = np.asarray(x, dtype=float)
     return a, (a.ndim == 0)
-
-
-def _scalarize(a, scalar):
-    return float(a) if scalar else a
 
 
 def sinc(x):
@@ -63,7 +61,7 @@ def sinc(x):
     xs = a[small]
     x2 = xs * xs
     out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    return _scalarize(out[0] if scalar else out, scalar)
+    return float(out[0]) if scalar else out
 
 
 def sinc_derivs(x):
@@ -75,9 +73,7 @@ def sinc_derivs(x):
     a, scalar = _as_array(x)
     a = np.atleast_1d(a)
     small = np.abs(a) < _SINC_TAYLOR_CUT
-    s0 = np.empty_like(a)
-    s1 = np.empty_like(a)
-    s2 = np.empty_like(a)
+    s0, s1, s2 = (np.empty_like(a) for _ in range(3))
 
     xl = a[~small]
     sx, cx = np.sin(xl), np.cos(xl)
@@ -97,69 +93,78 @@ def sinc_derivs(x):
 
 
 def _c_k_direct(K, tau):
-    """O(K) reference sum (1/K) sum cos(n tau / K); used near resonances."""
+    """(c, c', c'') at 1-D lags by the direct sums over n, chunked over lags."""
     n = np.arange(1, K + 1, dtype=float) / K
-    return np.cos(np.multiply.outer(tau, n)).mean(axis=-1)
+    c, c1, c2 = (np.empty_like(tau) for _ in range(3))
+    step = max(1, _CHUNK_BUDGET // K)
+    for lo in range(0, tau.size, step):
+        sl = slice(lo, lo + step)
+        ang = np.multiply.outer(tau[sl], n)
+        cs = np.cos(ang)
+        c[sl] = cs.mean(axis=-1)
+        c1[sl] = -(np.sin(ang) @ n) / K
+        c2[sl] = -(cs @ (n * n)) / K
+    return c, c1, c2
+
+
+def _c_k_closed(K, tau):
+    """(c, c', c'') from the Dirichlet kernel, at lags off the multiples of 2 pi K.
+
+    With x = tau/K and M = K + 1/2, F(x) = sin(Mx)/sin(x/2) = 1 + 2 sum cos(nx),
+    so c = (F - 1)/(2K), c' = F'/(2K^2) and c'' = F''/(2K^3).
+    """
+    x = tau / K
+    M = K + 0.5
+    A, A1 = np.sin(M * x), M * np.cos(M * x)
+    h, q = np.sin(0.5 * x), np.cos(0.5 * x)
+    F = A / h
+    F1 = (A1 * h - 0.5 * A * q) / (h * h)
+    F2 = -M * M * F - A1 * q / (h * h) + 0.25 * F + 0.5 * A * q * q / h ** 3
+    return (F - 1.0) / (2.0 * K), F1 / (2.0 * K * K), F2 / (2.0 * K ** 3)
 
 
 def c_k(K, tau):
-    """Stationary-ensemble covariance (1/K) * sum_{n=1..K} cos(n*tau/K).
+    """Lag covariance (1/K) * sum_{n=1..K} cos(n*tau/K); the value part of ``c_k_derivs``."""
+    return c_k_derivs(K, tau)[0]
 
-    Uses the Dirichlet-kernel identity
-        sum_{n<=K} cos(n x) = sin(Kx/2) cos((K+1)x/2) / sin(x/2)
-    with x = tau/K, and falls back to the direct sum where sin(x/2) vanishes.
+
+def c_k_derivs(K, tau):
+    """Return (c, c', c'') of ``c_k`` at lag ``tau``.
+
+    c'(tau)  = -(1/K) sum (n/K)   sin(n tau / K)
+    c''(tau) = -(1/K) sum (n/K)^2 cos(n tau / K)
+
+    The lag is folded into [-pi K, pi K] by the period 2 pi K; c and c'' are
+    even and c' is odd.  Folded lags with |tau| >= _SMALL_LAG use the
+    Dirichlet-kernel closed form, whose cost does not grow with K; smaller
+    ones use the direct sums, which keep c'(0) == 0 exactly.
     """
     if K < 1:
         raise UsageError(f"degree K must be >= 1, got {K}")
     a, scalar = _as_array(tau)
     a = np.atleast_1d(a)
-    x = a / K
-    half = 0.5 * x
-    s2 = np.sin(half)
+    f = a.ravel() - 2.0 * np.pi * K * np.rint(a.ravel() / (2.0 * np.pi * K))
+    u = np.abs(f)
+    small = u < _SMALL_LAG
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.sin(K * half) * np.cos((K + 1) * half) / (K * s2)
-    bad = np.abs(s2) < _DIRICHLET_CUT
-    if np.any(bad):
-        val[bad] = _c_k_direct(K, a[bad])
-    return _scalarize(val[0] if scalar else val, scalar)
-
-
-def c_k_derivs(K, tau):
-    """Return (c, c', c'') of ``c_k`` at lag ``tau``, term-wise and exact.
-
-    c'(tau)  = -(1/K) sum (n/K)   sin(n tau / K)
-    c''(tau) = -(1/K) sum (n/K)^2 cos(n tau / K)
-
-    The sums are evaluated directly (chunked over evaluation points), so the
-    derivatives are consistent with ``c_k`` to rounding error.
-    """
-    if K < 1:
-        raise UsageError(f"degree K must be >= 1, got {K}")
-    a, scalar = _as_array(tau)
-    flat = np.atleast_1d(a).ravel()
-    n = np.arange(1, K + 1, dtype=float) / K
-    n2 = n * n
-    c = np.empty_like(flat)
-    c1 = np.empty_like(flat)
-    c2 = np.empty_like(flat)
-    step = max(1, _CHUNK_BUDGET // K)
-    for lo in range(0, flat.size, step):
-        sl = slice(lo, min(lo + step, flat.size))
-        ang = np.multiply.outer(flat[sl], n)
-        cs = np.cos(ang)
-        sn = np.sin(ang)
-        c[sl] = cs.mean(axis=-1)
-        c1[sl] = -(sn @ n) / K
-        c2[sl] = -(cs @ n2) / K
-    shape = np.atleast_1d(a).shape
+        c, c1, c2 = _c_k_closed(K, u)
+    if np.any(small):
+        c[small], c1[small], c2[small] = _c_k_direct(K, u[small])
+    c1 = np.where(f < 0.0, -c1, c1)
     if scalar:
         return float(c[0]), float(c1[0]), float(c2[0])
-    return c.reshape(shape), c1.reshape(shape), c2.reshape(shape)
+    return c.reshape(a.shape), c1.reshape(a.shape), c2.reshape(a.shape)
 
 
 def c_k_dd0(K):
     """c''_K(0) = -(K+1)(2K+1) / (6 K^2); tends to -1/3."""
     return -(K + 1.0) * (2.0 * K + 1.0) / (6.0 * K * K)
+
+
+def _deriv_var(c, c1, c2, K):
+    """v(t)^2 = [c'' - c''(0) - c'^2/(1+c)] / (1+c), from (c, c', c'') at lag 2t."""
+    denom = 1.0 + c
+    return (c2 - c_k_dd0(K) - c1 * c1 / denom) / denom
 
 
 class Kernel:
@@ -209,9 +214,8 @@ class CosineKernel(Kernel):
     kind = "cosine_ensemble"
 
     def _parts(self, s, t):
-        ct, c1t, c2t = c_k_derivs(self.K, np.asarray(t, float) - s)
-        cs, c1s, c2s = c_k_derivs(self.K, np.asarray(t, float) + s)
-        return (ct, c1t, c2t), (cs, c1s, c2s)
+        t = np.asarray(t, float)
+        return c_k_derivs(self.K, t - s), c_k_derivs(self.K, t + s)
 
     def r(self, s, t):
         return 0.5 * (c_k(self.K, np.asarray(t, float) - s) + c_k(self.K, np.asarray(t, float) + s))
@@ -302,28 +306,24 @@ class LimitKernel(Kernel):
         t = np.asarray(t, float)
         return 0.5 * (sinc(t - s) + sinc(t + s))
 
-    def r_s(self, s, t):
+    def _parts(self, s, t):
         t = np.asarray(t, float)
-        _, d1, _ = sinc_derivs(t - s)
-        _, e1, _ = sinc_derivs(t + s)
+        return sinc_derivs(t - s), sinc_derivs(t + s)
+
+    def r_s(self, s, t):
+        (_, d1, _), (_, e1, _) = self._parts(s, t)
         return 0.5 * (e1 - d1)
 
     def r_t(self, s, t):
-        t = np.asarray(t, float)
-        _, d1, _ = sinc_derivs(t - s)
-        _, e1, _ = sinc_derivs(t + s)
+        (_, d1, _), (_, e1, _) = self._parts(s, t)
         return 0.5 * (d1 + e1)
 
     def r_ss(self, s, t):
-        t = np.asarray(t, float)
-        _, _, d2 = sinc_derivs(t - s)
-        _, _, e2 = sinc_derivs(t + s)
+        (_, _, d2), (_, _, e2) = self._parts(s, t)
         return 0.5 * (d2 + e2)
 
     def r_st(self, s, t):
-        t = np.asarray(t, float)
-        _, _, d2 = sinc_derivs(t - s)
-        _, _, e2 = sinc_derivs(t + s)
+        (_, _, d2), (_, _, e2) = self._parts(s, t)
         return 0.5 * (e2 - d2)
 
     r_tt = r_ss
@@ -410,11 +410,8 @@ def cosine_deriv_sd(K, s):
     assembled straight from the lag covariance and its derivatives.  Serves as
     an independent cross-check of ``StandardizedKernel.v``.
     """
-    s = np.asarray(s, dtype=float)
-    c, c1, c2 = c_k_derivs(K, 2.0 * s)
-    denom = 1.0 + c
-    v2 = (c2 - c_k_dd0(K) - c1 * c1 / denom) / denom
-    return np.sqrt(np.maximum(v2, 0.0))
+    c, c1, c2 = c_k_derivs(K, 2.0 * np.asarray(s, dtype=float))
+    return np.sqrt(np.maximum(_deriv_var(c, c1, c2, K), 0.0))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import c_k_dd0, c_k_derivs
+from .covariance import _deriv_var, c_k_derivs
 from .errors import NumericError, UsageError
 
 _PANEL = 0.5 * np.pi
@@ -76,9 +76,7 @@ def zero_intensity(K: int, t):
     """Rice intensity v(t)/pi of the zero set on the rescaled axis."""
     t = np.asarray(t, dtype=float)
     c, c1, c2 = c_k_derivs(K, 2.0 * t)
-    denom = 1.0 + c
-    v2 = (c2 - c_k_dd0(K) - c1 * c1 / denom) / denom
-    return np.sqrt(np.maximum(v2, 0.0)) / np.pi
+    return np.sqrt(np.maximum(_deriv_var(c, c1, c2, K), 0.0)) / np.pi
 
 
 def _adaptive_gl(f, lo, hi, rel_tol=1e-8, init_len=_PANEL, max_panels=20000):
@@ -181,7 +179,6 @@ def _pair_intensity(K, s, t):
     cs_, c1s_, c2s_ = c_k_derivs(K, t + s)
     cds, c1ds, c2ds = c_k_derivs(K, 2.0 * s)
     cdt, c1dt, c2dt = c_k_derivs(K, 2.0 * t)
-    cdd0 = c_k_dd0(K)
 
     r = 0.5 * (ct + cs_)
     r_s = 0.5 * (c1s_ - c1t)
@@ -201,8 +198,8 @@ def _pair_intensity(K, s, t):
     g_t = (r_t - r * Vpt / Vt) / denom
     r11 = (r_st - r_t * Vps / Vs - r_s * Vpt / Vt + r * Vps * Vpt / denom) / denom
 
-    vs2 = (c2ds - cdd0 - c1ds * c1ds / ds) / ds
-    vt2 = (c2dt - cdd0 - c1dt * c1dt / dt_) / dt_
+    vs2 = _deriv_var(cds, c1ds, c2ds, K)
+    vt2 = _deriv_var(cdt, c1dt, c2dt, K)
 
     det = np.maximum(1.0 - rho * rho, _MIN_DET)
     sU2 = np.maximum(vs2 - g_s * g_s / det, 0.0)

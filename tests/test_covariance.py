@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trigzero.covariance import (
+    _SMALL_LAG,
     CosineKernel,
     LimitKernel,
     SincKernel,
@@ -67,6 +68,73 @@ class TestLagCovariance:
         taus = np.linspace(0.3, K * np.pi, 101)
         c, _, _ = c_k_derivs(K, taus)
         assert np.allclose(c, c_k(K, taus), atol=1e-12)
+
+
+def _direct_sums(K, tau):
+    """(c, c', c'') by float64 sums over n = 1..K, term by term."""
+    n = np.arange(1, K + 1) / K
+    ang = np.multiply.outer(np.asarray(tau, dtype=float), n)
+    return np.cos(ang).mean(axis=-1), -(np.sin(ang) @ n) / K, -(np.cos(ang) @ (n * n)) / K
+
+
+def _lag_grid(K):
+    """Lags around 0, the small-lag cut, mid-range and the resonances 2 pi K m."""
+    period = 2.0 * np.pi * K
+    taus = [0.0, 1e-3, 0.5, _SMALL_LAG - 1e-9, _SMALL_LAG + 1e-9, 3.0, 10.0,
+            0.37 * K, 0.5 * np.pi * K, np.pi * K - 0.5, np.pi * K]
+    for m in (1, 2):
+        taus += [m * period + d for d in (-1.5, -1e-9, 1e-9, 1.5)]
+    return np.array(taus)
+
+
+class TestLagKernelForms:
+    """Closed form plus small-lag direct sums against the term-wise sums."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 30, 100, 1600])
+    def test_matches_direct_sum(self, K):
+        taus = _lag_grid(K)
+        taus = np.concatenate((taus, -taus))
+        for got, want in zip(c_k_derivs(K, taus), _direct_sums(K, taus)):
+            assert np.max(np.abs(got - want)) <= 2e-13
+        assert np.max(np.abs(c_k(K, taus) - _direct_sums(K, taus)[0])) <= 2e-13
+
+    @pytest.mark.parametrize("K", [1, 3, 100, 1600])
+    def test_parity(self, K):
+        taus = _lag_grid(K)
+        c, c1, c2 = c_k_derivs(K, taus)
+        cn, c1n, c2n = c_k_derivs(K, -taus)
+        assert np.array_equal(cn, c)
+        assert np.array_equal(c1n, -c1)
+        assert np.array_equal(c2n, c2)
+
+    def test_scalar_and_array_shapes(self):
+        K = 30
+        taus = np.linspace(-200.0, 200.0, 12).reshape(3, 4)
+        parts = c_k_derivs(K, taus)
+        flat = c_k_derivs(K, taus.ravel())
+        for p, f in zip(parts, flat):
+            assert p.shape == (3, 4)
+            assert np.array_equal(p.ravel(), f)
+        assert c_k(K, taus).shape == (3, 4)
+        one = c_k_derivs(K, 7.5)
+        assert all(type(v) is float for v in one)
+        assert one == tuple(float(f[0]) for f in c_k_derivs(K, np.array([7.5])))
+        assert type(c_k(K, 7.5)) is float
+
+    def test_mpmath_spot_check(self):
+        mp = pytest.importorskip("mpmath")
+        K = 1600
+        taus = (1.25, 3.0, 1234.5, 2.0 * np.pi * K + 1.5)
+        with mp.workdps(30):
+            for tau in taus:
+                x = mp.mpf(tau) / K
+                want = (
+                    mp.fsum(mp.cos(n * x) for n in range(1, K + 1)) / K,
+                    -mp.fsum(n * mp.sin(n * x) for n in range(1, K + 1)) / K ** 2,
+                    -mp.fsum(n * n * mp.cos(n * x) for n in range(1, K + 1)) / K ** 3,
+                )
+                for got, exact in zip(c_k_derivs(K, tau), want):
+                    assert abs(got - float(exact)) <= 1e-13
 
 
 class TestSinc:

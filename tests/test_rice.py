@@ -69,6 +69,18 @@ class TestMean:
             rice_mean(0)
 
 
+class TestBenchmarkPins:
+    """Values of the term-wise lag kernel at the benchmark's sizes."""
+
+    def test_mean_k1600(self):
+        res = rice_mean(1600, interval=(0.0, 400.0 * np.pi))
+        assert abs(res.value - 230.97369977238412) <= res.quadrature_error_estimate + 3.03e-11
+
+    def test_second_moment_k30(self):
+        res = rice_second_moment(30, interval=(6.0 * np.pi, 22.5 * np.pi))
+        assert abs(res.value - 91.46163662710454) <= res.quadrature_error_estimate + 3.29e-8
+
+
 class TestWindowChop:
     def test_ratio_decreases_in_K(self):
         ratios = []
