@@ -38,7 +38,6 @@ from .errors import (
     CampaignError,
     DegeneracyError,
     NumericError,
-    TangencyWarning,
     UsageError,
 )
 from .experiments import (

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class UsageError(ValueError):
@@ -16,14 +16,3 @@ class DegeneracyError(NumericError):
 class CampaignError(RuntimeError):
     """A Monte Carlo campaign produced too many unusable replicates."""
 
-
-class TangencyWarning(UserWarning):
-    """A sign-preserving near-zero could not be resolved into crossings.
-
-    Carries the bracketing interval so the caller can audit or re-examine it.
-    The default policy counts the bracket as zero crossings.
-    """
-
-    def __init__(self, bracket, message=None):
-        self.bracket = (float(bracket[0]), float(bracket[1]))
-        super().__init__(message or f"unresolved tangency in bracket {self.bracket}")

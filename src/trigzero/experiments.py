@@ -346,11 +346,8 @@ def run_campaign(config: ExperimentConfig, workers=None) -> CampaignResult:
             )
         moments = RunningMoments()
         # chunk-wise accumulation in fixed chunk order
-        pos = 0
         for r in results:
-            block = r[0][r[1] == 0]
-            moments.push_batch(block)
-            pos += r[0].size
+            moments.push_batch(r[0][r[1] == 0])
         mean = moments.mean
         var = moments.variance
         kpi = K * math.pi

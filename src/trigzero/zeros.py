@@ -1,12 +1,23 @@
 """Zero counting for polynomial replicates: grid scan and eigenvalue oracle.
 
-The scan method samples the path on a uniform grid fine relative to the 2K
-root bound, brackets sign changes, and refines each bracket by bisection.
-Cells whose endpoint values share a sign but dip toward zero are re-examined
-at 4x density; a persistent sign-preserving near-zero is classified through
-the analytic derivative (locating the interior extremum exactly) and, if the
-extremum value itself is indistinguishable from zero, reported as a
-TangencyWarning and counted as zero crossings.
+The scan method samples each replicate on the lattice t_j = j * period / N,
+with N = 2 * oversample * K points per period, fine relative to the 2K root
+bound.  One FFT of a replicate's coefficients gives all its lattice values
+(a real FFT for the cosine ensemble); an interval end off the lattice is
+added as a grid point and summed directly.  Sign changes between
+neighbouring grid points are counted for the whole batch at once.
+
+Same-sign triples whose parabola fit dips toward zero flag the two cells
+around them, which are re-scanned at 4x density.  There the path comes from
+a Taylor expansion about each lattice point: one direct sum per point,
+exact to rounding within a lattice step.  A sign-preserving extremum found
+there is located by bisection on the derivative, all extrema of the batch
+in lockstep.  If the extremum value is indistinguishable from zero, its cell
+is returned in ``ZeroCountResult.warnings`` as a tangency bracket and adds
+no crossings; campaigns count these brackets in the ``warnings`` column of
+``records.csv`` and leave such replicates out of their moments.  Otherwise a
+sign change at the extremum adds two crossings.  Root location, when asked
+for, bisects every bracket.
 
 The eigenvalue oracle rewrites the polynomial in z = exp(i t), lifts it to an
 ordinary degree-2K polynomial, and reads zeros off the unit-circle roots of
@@ -16,9 +27,11 @@ the cross-validation reference for the scan method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import UsageError
 from .sampling import CoefficientVector
@@ -32,7 +45,16 @@ _BISECT_WIDTH = 1e-12
 _SUSPECT_FRACTION = 0.25
 _TANGENCY_REL_TOL = 1e-10
 
-_EVAL_CHUNK_BUDGET = 4_000_000
+# complex entries held at once by the FFT blocks and the Taylor expansions;
+# bounds their scratch memory
+_BLOCK_ENTRIES = 1 << 16
+# an interval end within this many lattice steps of a lattice point is
+# treated as that point
+_LATTICE_TOL = 1e-9
+# Taylor terms kept about a lattice point: oversample >= 8 makes the
+# lattice step h satisfy freq * h <= pi/8 for every frequency, and
+# (pi/8)^18 / 18! < 1e-22, far below rounding
+_TAYLOR_TERMS = 18
 
 
 @dataclass
@@ -51,57 +73,114 @@ def _freqs(K: int, rescaled: bool) -> np.ndarray:
     return n / K if rescaled else n
 
 
-def _grid_cells(K, lo, hi, oversample, rescaled):
-    period = 2.0 * np.pi * (K if rescaled else 1.0)
-    cells = int(np.ceil(oversample * 2.0 * K * (hi - lo) / period))
-    return max(cells, 16)
+def _lattice_values(a, b, N, j):
+    """Values of every row of (a, b) at the lattice points j * period / N.
 
-
-def _eval_rows(a, b, freqs, pts):
-    """Values of each replicate row at ``pts``; shape (B, len(pts))."""
-    B = a.shape[0]
-    P = pts.size
-    vals = np.empty((B, P))
-    step = max(1, _EVAL_CHUNK_BUDGET // max(freqs.size, 1))
-    for s in range(0, P, step):
-        sl = slice(s, min(s + step, P))
-        ang = np.multiply.outer(pts[sl], freqs)
-        block = np.cos(ang) @ a.T
-        if b is not None:
-            block += np.sin(ang) @ b.T
-        vals[:, sl] = block.T
+    Each row is one FFT of length N with coefficient n at input index n, so
+    output j is sum_n (a_n + i b_n) exp(-2 pi i n j / N), whose real part is
+    the value.  The cosine ensemble is even in t, so it uses a real FFT and
+    folds j > N/2 onto N - j.
+    """
+    j = np.mod(j, N)
+    B, K = a.shape
+    x = np.zeros((B, K + 1), dtype=float if b is None else complex)
+    x[:, 1:] = a
+    if b is None:
+        j = np.minimum(j, N - j)
+        transform, width = fft.rfft, N // 2 + 1
+    else:
+        x[:, 1:] += 1j * b
+        transform, width = fft.fft, N
+    rows = max(1, _BLOCK_ENTRIES // width)
+    vals = np.empty((B, j.size))
+    for s in range(0, B, rows):
+        vals[s : s + rows] = np.take(transform(x[s : s + rows], n=N).real, j, axis=1)
     return vals
 
 
-def _eval_one(a, b, freqs, pts):
+def _scan_grid(a, b, freqs, N, step, lo, hi):
+    """Scan grid on [lo, hi] and every row's values there, shape (B, P).
+
+    Interior points are the lattice points j * step strictly inside; the
+    ends are exactly lo and hi, valued from the lattice where they lie on it
+    and by direct summation otherwise.
+    """
+    x = np.array([lo, hi]) / step
+    near = np.rint(x)
+    direct = np.abs(x - near) > _LATTICE_TOL
+    inner = np.arange(
+        math.floor(x[0] + _LATTICE_TOL) + 1, math.ceil(x[1] - _LATTICE_TOL)
+    )
+    j = np.concatenate(([near[0]], inner, [near[1]])).astype(np.int64)
+    pts = j * step
+    pts[0], pts[-1] = lo, hi
+    vals = _lattice_values(a, b, N, j)
+    ends = np.array([0, j.size - 1])[direct]
+    if ends.size:
+        vals[:, ends] = _eval_at(a, b, freqs, pts[ends])
+    return pts, vals
+
+
+def _eval_at(a, b, freqs, pts):
+    """Values at ``pts`` of one row (1-D ``a``) or of every row, (B, len(pts))."""
     ang = np.multiply.outer(np.atleast_1d(pts), freqs)
-    v = np.cos(ang) @ a
+    v = np.cos(ang) @ a.T
     if b is not None:
-        v += np.sin(ang) @ b
-    return v
+        v += np.sin(ang) @ b.T
+    return v.T
 
 
-def _eval_deriv_one(a, b, freqs, pts):
-    ang = np.multiply.outer(np.atleast_1d(pts), freqs)
-    d = -(np.sin(ang) * freqs) @ a
-    if b is not None:
-        d += (np.cos(ang) * freqs) @ b
-    return d
+def _expansions(a, b, freqs, rows, t, step):
+    """Taylor moments m of row ``rows[i]`` about ``t[i]``, shape (M, terms).
+
+    The row's value at t[i] + u * step is Re sum_k m[i, k] u^k for |u| <= 1;
+    m[i, 0] is the direct sum at t[i].
+    """
+    # column k of scale is (i * freq * step)^k / k!
+    ratios = np.multiply.outer(1j * freqs * step, 1.0 / np.arange(1, _TAYLOR_TERMS))
+    scale = np.cumprod(np.hstack((np.ones((freqs.size, 1)), ratios)), axis=1)
+    mom = np.empty((rows.size, _TAYLOR_TERMS), dtype=complex)
+    per = max(1, _BLOCK_ENTRIES // freqs.size)
+    for s in range(0, rows.size, per):
+        sl = slice(s, s + per)
+        c = a[rows[sl]] if b is None else a[rows[sl]] - 1j * b[rows[sl]]
+        mom[sl] = (c * np.exp(1j * np.multiply.outer(t[sl], freqs))) @ scale
+    return mom
 
 
-def _bisect_deriv_root(a, b, freqs, lo, hi, d_lo_sign):
-    # derivative changes sign across [lo, hi]; locate the extremum
+def _taylor(mom, u):
+    """Re sum_k mom[i, k] u[i, ...]^k by Horner's rule."""
+    shape = (-1,) + (1,) * (u.ndim - 1)
+    acc = mom[:, -1].reshape(shape)
+    for k in range(mom.shape[1] - 2, -1, -1):
+        acc = acc * u + mom[:, k].reshape(shape)
+    return acc.real
+
+
+def _bisect_extrema(dmom, t0, step, lo, hi, d_lo_pos):
+    """Derivative roots in cells [lo_i, hi_i], all cells in lockstep.
+
+    ``dmom[i]`` expands the derivative about ``t0[i]``, within a lattice step
+    of the cell; the derivative changes sign across every cell.  Each cell
+    halves until narrower than the bisection width, or stops where the
+    derivative at its midpoint is exactly zero.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    live = np.ones(lo.size, dtype=bool)
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < _BISECT_WIDTH:
+        live &= hi - lo >= _BISECT_WIDTH
+        k = np.flatnonzero(live)
+        if not k.size:
             break
-        dm = float(_eval_deriv_one(a, b, freqs, mid)[0])
-        if dm == 0.0:
-            break
-        if (dm > 0) == d_lo_sign:
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[k] + hi[k])
+        dm = _taylor(dmom[k], (mid - t0[k]) / step)
+        flat = dm == 0.0
+        live[k[flat]] = False
+        k, mid, dm = k[~flat], mid[~flat], dm[~flat]
+        right = (dm > 0) == d_lo_pos[k]
+        lo[k] = np.where(right, mid, lo[k])
+        hi[k] = np.where(right, hi[k], mid)
     return 0.5 * (lo + hi)
 
 
@@ -109,128 +188,116 @@ def _bisect_many(a, b, freqs, lo, hi, width=_BISECT_WIDTH):
     """Vectorized bisection of value brackets [lo_i, hi_i] for one replicate."""
     lo = lo.copy()
     hi = hi.copy()
-    f_lo_pos = _eval_one(a, b, freqs, lo) > 0
+    f_lo_pos = _eval_at(a, b, freqs, lo) > 0
     for _ in range(64):
         if np.all(hi - lo < width):
             break
         mid = 0.5 * (lo + hi)
-        pos = _eval_one(a, b, freqs, mid) > 0
+        pos = _eval_at(a, b, freqs, mid) > 0
         go_right = pos == f_lo_pos
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _suspicious_triples(vals, sgn):
-    """Indices i of interior grid points hiding a possible root pair.
+def _suspicious_triples(vals, absv, flips, scale):
+    """(row, index) pairs of interior grid points hiding a possible root pair.
 
     A triple (i-1, i, i+1) of same-sign values with a discrete |v| minimum at
     i is fitted with a parabola; the fit's extremum value crossing zero, or
     landing within a quarter of the discrete curvature scale of it, flags the
-    neighborhood for refinement.
+    neighborhood for refinement.  Only the same-sign minima are fitted.
     """
-    v0, v1, v2 = vals[:-2], vals[1:-1], vals[2:]
-    same = (sgn[:-2] == sgn[1:-1]) & (sgn[1:-1] == sgn[2:])
-    a1 = np.abs(v1)
-    local_min = same & (a1 <= np.abs(v0)) & (a1 <= np.abs(v2))
+    a1 = absv[:, 1:-1]
+    cand = ~flips[:, :-1] & ~flips[:, 1:] & (a1 <= absv[:, :-2]) & (a1 <= absv[:, 2:])
+    r, i = np.nonzero(cand)
+    v0, v1, v2 = vals[r, i], vals[r, i + 1], vals[r, i + 2]
     d1 = 0.5 * (v2 - v0)
     d2 = v2 - 2.0 * v1 + v0
     with np.errstate(divide="ignore", invalid="ignore"):
         est = v1 - d1 * d1 / (2.0 * d2)
-    scale = np.max(np.abs(vals)) if vals.size else 1.0
-    margin = _SUSPECT_FRACTION * np.abs(d2) + 1e-13 * scale
+    margin = _SUSPECT_FRACTION * np.abs(d2) + 1e-13 * scale[r]
     ok = (np.abs(d2) > 0) & (np.abs(d1) <= 1.5 * np.abs(d2))
-    hit = local_min & ok & ((np.sign(est) != np.sign(v1)) | (np.abs(est) <= margin))
-    return np.nonzero(hit)[0] + 1
-
-
-def _merge_regions(idx, n_pts):
-    """Merge suspicious point indices into disjoint [p0, p1] point ranges."""
-    regions = []
-    for i in idx:
-        p0, p1 = max(i - 1, 0), min(i + 1, n_pts - 1)
-        if regions and p0 <= regions[-1][1]:
-            regions[-1][1] = max(regions[-1][1], p1)
-        else:
-            regions.append([p0, p1])
-    return regions
-
-
-def _refine_region(a, b, freqs, t0, t1, n_cells, scale):
-    """Re-scan [t0, t1] at 4x density; classify sign-preserving extrema.
-
-    Returns (extra bracket list, tangency bracket list).
-    """
-    m = 4 * n_cells
-    pts = np.linspace(t0, t1, m + 1)
-    v = _eval_one(a, b, freqs, pts)
-    d = _eval_deriv_one(a, b, freqs, pts)
-    sg = v > 0
-    brackets = []
-    tangencies = []
-    for j in range(m):
-        if sg[j] != sg[j + 1]:
-            brackets.append((pts[j], pts[j + 1]))
-            continue
-        if (d[j] > 0) == (d[j + 1] > 0):
-            continue
-        # interior extremum without a sign change: settle it exactly
-        tstar = _bisect_deriv_root(a, b, freqs, pts[j], pts[j + 1], d[j] > 0)
-        vstar = float(_eval_one(a, b, freqs, tstar)[0])
-        if abs(vstar) <= _TANGENCY_REL_TOL * scale:
-            tangencies.append((pts[j], pts[j + 1]))
-        elif (vstar > 0) != sg[j]:
-            brackets.append((pts[j], tstar))
-            brackets.append((tstar, pts[j + 1]))
-    return brackets, tangencies
+    hit = ok & ((np.sign(est) != np.sign(v1)) | (np.abs(est) <= margin))
+    return r[hit], i[hit] + 1
 
 
 def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     """Scan all rows of (a, b); returns counts, warning lists, root lists."""
+    if oversample < 8:
+        raise UsageError("oversample must be >= 8")
     if hi <= lo:
         raise UsageError("empty interval")
     freqs = _freqs(K, rescaled)
-    cells = _grid_cells(K, lo, hi, oversample, rescaled)
-    pts = np.linspace(lo, hi, cells + 1)
-    vals = _eval_rows(a, b, freqs, pts)
-    B = a.shape[0]
-    counts = np.zeros(B, dtype=np.int64)
-    warn_lists = [[] for _ in range(B)]
-    root_lists = [None] * B
+    N = 2 * oversample * K
+    step = 2.0 * np.pi * (K if rescaled else 1.0) / N
+    pts, vals = _scan_grid(a, b, freqs, N, step, lo, hi)
+    B, P = vals.shape
+    absv = np.abs(vals)
+    scale = absv.max(axis=1)
+    sgn = vals > 0
+    flips = sgn[:, :-1] != sgn[:, 1:]
+    counts = flips.sum(axis=1)
 
-    sgn_all = vals > 0
-    flips_all = sgn_all[:, :-1] != sgn_all[:, 1:]
-    for r in range(B):
-        v = vals[r]
-        sgn = sgn_all[r]
-        flip_idx = np.nonzero(flips_all[r])[0]
-        brackets = [(pts[i], pts[i + 1]) for i in flip_idx]
-        scale = float(np.max(np.abs(v)))
-        suspects = _suspicious_triples(v, sgn)
-        if suspects.size:
-            ar = a[r]
+    # Refinement: the grid cells on either side of a suspect, keyed
+    # row * P + left point, are re-scanned at 4x density.  Both ends of such
+    # a cell keep their common coarse sign.  Inside, values and derivatives
+    # come from the Taylor expansion about the cell's left point; the
+    # derivative at each end comes from that point's own expansion, so that
+    # neighbouring cells agree on it.
+    s_rows, s_idx = _suspicious_triples(vals, absv, flips, scale)
+    cells = np.unique(np.concatenate((s_rows * P + s_idx - 1, s_rows * P + s_idx)))
+    points = np.unique(np.concatenate((cells, cells + 1)))
+    mom = _expansions(a, b, freqs, points // P, pts[points % P], step)
+    dmom = mom[:, 1:] * np.arange(1, _TAYLOR_TERMS)  # of the u-derivative
+    left = np.searchsorted(points, cells)
+    rows, p = cells // P, cells % P
+    t = pts[p, None] + np.multiply.outer(pts[p + 1] - pts[p], np.arange(5) / 4.0)
+    t[:, 4] = pts[p + 1]
+    u = (t[:, 1:4] - t[:, :1]) / step
+    sg = np.repeat(sgn[rows, p][:, None], 5, axis=1)
+    sg[:, 1:4] = _taylor(mom[left], u) > 0
+    dpos = np.empty((cells.size, 5), dtype=bool)
+    dpos[:, 0] = dmom[left, 0].real > 0
+    dpos[:, 1:4] = _taylor(dmom[left], u) > 0
+    dpos[:, 4] = dmom[left + 1, 0].real > 0
+    flip = sg[:, :-1] != sg[:, 1:]
+    np.add.at(counts, rows, flip.sum(axis=1))
+
+    # sign-preserving extrema: settle each by bisection on the derivative
+    ci, q = np.nonzero(~flip & (dpos[:, :-1] != dpos[:, 1:]))
+    tstar = _bisect_extrema(
+        dmom[left[ci]], t[ci, 0], step, t[ci, q], t[ci, q + 1], dpos[ci, q]
+    )
+    vstar = _taylor(mom[left[ci]], (tstar - t[ci, 0]) / step)
+    ext_rows = rows[ci]
+    tangent = np.abs(vstar) <= _TANGENCY_REL_TOL * scale[ext_rows]
+    crossed = ~tangent & ((vstar > 0) != sg[ci, q])
+    np.add.at(counts, ext_rows[crossed], 2)
+    warn_lists = [[] for _ in range(B)]
+    for m in np.flatnonzero(tangent):
+        warn_lists[ext_rows[m]].append((t[ci[m], q[m]], t[ci[m], q[m] + 1]))
+
+    root_lists = [None] * B
+    if locate:
+        fr, fq = np.nonzero(flip)
+        cr = np.flatnonzero(crossed)
+        bkt_rows = np.concatenate((rows[fr], ext_rows[cr], ext_rows[cr]))
+        bkt_lo = np.concatenate((t[fr, fq], t[ci[cr], q[cr]], tstar[cr]))
+        bkt_hi = np.concatenate((t[fr, fq + 1], tstar[cr], t[ci[cr], q[cr] + 1]))
+        for r in range(B):
+            f = np.flatnonzero(flips[r])
+            mine = bkt_rows == r
+            blo = np.concatenate((pts[f], bkt_lo[mine]))
+            bhi = np.concatenate((pts[f + 1], bkt_hi[mine]))
             br = b[r] if b is not None else None
-            for p0, p1 in _merge_regions(suspects.tolist(), pts.size):
-                extra, tang = _refine_region(
-                    ar, br, freqs, pts[p0], pts[p1], p1 - p0, scale
-                )
-                brackets.extend(extra)
-                warn_lists[r].extend(tang)
-        counts[r] = len(brackets)
-        if locate and brackets:
-            ar = a[r]
-            br = b[r] if b is not None else None
-            blo = np.array([x[0] for x in brackets])
-            bhi = np.array([x[1] for x in brackets])
-            roots = np.sort(_bisect_many(ar, br, freqs, blo, bhi))
+            roots = np.sort(_bisect_many(a[r], br, freqs, blo, bhi))
             if roots.size > 1:
                 keep = np.concatenate(([True], np.diff(roots) > _DEDUPE_TOL))
                 roots = roots[keep]
             roots = roots[(roots >= lo) & (roots < hi)]
             root_lists[r] = roots
             counts[r] = roots.size
-        elif locate:
-            root_lists[r] = np.empty(0)
     return counts, warn_lists, root_lists
 
 
@@ -242,8 +309,6 @@ def count_zeros_scan(
     locate_roots: bool = True,
 ) -> ZeroCountResult:
     """Count (and locate) zeros on [lo, hi) by grid scan plus bisection."""
-    if oversample < 8:
-        raise UsageError("oversample must be >= 8")
     lo, hi = float(interval[0]), float(interval[1])
     a = coeffs.a[None, :]
     b = coeffs.b[None, :] if coeffs.b is not None else None

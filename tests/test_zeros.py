@@ -1,14 +1,24 @@
 """Scan counting versus the companion-matrix oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from trigzero.errors import UsageError
-from trigzero.sampling import CoefficientVector, draw_coefficients, eval_path
+from trigzero.sampling import (
+    CoefficientVector,
+    draw_coefficient_batch,
+    draw_coefficients,
+    eval_path,
+)
 from trigzero.zeros import (
+    _freqs,
+    _scan_grid,
     count_zeros_eigen,
     count_zeros_scan,
     oracle_agreement,
+    scan_count_batch,
 )
 
 
@@ -95,10 +105,9 @@ class TestRootQuality:
 
 
 class TestTangency:
-    def _tangent_vector(self):
-        # K = 3 coefficients with value and slope both zero at t* = 1.0:
-        # a touch point, not a crossing
-        tstar = 1.0
+    def _tangent_vector(self, tstar=1.0):
+        # K = 3 coefficients with value and slope both zero at t*: a touch
+        # point, not a crossing
         n = np.arange(1, 4)
         m = np.vstack([np.cos(n * tstar), n * np.sin(n * tstar)])
         _, _, vh = np.linalg.svd(m)
@@ -129,12 +138,31 @@ class TestTangency:
         eig = count_zeros_eigen(shifted, (0.0, np.pi))
         assert eig.count == res.count
 
+    @pytest.mark.parametrize("frac", [0.1, 0.35, 0.6, 0.85])
+    def test_touch_in_each_quarter_of_a_cell(self, frac):
+        # refinement cuts a grid cell in four; put the touch point in each
+        # quarter of the cell between lattice points 15 and 16 (K = 3,
+        # oversample 16: step pi/48)
+        tstar = (15 + frac) * np.pi / 48
+        cv, _ = self._tangent_vector(tstar)
+        res = count_zeros_scan(cv, (0.0, np.pi))
+        assert len(res.warnings) == 1
+        lo, hi = res.warnings[0]
+        assert lo < tstar < hi and hi - lo < np.pi / 48 / 4 * (1 + 1e-9)
+        delta = 1e-6 / np.cos(tstar)
+        shifted = _vector(3, cv.a - np.r_[delta, 0.0, 0.0])
+        res = count_zeros_scan(shifted, (0.0, np.pi))
+        assert np.sum(np.abs(res.roots - tstar) < 0.05) == 2
+        assert res.count == count_zeros_eigen(shifted, (0.0, np.pi)).count
+
 
 class TestValidation:
     def test_oversample_minimum(self):
         cv = draw_coefficients(5, "cosine", 0, 0)
         with pytest.raises(UsageError):
             count_zeros_scan(cv, (0.0, np.pi), oversample=4)
+        with pytest.raises(UsageError):
+            scan_count_batch(cv.a[None, :], None, 5, (0.0, np.pi), oversample=4)
 
     def test_eigen_degree_budget(self):
         cv = draw_coefficients(300, "cosine", 0, 0)
@@ -145,3 +173,107 @@ class TestValidation:
         cv = draw_coefficients(5, "cosine", 0, 0)
         with pytest.raises(UsageError):
             count_zeros_scan(cv, (1.0, 1.0))
+
+
+# intervals on the original axis; the rescaled axis multiplies them by K
+_INTERVALS = {
+    "half_period": (0.0, np.pi),
+    "quarter_period": (0.0, 0.5 * np.pi),
+    "off_lattice": (0.3, 2.9),
+    "across_pi": (0.3, 5.9),
+    "full_period": (0.0, 2.0 * np.pi),
+}
+
+
+def _direct_values(a, b, freqs, pts, block=2000):
+    """Reference: the trigonometric sums at ``pts``, one block of points at a time."""
+    out = []
+    for s in range(0, pts.size, block):
+        ang = np.multiply.outer(pts[s : s + block], freqs)
+        v = np.cos(ang) @ a.T
+        if b is not None:
+            v += np.sin(ang) @ b.T
+        out.append(v.T)
+    return np.hstack(out)
+
+
+class TestLatticeGrid:
+    @pytest.mark.parametrize("K", [1, 7, 100, 1600])
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    @pytest.mark.parametrize("rescaled", [False, True])
+    @pytest.mark.parametrize("name", sorted(_INTERVALS))
+    def test_fft_values_match_direct_sums(self, K, ensemble, rescaled, name):
+        oversample = 16
+        lo, hi = (x * K if rescaled else x for x in _INTERVALS[name])
+        a, b = draw_coefficient_batch(K, ensemble, 11, range(3))
+        freqs = _freqs(K, rescaled)
+        N = 2 * oversample * K
+        step = 2.0 * np.pi * (K if rescaled else 1.0) / N
+        pts, vals = _scan_grid(a, b, freqs, N, step, lo, hi)
+        # the grid is lo, the lattice points strictly inside, and hi
+        assert pts[0] == lo and pts[-1] == hi
+        j = np.rint(pts[1:-1] / step)
+        assert np.array_equal(pts[1:-1], j * step)
+        assert np.all(np.diff(j) == 1)
+        assert pts[1] - lo <= step * (1 + 1e-9) and hi - pts[-2] <= step * (1 + 1e-9)
+        # compare on at most ~2000 evenly spread points, ends included
+        keep = np.unique(np.r_[np.arange(0, pts.size, max(1, pts.size // 2000)), pts.size - 1])
+        want = _direct_values(a, b, freqs, pts[keep])
+        got = vals[:, keep]
+        row_max = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-11 * row_max)
+        # signs agree wherever the path is not zero to rounding (K = 1
+        # vanishes exactly at pi/2 and 3pi/2, lattice points)
+        clear = np.abs(want) > 1e-14 * row_max
+        assert np.array_equal((got > 0)[clear], (want > 0)[clear])
+
+
+class TestBatchEngine:
+    def test_batch_equals_single_rows(self):
+        # a K = 3 batch holding the tangent path of TestTangency, so that
+        # warning counts are compared too, and K = 40 batches off the lattice
+        tangent = TestTangency()._tangent_vector()[0].a
+        a3, _ = draw_coefficient_batch(3, "cosine", 21, range(64))
+        a3[17] = tangent
+        cases = [(3, a3, None, (0.0, np.pi))]
+        for ensemble in ("cosine", "stationary"):
+            a, b = draw_coefficient_batch(40, ensemble, 22, range(64))
+            cases.append((40, a, b, (0.3, 2.9)))
+        for K, a, b, interval in cases:
+            counts, warns = scan_count_batch(a, b, K, interval)
+            for r in range(a.shape[0]):
+                cv = _vector(K, a[r], None if b is None else b[r])
+                one = count_zeros_scan(cv, interval, locate_roots=False)
+                assert counts[r] == one.count
+                assert warns[r] == len(one.warnings)
+            if K == 3:
+                assert warns[17] == 1 and warns.sum() == 1
+
+    @pytest.mark.parametrize(
+        "K, ensemble, interval, reps",
+        [
+            (7, "cosine", (0.3, 2.9), 200),
+            (64, "cosine", (0.3, 5.9), 40),
+            (256, "cosine", (0.3, 2.9), 3),
+            (7, "stationary", (0.3, 5.9), 200),
+            (64, "stationary", (0.0, 2.0 * np.pi), 40),
+            (256, "stationary", (0.3, 2.9), 3),
+        ],
+    )
+    def test_eigen_oracle_agreement(self, K, ensemble, interval, reps):
+        a, b = draw_coefficient_batch(K, ensemble, 23, range(reps))
+        counts, warns = scan_count_batch(a, b, K, interval)
+        assert not warns.any()
+        for r in range(reps):
+            cv = _vector(K, a[r], None if b is None else b[r])
+            assert counts[r] == count_zeros_eigen(cv, interval).count
+
+    def test_pinned_k1600_counts(self):
+        # seed 0, replicates 0..255, K = 1600 on [0, pi/2): the first chunk
+        # of the benchmark's large-K campaign, counted before the FFT scan
+        a, b = draw_coefficient_batch(1600, "cosine", 0, range(256))
+        counts, warns = scan_count_batch(a, b, 1600, (0.0, 0.5 * np.pi))
+        assert int(counts.sum()) == 118438
+        assert not warns.any()
+        digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+        assert digest == "d7c8bb4343644bb699e3ad493cda76867f2fd4e7db753cbf9a6f521cb85203ca"
