@@ -27,7 +27,6 @@ from .covariance import (
     c_k,
     c_k_dd0,
     c_k_derivs,
-    cosine_deriv_sd,
     kernel_bounds_check,
     limit_kernel,
     sinc,
@@ -93,4 +92,24 @@ from .zeros import (
     scan_count_batch,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ChaosTerm", "VarianceConstant", "chaos_lag_correlation", "lag_correlations",
+    "sigma_q_squared", "total_variance_constant",
+    "BoundsReport", "CosineKernel", "Kernel", "LimitKernel", "SincKernel",
+    "StandardizedKernel", "StationaryFiniteKernel", "c_k", "c_k_dd0", "c_k_derivs",
+    "kernel_bounds_check", "limit_kernel", "sinc", "sinc_derivs", "standardized",
+    "CampaignError", "DegeneracyError", "NumericError", "UsageError",
+    "CampaignResult", "ExperimentConfig", "ExperimentRecord", "IntervalSpec",
+    "KSummary", "NormalityReport", "RunningMoments", "WindowChopReport", "clt_test",
+    "run_campaign", "standardize_counts", "window_chop_check",
+    "ChaosCoefficients", "HermiteBasis", "abs_coeff", "chaos_coefficients",
+    "dirac_coeff", "dirac_coeff_normalized", "f_q_eval", "hermite_eval",
+    "mehler_product_expectation",
+    "RiceResult", "RiceVariance", "conditional_abs_moment", "rice_mean",
+    "rice_second_moment", "rice_variance", "wilkins_mean", "window_bounds",
+    "zero_intensity",
+    "CoefficientVector", "PathSample", "draw_coefficient_batch",
+    "draw_coefficients", "eval_path", "sample_limit_process", "standard_normals",
+    "ZeroCountResult", "count_zeros_eigen", "count_zeros_scan", "oracle_agreement",
+    "scan_count_batch",
+]

@@ -38,9 +38,9 @@ from .hermite import (
     dirac_coeff_normalized,
     mehler_product_grid,
 )
+from .rice import _gl_panels
 
 _SQRT3 = np.sqrt(3.0)
-_PANEL = 0.5 * np.pi
 _GL_NODES = 16
 
 
@@ -103,17 +103,6 @@ class ChaosTerm:
     quadrature_error: float
 
 
-def _panel_nodes(lo, hi, n_nodes):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    n_panels = max(int(np.ceil((hi - lo) / _PANEL)), 1)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def sigma_q_squared(q: int, coeffs: ChaosCoefficients | None = None, tail: float = 1e4) -> ChaosTerm:
     """Limiting variance of the order-q component.
 
@@ -130,12 +119,12 @@ def sigma_q_squared(q: int, coeffs: ChaosCoefficients | None = None, tail: float
     if q % 2 == 1:
         return ChaosTerm(q=q, sigma_sq=0.0, tail_cutoff=float(tail), quadrature_error=0.0)
 
-    nodes, weights = _panel_nodes(0.0, float(tail), _GL_NODES)
+    nodes, weights = _gl_panels(0.0, float(tail), _GL_NODES)
     g = chaos_lag_correlation(q, nodes)
     body = float(weights @ g)
 
     # coarse pass for the error estimate
-    nodes8, weights8 = _panel_nodes(0.0, float(tail), _GL_NODES // 2)
+    nodes8, weights8 = _gl_panels(0.0, float(tail), _GL_NODES // 2)
     body8 = float(weights8 @ chaos_lag_correlation(q, nodes8))
 
     # 1/tau^2 tail envelope fitted on the last decade

@@ -1,8 +1,8 @@
 """Covariance kernels of random cosine polynomials and their large-degree limits.
 
 Everything lives on the rescaled time axis [0, K*pi], where the degree-K
-ensembles oscillate on an O(1) scale.  Two scalar building blocks drive all
-kernels:
+ensembles oscillate on an O(1) scale.  Every kernel is one lag function f,
+taken with its first two derivatives:
 
 * ``c_k(K, tau)`` -- the lag covariance (1/K) * sum_{n=1..K} cos(n*tau/K) of
   the stationary (cosine+sine) ensemble.  ``c_k_derivs`` folds the lag into
@@ -11,22 +11,24 @@ kernels:
   below _SMALL_LAG = 2,
 * ``sinc(x) = sin(x)/x`` -- its pointwise limit as K grows.
 
-Kernel flavours:
+``Kernel(K, cosine)`` composes f = c_k(K, .), or f = sinc for K = None, as
+the cosine-type surface (f(t-s) + f(t+s))/2 or the stationary f(t-s):
 
-=====================  =========================================
-cosine_ensemble(K)     r(s,t) = (c_k(t-s) + c_k(t+s)) / 2
-stationary_finite(K)   r(s,t) = c_k(t-s)
-stationary_sinc        r(s,t) = sinc(t-s)
-limit_nonstationary    r(s,t) = (sinc(t-s) + sinc(t+s)) / 2
-=====================  =========================================
+=============================================  ====================  ===========================
+Kernel(K)           = CosineKernel(K)            cosine_ensemble       (c_k(t-s) + c_k(t+s)) / 2
+Kernel(K, False)    = StationaryFiniteKernel(K)  stationary_finite     c_k(t-s)
+Kernel(None, False) = SincKernel()               stationary_sinc       sinc(t-s)
+Kernel()            = LimitKernel()              limit_nonstationary   (sinc(t-s) + sinc(t+s)) / 2
+=============================================  ====================  ===========================
 
 ``standardized`` wraps any kernel into its unit-variance version and exposes
-the standard deviation of the standardized derivative, which is the Rice
-intensity of the zero set.
+the standard deviation of the standardized derivative, which is pi times the
+Rice intensity of the zero set.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,33 +169,43 @@ def _deriv_var(c, c1, c2, K):
     return (c2 - c_k_dd0(K) - c1 * c1 / denom) / denom
 
 
+@dataclass(frozen=True)
 class Kernel:
-    """Covariance surface with first and second partial derivatives.
+    """Covariance surface built from one lag function and its derivatives.
 
-    Subclasses provide r, r_s, r_t, r_ss, r_st, r_tt, all vectorized over
-    (s, t) arrays on the rescaled axis.  Instances are immutable and all
-    evaluations are pure.
+    The lag function f is ``c_k(K, .)`` for a degree K, or ``sinc`` for
+    K = None.  The surface is (f(t-s) + f(t+s))/2 when ``cosine`` is set and
+    f(t-s) otherwise.  Vectorized over (s, t) arrays on the rescaled axis;
+    instances are immutable and all evaluations are pure.
     """
 
-    kind = "abstract"
+    K: int | None = None
+    cosine: bool = True
+
+    @property
+    def kind(self):
+        if self.K is None:
+            return "limit_nonstationary" if self.cosine else "stationary_sinc"
+        return "cosine_ensemble" if self.cosine else "stationary_finite"
+
+    def _lag(self, tau):
+        return sinc_derivs(tau) if self.K is None else c_k_derivs(self.K, tau)
+
+    def partials(self, s, t):
+        """(r, r_s, r_t, r_ss, r_st, r_tt) at (s, t); r_tt equals r_ss."""
+        t = np.asarray(t, float)
+        d, d1, d2 = self._lag(t - s)
+        if not self.cosine:
+            return d, -d1, d1, d2, -d2, d2
+        e, e1, e2 = self._lag(t + s)
+        r_ss = 0.5 * (d2 + e2)
+        return 0.5 * (d + e), 0.5 * (e1 - d1), 0.5 * (d1 + e1), r_ss, 0.5 * (e2 - d2), r_ss
 
     def r(self, s, t):
-        raise NotImplementedError
-
-    def r_s(self, s, t):
-        raise NotImplementedError
-
-    def r_t(self, s, t):
-        raise NotImplementedError
-
-    def r_ss(self, s, t):
-        raise NotImplementedError
-
-    def r_st(self, s, t):
-        raise NotImplementedError
-
-    def r_tt(self, s, t):
-        raise NotImplementedError
+        """r(s, t) from lag values alone: a Gram matrix needs no derivatives."""
+        f = sinc if self.K is None else functools.partial(c_k, self.K)
+        t = np.asarray(t, float)
+        return 0.5 * (f(t - s) + f(t + s)) if self.cosine else f(t - s)
 
     def std(self, t):
         """Pointwise standard deviation sqrt(r(t, t))."""
@@ -206,127 +218,10 @@ class Kernel:
         return self.r(g[:, None], g[None, :])
 
 
-@dataclass(frozen=True)
-class CosineKernel(Kernel):
-    """Covariance of the rescaled pure-cosine ensemble: (c(t-s) + c(t+s))/2."""
-
-    K: int
-    kind = "cosine_ensemble"
-
-    def _parts(self, s, t):
-        t = np.asarray(t, float)
-        return c_k_derivs(self.K, t - s), c_k_derivs(self.K, t + s)
-
-    def r(self, s, t):
-        return 0.5 * (c_k(self.K, np.asarray(t, float) - s) + c_k(self.K, np.asarray(t, float) + s))
-
-    def r_s(self, s, t):
-        (_, c1t, _), (_, c1s, _) = self._parts(s, t)
-        return 0.5 * (c1s - c1t)
-
-    def r_t(self, s, t):
-        (_, c1t, _), (_, c1s, _) = self._parts(s, t)
-        return 0.5 * (c1t + c1s)
-
-    def r_ss(self, s, t):
-        (_, _, c2t), (_, _, c2s) = self._parts(s, t)
-        return 0.5 * (c2t + c2s)
-
-    def r_st(self, s, t):
-        (_, _, c2t), (_, _, c2s) = self._parts(s, t)
-        return 0.5 * (c2s - c2t)
-
-    r_tt = r_ss
-
-
-@dataclass(frozen=True)
-class StationaryFiniteKernel(Kernel):
-    """Covariance c(t - s) of the rescaled cosine+sine ensemble."""
-
-    K: int
-    kind = "stationary_finite"
-
-    def r(self, s, t):
-        return c_k(self.K, np.asarray(t, float) - s)
-
-    def r_s(self, s, t):
-        _, c1, _ = c_k_derivs(self.K, np.asarray(t, float) - s)
-        return -c1
-
-    def r_t(self, s, t):
-        _, c1, _ = c_k_derivs(self.K, np.asarray(t, float) - s)
-        return c1
-
-    def r_ss(self, s, t):
-        _, _, c2 = c_k_derivs(self.K, np.asarray(t, float) - s)
-        return c2
-
-    def r_st(self, s, t):
-        _, _, c2 = c_k_derivs(self.K, np.asarray(t, float) - s)
-        return -c2
-
-    r_tt = r_ss
-
-
-@dataclass(frozen=True)
-class SincKernel(Kernel):
-    """Stationary limit covariance sinc(t - s)."""
-
-    kind = "stationary_sinc"
-
-    def r(self, s, t):
-        return sinc(np.asarray(t, float) - s)
-
-    def r_s(self, s, t):
-        _, s1, _ = sinc_derivs(np.asarray(t, float) - s)
-        return -s1
-
-    def r_t(self, s, t):
-        _, s1, _ = sinc_derivs(np.asarray(t, float) - s)
-        return s1
-
-    def r_ss(self, s, t):
-        _, _, s2 = sinc_derivs(np.asarray(t, float) - s)
-        return s2
-
-    def r_st(self, s, t):
-        _, _, s2 = sinc_derivs(np.asarray(t, float) - s)
-        return -s2
-
-    r_tt = r_ss
-
-
-@dataclass(frozen=True)
-class LimitKernel(Kernel):
-    """Nonstationary limit covariance (sinc(t-s) + sinc(t+s)) / 2."""
-
-    kind = "limit_nonstationary"
-
-    def r(self, s, t):
-        t = np.asarray(t, float)
-        return 0.5 * (sinc(t - s) + sinc(t + s))
-
-    def _parts(self, s, t):
-        t = np.asarray(t, float)
-        return sinc_derivs(t - s), sinc_derivs(t + s)
-
-    def r_s(self, s, t):
-        (_, d1, _), (_, e1, _) = self._parts(s, t)
-        return 0.5 * (e1 - d1)
-
-    def r_t(self, s, t):
-        (_, d1, _), (_, e1, _) = self._parts(s, t)
-        return 0.5 * (d1 + e1)
-
-    def r_ss(self, s, t):
-        (_, _, d2), (_, _, e2) = self._parts(s, t)
-        return 0.5 * (d2 + e2)
-
-    def r_st(self, s, t):
-        (_, _, d2), (_, _, e2) = self._parts(s, t)
-        return 0.5 * (e2 - d2)
-
-    r_tt = r_ss
+CosineKernel = functools.partial(Kernel, cosine=True)
+StationaryFiniteKernel = functools.partial(Kernel, cosine=False)
+SincKernel = functools.partial(Kernel, K=None, cosine=False)
+LimitKernel = functools.partial(Kernel, K=None, cosine=True)
 
 
 def limit_kernel(s, t):
@@ -337,10 +232,10 @@ def limit_kernel(s, t):
 class StandardizedKernel:
     """Unit-variance normalization of a base kernel.
 
-    Exposes the correlation surface rbar(s,t) = r(s,t)/(V(s)V(t)) together
-    with its mixed partials and ``v(s)``, the standard deviation of the
-    standardized process's derivative.  Evaluation raises DegeneracyError
-    wherever the base standard deviation falls below ``tol``.
+    ``parts`` gives the correlation surface rbar(s,t) = r(s,t)/(V(s)V(t))
+    together with its first and mixed partials, and ``v(s)`` the standard
+    deviation of the standardized process's derivative.  Evaluation raises
+    DegeneracyError wherever the base standard deviation falls below ``tol``.
     """
 
     def __init__(self, base: Kernel, tol: float = 1e-7):
@@ -348,70 +243,38 @@ class StandardizedKernel:
         self.tol = float(tol)
 
     def _v_and_slope(self, t):
-        V = self.base.std(t)
+        r, r_s, r_t = self.base.partials(t, t)[:3]
+        V = np.sqrt(np.maximum(r, 0.0))
         if np.any(V <= self.tol):
             raise DegeneracyError(
                 f"base kernel variance below {self.tol ** 2:g} inside the domain"
             )
         # d/dt sqrt(r(t,t)) via the diagonal derivative of r
-        Vp = (self.base.r_s(t, t) + self.base.r_t(t, t)) / (2.0 * V)
-        return V, Vp
+        return V, (r_s + r_t) / (2.0 * V)
 
-    def rbar(self, s, t):
-        s = np.asarray(s, float)
-        t = np.asarray(t, float)
-        Vs, _ = self._v_and_slope(s)
-        Vt, _ = self._v_and_slope(t)
-        return self.base.r(s, t) / (Vs * Vt)
-
-    def rbar_s(self, s, t):
-        s = np.asarray(s, float)
-        t = np.asarray(t, float)
-        Vs, Vps = self._v_and_slope(s)
-        Vt, _ = self._v_and_slope(t)
-        return (self.base.r_s(s, t) - self.base.r(s, t) * Vps / Vs) / (Vs * Vt)
-
-    def rbar_t(self, s, t):
-        s = np.asarray(s, float)
-        t = np.asarray(t, float)
-        Vs, _ = self._v_and_slope(s)
-        Vt, Vpt = self._v_and_slope(t)
-        return (self.base.r_t(s, t) - self.base.r(s, t) * Vpt / Vt) / (Vs * Vt)
-
-    def rbar_st(self, s, t):
+    def parts(self, s, t):
+        """(rbar, rbar_s, rbar_t, rbar_st) at (s, t)."""
         s = np.asarray(s, float)
         t = np.asarray(t, float)
         Vs, Vps = self._v_and_slope(s)
         Vt, Vpt = self._v_and_slope(t)
-        r = self.base.r(s, t)
-        num = (
-            self.base.r_st(s, t)
-            - self.base.r_t(s, t) * Vps / Vs
-            - self.base.r_s(s, t) * Vpt / Vt
-            + r * Vps * Vpt / (Vs * Vt)
+        r, r_s, r_t, _, r_st, _ = self.base.partials(s, t)
+        denom = Vs * Vt
+        return (
+            r / denom,
+            (r_s - r * Vps / Vs) / denom,
+            (r_t - r * Vpt / Vt) / denom,
+            (r_st - r_t * Vps / Vs - r_s * Vpt / Vt + r * Vps * Vpt / denom) / denom,
         )
-        return num / (Vs * Vt)
 
     def v(self, s):
         """Standard deviation of the standardized derivative at s."""
-        s = np.asarray(s, float)
-        return np.sqrt(np.maximum(self.rbar_st(s, s), 0.0))
+        return np.sqrt(np.maximum(self.parts(s, s)[3], 0.0))
 
 
 def standardized(kernel: Kernel, tol: float = 1e-7) -> StandardizedKernel:
     """Wrap ``kernel`` into its unit-variance standardized form."""
     return StandardizedKernel(kernel, tol=tol)
-
-
-def cosine_deriv_sd(K, s):
-    """Direct formula for the standardized-derivative sd of the cosine kernel.
-
-    v(s)^2 = [c''(2s) - c''(0) - c'(2s)^2 / (1 + c(2s))] / (1 + c(2s)),
-    assembled straight from the lag covariance and its derivatives.  Serves as
-    an independent cross-check of ``StandardizedKernel.v``.
-    """
-    c, c1, c2 = c_k_derivs(K, 2.0 * np.asarray(s, dtype=float))
-    return np.sqrt(np.maximum(_deriv_var(c, c1, c2, K), 0.0))
 
 
 @dataclass(frozen=True)

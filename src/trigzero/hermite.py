@@ -45,10 +45,6 @@ class HermiteBasis:
         if max_order < 0:
             raise UsageError("max_order must be >= 0")
         self.max_order = int(max_order)
-        # float factorials up to 2*max_order, used by expansion consumers
-        self.factorial = np.cumprod(
-            np.concatenate(([1.0], np.arange(1, 2 * self.max_order + 1, dtype=float)))
-        )
 
     def eval(self, q: int, x):
         """Value of H_q at x (scalar or array)."""

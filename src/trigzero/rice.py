@@ -215,12 +215,11 @@ def _pair_intensity(K, s, t):
     return euv * p00
 
 
-def _inner_s_nodes(w0, w1_minus_u, n_nodes):
-    """GL nodes and weights tiling [w0, w1_minus_u] in half-period panels."""
+def _gl_panels(lo, hi, n_nodes):
+    """GL nodes and weights tiling [lo, hi] in half-period panels."""
     x, w = _gl(n_nodes)
-    length = w1_minus_u - w0
-    n_panels = max(int(np.ceil(length / _PANEL)), 1)
-    edges = np.linspace(w0, w1_minus_u, n_panels + 1)
+    n_panels = max(int(np.ceil((hi - lo) / _PANEL)), 1)
+    edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -244,7 +243,7 @@ def _offband_integral(K, w0, w1, delta, n_nodes):
         t_all = []
         w_all = []
         for u, wu in zip(u_nodes, u_weights):
-            s_nodes, s_weights = _inner_s_nodes(w0, w1 - u, n_nodes)
+            s_nodes, s_weights = _gl_panels(w0, w1 - u, n_nodes)
             s_all.append(s_nodes)
             t_all.append(s_nodes + u)
             w_all.append(wu * s_weights)
@@ -257,7 +256,7 @@ def _offband_integral(K, w0, w1, delta, n_nodes):
 
 def _band_integral(K, w0, w1, delta, n_nodes):
     """Diagonal band |t-s| < delta via quadratic extrapolation to the diagonal."""
-    s_nodes, s_weights = _inner_s_nodes(w0, w1 - 3.0 * delta, n_nodes)
+    s_nodes, s_weights = _gl_panels(w0, w1 - 3.0 * delta, n_nodes)
     f1 = _pair_intensity(K, s_nodes, s_nodes + delta)
     f2 = _pair_intensity(K, s_nodes, s_nodes + 2.0 * delta)
     f3 = _pair_intensity(K, s_nodes, s_nodes + 3.0 * delta)

@@ -12,7 +12,6 @@ from trigzero.covariance import (
     c_k,
     c_k_dd0,
     c_k_derivs,
-    cosine_deriv_sd,
     kernel_bounds_check,
     limit_kernel,
     sinc,
@@ -20,6 +19,7 @@ from trigzero.covariance import (
     standardized,
 )
 from trigzero.errors import DegeneracyError, UsageError
+from trigzero.rice import zero_intensity
 
 ALL_KERNELS = [
     CosineKernel(17),
@@ -252,12 +252,13 @@ class TestKernelSurface:
 
         # second differences at step 1e-5 carry ~1e-5 absolute roundoff, so
         # their comparison scale is the kernels' O(1) curvature scale
+        _, r_s, r_t, r_ss, r_st, r_tt = kern.partials(s, t)
         pairs = [
-            (kern.r_s(s, t), fd(None, "s"), 1e-3),
-            (kern.r_t(s, t), fd(None, "t"), 1e-3),
-            (kern.r_ss(s, t), fd(None, "ss"), 1.0),
-            (kern.r_tt(s, t), fd(None, "tt"), 1.0),
-            (kern.r_st(s, t), fd(None, "st"), 1.0),
+            (r_s, fd(None, "s"), 1e-3),
+            (r_t, fd(None, "t"), 1e-3),
+            (r_ss, fd(None, "ss"), 1.0),
+            (r_tt, fd(None, "tt"), 1.0),
+            (r_st, fd(None, "st"), 1.0),
         ]
         for got, want, floor in pairs:
             scale = np.maximum(np.abs(want), floor)
@@ -268,7 +269,7 @@ class TestStandardized:
     def test_unit_diagonal(self):
         sk = standardized(CosineKernel(40))
         t = np.linspace(0.5, 40 * np.pi - 0.5, 50)
-        assert np.allclose(sk.rbar(t, t), 1.0, atol=1e-12)
+        assert np.allclose(sk.parts(t, t)[0], 1.0, atol=1e-12)
 
     def test_deriv_sd_limit(self):
         sk = standardized(CosineKernel(500))
@@ -280,12 +281,12 @@ class TestStandardized:
         for K in (10, 100, 500):
             sk = standardized(CosineKernel(K))
             s = np.linspace(1.0, K * np.pi - 1.0, 41)
-            assert np.allclose(sk.v(s) ** 2, cosine_deriv_sd(K, s) ** 2, atol=1e-10)
+            assert np.allclose(sk.v(s) ** 2, (np.pi * zero_intensity(K, s)) ** 2, atol=1e-10)
 
     def test_deriv_sd_positive_inside(self):
         for K in (10, 100, 500):
             s = np.linspace(2.0, K * np.pi - 2.0, 301)
-            assert np.all(cosine_deriv_sd(K, s) > 0.0)
+            assert np.all(np.pi * zero_intensity(K, s) > 0.0)
 
     def test_variance_upper_bound(self):
         # V^2(t) <= (1 + pi/(2t)) / 2; the underlying lag bound needs
@@ -300,4 +301,26 @@ class TestStandardized:
     def test_degenerate_base_raises(self):
         sk = standardized(CosineKernel(1))
         with pytest.raises(DegeneracyError):
-            sk.rbar(np.pi / 2.0, 1.0)
+            sk.parts(np.pi / 2.0, 1.0)
+
+    @pytest.mark.parametrize("kern", ALL_KERNELS, ids=lambda k: f"{k.kind}")
+    def test_parts_match_finite_differences(self, kern):
+        sk = standardized(kern)
+        rng = np.random.default_rng(37)
+        s = rng.uniform(1.0, 25.0, size=100)
+        t = s + rng.uniform(0.5, 10.0, size=100)
+        h = 1e-5
+
+        def rbar(a, b):
+            return sk.parts(a, b)[0]
+
+        fd_s = (rbar(s + h, t) - rbar(s - h, t)) / (2 * h)
+        fd_t = (rbar(s, t + h) - rbar(s, t - h)) / (2 * h)
+        fd_st = (
+            rbar(s + h, t + h) - rbar(s + h, t - h)
+            - rbar(s - h, t + h) + rbar(s - h, t - h)
+        ) / (4 * h * h)
+        _, g_s, g_t, g_st = sk.parts(s, t)
+        for got, want, floor in ((g_s, fd_s, 1e-3), (g_t, fd_t, 1e-3), (g_st, fd_st, 1.0)):
+            scale = np.maximum(np.abs(want), floor)
+            assert np.max(np.abs(got - want) / scale) < 1e-4

@@ -131,10 +131,7 @@ class TestSecondMoment:
         from trigzero.covariance import CosineKernel, standardized
 
         sk = standardized(CosineKernel(K))
-        rho = sk.rbar(s, t)
-        gs = sk.rbar_s(s, t)
-        gt = sk.rbar_t(s, t)
-        r11 = sk.rbar_st(s, t)
+        rho, gs, gt, r11 = sk.parts(s, t)
         vs2 = sk.v(s) ** 2
         vt2 = sk.v(t) ** 2
         det = 1.0 - rho * rho

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trigzero.covariance import CosineKernel, LimitKernel, SincKernel
+from trigzero.covariance import CosineKernel, Kernel, LimitKernel, SincKernel
 from trigzero.errors import DegeneracyError, UsageError
 from trigzero.sampling import (
     CoefficientVector,
@@ -136,7 +136,7 @@ class TestLimitProcess:
             sample_limit_process(kern, [1.0, 0.5], seed=0)
 
     def test_degenerate_gram_raises(self):
-        class BadKernel(LimitKernel):
+        class BadKernel(Kernel):
             def gram(self, grid):
                 return np.full((len(grid), len(grid)), -1.0)
 
