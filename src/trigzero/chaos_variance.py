@@ -15,6 +15,24 @@ point-mass weights b_k / (k! sqrt(2 pi)); under this normalization the sum
 over q of sigma_q^2 is exactly the limit of Var(N[0, L]) / L, the constant
 the Monte Carlo campaigns estimate.
 
+Every pairing diagram of order q has q edges, so G_q is a homogeneous
+polynomial of degree q in the four correlations.  Two of them are one
+function up to sign, rho_zw = -u and rho_wz = +u with u = sqrt(3) sinc', so
+G_q is a polynomial in three variables,
+
+    G_q = sum_{a, b} C_q[a, b] rho_zz^a u^b rho_ww^(q - a - b),
+
+and each diagram term w rho_zz^m1 rho_zw^m2 rho_wz^m3 rho_ww^m4 adds
+(-1)^m2 w to C_q[m1, m2 + m3].  The merged table is built once per order
+(at most 231 entries at q = 20).  Only even powers of u survive, so the
+table keeps the columns u^(2j): 111 nonzero coefficients at q = 20.  A pass
+over a lag grid runs in blocks of ``_BLOCK`` nodes: per block it evaluates
+sinc and its derivatives once, builds the power tables rho_zz^a and the
+monomials u^(2j) rho_ww^(c-2j) up to the highest order, and contracts every
+requested order's table against them, so all orders share one set of
+powers.  ``total_variance_constant`` integrates all its orders in one such
+pass per Gauss-Legendre grid.
+
 Odd orders vanish identically (odd point-mass weights are zero); the q = 2
 constant has the closed form 2/(15 pi), used as an independent oracle in the
 tests.
@@ -26,6 +44,7 @@ remainder is added back from a fitted C/tau^2 envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,15 +52,16 @@ from .covariance import sinc_derivs
 from .errors import UsageError
 from .hermite import (
     ChaosCoefficients,
+    _mehler_terms,
     abs_coeff,
-    chaos_coefficients,
     dirac_coeff_normalized,
-    mehler_product_grid,
+    mehler_product_grid,  # noqa: F401  unused; perfbench/layers.py wraps this name
 )
 from .rice import _gl_panels
 
 _SQRT3 = np.sqrt(3.0)
 _GL_NODES = 16
+_BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at q = 20
 
 
 def lag_correlations(tau):
@@ -75,6 +95,54 @@ def _order_pairs(q: int):
     return pairs
 
 
+@lru_cache(maxsize=None)
+def _order_table(q: int):
+    """Merged table of G_q as its nonzero rows (a, C_q[a, :]).
+
+    C_q[a, j] is the coefficient of rho_zz^a u^(2j) rho_ww^(q-a-2j).  Odd
+    powers of u cancel exactly: swapping the two factors of a diagram swaps
+    m2 and m3 and so flips the sign (-1)^m2 when m2 + m3 is odd.
+    """
+    table = np.zeros((q + 1, q // 2 + 1))
+    pairs = _order_pairs(q)
+    for kx, ky, cx in pairs:
+        for kx2, ky2, cx2 in pairs:
+            for m1, m2, m3, _, w in _mehler_terms((kx, ky, kx2, ky2)):
+                if (m2 + m3) % 2 == 0:
+                    table[m1, (m2 + m3) // 2] += (-1.0) ** m2 * cx * cx2 * w
+    table.flags.writeable = False  # the cached rows are shared by every caller
+    return tuple((a, table[a, : (q - a) // 2 + 1]) for a in range(q + 1) if table[a].any())
+
+
+def _powers(r, n):
+    """r^k for k = 0..n, shape (n + 1, r.size)."""
+    out = np.empty((n + 1, r.size))
+    out[0] = 1.0
+    for k in range(1, n + 1):
+        np.multiply(out[k - 1], r, out=out[k])
+    return out
+
+
+def _power_tables(tau, p):
+    """Shared powers for every order up to p on one block of lags.
+
+    Returns rho_zz^a for a = 0..p, shape (p + 1, tau.size), and per degree
+    c = 0..p the monomials u^(2j) rho_ww^(c-2j) for j = 0..c//2.
+    """
+    s0, s1, s2 = sinc_derivs(tau)
+    pu2, pw = _powers(3.0 * s1 * s1, p // 2), _powers(-3.0 * s2, p)
+    return _powers(s0, p), [pu2[: c // 2 + 1] * pw[c::-2] for c in range(p + 1)]
+
+
+def _evaluate(q, powers):
+    """G_q on one block from its merged table and the shared power tables."""
+    pz, mixed = powers
+    out = np.zeros(pz.shape[1])
+    for a, row in _order_table(q):
+        out += pz[a] * (row @ mixed[q - a])
+    return out
+
+
 def chaos_lag_correlation(q: int, tau):
     """G_q(tau): lag correlation of the order-q chaos integrand.
 
@@ -82,15 +150,36 @@ def chaos_lag_correlation(q: int, tau):
     perfectly regular (the diagram sum is a polynomial in the correlations).
     """
     tau = np.asarray(tau, dtype=float)
-    rzz, rzw, rwz, rww = _lag_correlations_raw(tau)
-    pairs = _order_pairs(q)
-    out = np.zeros(tau.shape)
-    for kx, ky, cx in pairs:
-        for kx2, ky2, cx2 in pairs:
-            out = out + cx * cx2 * mehler_product_grid(
-                (kx, ky, kx2, ky2), rzz, rzw, rwz, rww
-            )
-    return out
+    flat = tau.ravel()
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _BLOCK):
+        block = flat[lo : lo + _BLOCK]
+        out[lo : lo + _BLOCK] = _evaluate(q, _power_tables(block, q))
+    return out.reshape(tau.shape)
+
+
+def _grid_sums(orders, n_nodes, tail):
+    """One pass over the n_nodes-point Gauss-Legendre lag grid on [0, tail].
+
+    Returns, per order in ``orders``, weights @ G_q and the mean of
+    G_q tau^2 over the last decade, tau >= tail / 10.
+    """
+    nodes, weights = _gl_panels(0.0, tail, n_nodes)
+    fit_from = tail / 10.0
+    body = dict.fromkeys(orders, 0.0)
+    fit = dict.fromkeys(orders, 0.0)
+    for lo in range(0, nodes.size, _BLOCK):
+        tau = nodes[lo : lo + _BLOCK]
+        w = weights[lo : lo + _BLOCK]
+        far = tau >= fit_from
+        tau2 = tau[far] ** 2
+        powers = _power_tables(tau, max(orders))
+        for q in orders:
+            g = _evaluate(q, powers)
+            body[q] += float(w @ g)
+            fit[q] += float(g[far] @ tau2)
+    n_fit = int(np.count_nonzero(nodes >= fit_from))
+    return body, {q: f / n_fit for q, f in fit.items()}
 
 
 @dataclass(frozen=True)
@@ -103,6 +192,30 @@ class ChaosTerm:
     quadrature_error: float
 
 
+def _chaos_terms(orders, tail):
+    """ChaosTerm per order, the even ones from one pass per quadrature grid.
+
+    The 16-node pass gives sigma_q^2 and the tail fit; the 8-node pass gives
+    the quadrature error estimate.
+    """
+    if tail < 100.0:
+        raise UsageError("tail cutoff must be >= 100")
+    tail = float(tail)
+    even = [q for q in orders if q % 2 == 0]
+    if even:
+        body, c_fit = _grid_sums(even, _GL_NODES, tail)
+        body8, _ = _grid_sums(even, _GL_NODES // 2, tail)
+    terms = []
+    for q in orders:
+        sigma = err = 0.0
+        if q % 2 == 0:
+            remainder = c_fit[q] / tail
+            sigma = (2.0 / 3.0) * (body[q] + remainder)
+            err = (2.0 / 3.0) * (abs(body[q] - body8[q]) + 0.5 * abs(remainder))
+        terms.append(ChaosTerm(q=q, sigma_sq=sigma, tail_cutoff=tail, quadrature_error=err))
+    return terms
+
+
 def sigma_q_squared(q: int, coeffs: ChaosCoefficients | None = None, tail: float = 1e4) -> ChaosTerm:
     """Limiting variance of the order-q component.
 
@@ -112,29 +225,9 @@ def sigma_q_squared(q: int, coeffs: ChaosCoefficients | None = None, tail: float
     """
     if q < 1:
         raise UsageError("order must be >= 1")
-    if tail < 100.0:
-        raise UsageError("tail cutoff must be >= 100")
     if coeffs is not None and q > coeffs.q_max:
         raise UsageError(f"order {q} above the coefficient table's q_max")
-    if q % 2 == 1:
-        return ChaosTerm(q=q, sigma_sq=0.0, tail_cutoff=float(tail), quadrature_error=0.0)
-
-    nodes, weights = _gl_panels(0.0, float(tail), _GL_NODES)
-    g = chaos_lag_correlation(q, nodes)
-    body = float(weights @ g)
-
-    # coarse pass for the error estimate
-    nodes8, weights8 = _gl_panels(0.0, float(tail), _GL_NODES // 2)
-    body8 = float(weights8 @ chaos_lag_correlation(q, nodes8))
-
-    # 1/tau^2 tail envelope fitted on the last decade
-    sel = nodes >= tail / 10.0
-    c_fit = float(np.mean(g[sel] * nodes[sel] ** 2))
-    remainder = c_fit / tail
-
-    sigma = (2.0 / 3.0) * (body + remainder)
-    err = (2.0 / 3.0) * (abs(body - body8) + 0.5 * abs(remainder))
-    return ChaosTerm(q=q, sigma_sq=sigma, tail_cutoff=float(tail), quadrature_error=err)
+    return _chaos_terms([q], tail)[0]
 
 
 @dataclass(frozen=True)
@@ -174,13 +267,13 @@ def _series_tail(terms, q_max):
 def total_variance_constant(q_max: int = 20, tail: float = 1e4) -> VarianceConstant:
     """Variance constant: sum of sigma_q^2 over q >= 2.
 
-    Orders up to ``q_max`` are integrated directly (even orders carry
-    everything); the remaining series mass comes from the q^{-3/2} envelope.
+    Orders up to ``q_max`` are integrated directly, all even ones in one pass
+    per quadrature grid (even orders carry everything); the remaining series
+    mass comes from the q^{-3/2} envelope.
     """
     if q_max < 2:
         raise UsageError("q_max must be >= 2")
-    coeffs = chaos_coefficients(q_max)
-    terms = [sigma_q_squared(q, coeffs, tail=tail) for q in range(2, q_max + 1)]
+    terms = _chaos_terms(range(2, q_max + 1), tail)
     partial = float(sum(t.sigma_sq for t in terms))
     series_tail, c_fit = _series_tail(terms, q_max)
     nonzero = [abs(t.sigma_sq) for t in terms if t.sigma_sq != 0.0]

@@ -15,9 +15,12 @@ Two coefficient tables are built here:
       b_k = (-1)^{k/2} (k-1)!!   for even k,  0 for odd k,
   with the empty double factorial (-1)!! = 1 so that b_0 = 1.
 
-``mehler_product_expectation`` evaluates expectations of four-fold Hermite
-products of jointly Gaussian variables by the pairing-diagram sum; it is the
-workhorse behind the chaos variance constants.
+``_mehler_terms`` enumerates the pairing diagrams of a four-fold Hermite
+product of jointly Gaussian variables; ``mehler_product_expectation`` sums
+them into the expectation.  The chaos variance constants merge these terms
+into one coefficient table per order; the vectorized sum
+``mehler_product_grid`` is kept as the reference the tests check that table
+against.
 """
 
 from __future__ import annotations

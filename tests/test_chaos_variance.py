@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from trigzero import chaos_variance
 from trigzero.chaos_variance import (
+    _lag_correlations_raw,
+    _order_pairs,
     chaos_lag_correlation,
     lag_correlations,
     sigma_q_squared,
@@ -14,7 +17,38 @@ from trigzero.chaos_variance import (
 from trigzero.covariance import sinc_derivs
 from trigzero.errors import UsageError
 from trigzero.experiments import ExperimentConfig, IntervalSpec, run_campaign
-from trigzero.hermite import HermiteBasis, chaos_coefficients
+from trigzero.hermite import HermiteBasis, chaos_coefficients, mehler_product_grid
+
+# sigma_q^2 of total_variance_constant(20, 1e4) as the pairs x pairs diagram
+# sum computed them, one whole-grid dot product per order
+PAIRS_ENGINE_SIGMA_SQ = {
+    2: 0.042441318377138645,
+    4: 0.010839990353531205,
+    6: 0.005537145646389027,
+    8: 0.0035283861129874463,
+    10: 0.002505238758657031,
+    12: 0.0018987120646740939,
+    14: 0.0015038773551575503,
+    16: 0.0012297432994652349,
+    18: 0.0010301821098338414,
+    20: 0.0008795281781028599,
+}
+
+
+def _pairs_sum(q, tau):
+    """G_q as the pairs x pairs diagram sum, and the sum of its terms' |values|."""
+    rho = _lag_correlations_raw(tau)
+    abs_rho = [np.abs(r) for r in rho]
+    total = np.zeros(tau.shape)
+    scale = np.zeros(tau.shape)
+    pairs = _order_pairs(q)
+    for kx, ky, cx in pairs:
+        for kx2, ky2, cx2 in pairs:
+            orders = (kx, ky, kx2, ky2)
+            total += cx * cx2 * mehler_product_grid(orders, *rho)
+            # every diagram weight is positive, so this sums |term| over all terms
+            scale += abs(cx * cx2) * mehler_product_grid(orders, *abs_rho)
+    return total, scale
 
 
 class TestLagCorrelations:
@@ -129,6 +163,48 @@ class TestChaosLagCorrelation:
                 quad_val = float(weights @ (integrand * integrand2))
                 diagram = float(chaos_lag_correlation(q, np.array([tau]))[0])
                 assert abs(quad_val - diagram) < 1e-4
+
+
+class TestMergedEngine:
+    def test_merged_table_matches_pairs_sum(self):
+        taus = np.array([0.0, 1e-3, -1e-3, 0.7, 2.2, 50.0, 5e3])
+        for q in range(2, 21, 2):
+            want, scale = _pairs_sum(q, taus)
+            got = chaos_lag_correlation(q, taus)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), q
+
+    def test_odd_orders_vanish(self):
+        taus = np.array([0.0, 0.7, 2.2])
+        for q in (1, 3, 9):
+            assert np.all(chaos_lag_correlation(q, taus) == 0.0)
+
+    def test_shape_kept(self):
+        taus = np.linspace(0.1, 5.0, 12).reshape(3, 4)
+        got = chaos_lag_correlation(4, taus)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), chaos_lag_correlation(4, taus.ravel()))
+        assert chaos_lag_correlation(4, 0.7).shape == ()
+
+    def test_block_size_does_not_change_integrals(self, monkeypatch):
+        taus = np.linspace(0.0, 40.0, 1001)
+        ref = total_variance_constant(q_max=8, tail=1000.0)
+        ref_g = chaos_lag_correlation(6, taus)
+        monkeypatch.setattr(chaos_variance, "_BLOCK", 7)
+        tiny = total_variance_constant(q_max=8, tail=1000.0)
+        for a, b in zip(ref.terms, tiny.terms):
+            assert abs(b.sigma_sq - a.sigma_sq) <= 1e-14 * abs(a.sigma_sq), a.q
+        got_g = chaos_lag_correlation(6, taus)
+        assert np.max(np.abs(got_g - ref_g)) <= 1e-14 * np.max(np.abs(ref_g))
+
+    def test_single_order_matches_one_pass(self):
+        vc = total_variance_constant(q_max=8, tail=1e4)
+        for term in vc.terms:
+            assert sigma_q_squared(term.q, tail=1e4) == term
+
+    def test_pinned_to_pairs_engine(self, chaos_total):
+        for term in chaos_total.terms:
+            want = PAIRS_ENGINE_SIGMA_SQ.get(term.q, 0.0)
+            assert abs(term.sigma_sq - want) <= 1e-13 * abs(want), term.q
 
 
 class TestSigmaQ:
