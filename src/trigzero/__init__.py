@@ -42,7 +42,6 @@ from .errors import (
 from .experiments import (
     CampaignResult,
     ExperimentConfig,
-    ExperimentRecord,
     IntervalSpec,
     KSummary,
     NormalityReport,
@@ -99,8 +98,8 @@ __all__ = [
     "StandardizedKernel", "StationaryFiniteKernel", "c_k", "c_k_dd0", "c_k_derivs",
     "kernel_bounds_check", "limit_kernel", "sinc", "sinc_derivs", "standardized",
     "CampaignError", "DegeneracyError", "NumericError", "UsageError",
-    "CampaignResult", "ExperimentConfig", "ExperimentRecord", "IntervalSpec",
-    "KSummary", "NormalityReport", "RunningMoments", "WindowChopReport", "clt_test",
+    "CampaignResult", "ExperimentConfig", "IntervalSpec", "KSummary",
+    "NormalityReport", "RunningMoments", "WindowChopReport", "clt_test",
     "run_campaign", "standardize_counts", "window_chop_check",
     "ChaosCoefficients", "HermiteBasis", "abs_coeff", "chaos_coefficients",
     "dirac_coeff", "dirac_coeff_normalized", "f_q_eval", "hermite_eval",

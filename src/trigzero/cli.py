@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 IO failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -126,17 +127,22 @@ def main():
     """Zero statistics of random cosine polynomials."""
 
 
-def _write_records_csv(path, records):
+def _write_records_csv(path, result):
+    """One row per replicate and degree, from the campaign's count arrays."""
+    seed = result.config.seed
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("replicate,K,seed,count,method,warnings\n")
-        for r in records:
-            fh.write(f"{r.replicate},{r.K},{r.seed},{r.count},{r.method},{r.warnings}\n")
+        for K, counts, warns in zip(result.config.K_list, result.counts, result.warnings):
+            fh.writelines(
+                f"{i},{K},{seed},{c},scan_bisect,{w}\n"
+                for i, (c, w) in enumerate(zip(counts.tolist(), warns.tolist()))
+            )
 
 
 def _summary_payload(result):
     return {
         "version": __version__,
-        "per_K": [row.as_dict() for row in result.summaries],
+        "per_K": [dataclasses.asdict(row) for row in result.summaries],
         "exclusion_fraction": result.exclusion_fraction,
     }
 
@@ -165,8 +171,8 @@ def config_from_manifest(doc) -> ExperimentConfig:
         interval=parse_interval(c["interval"]),
         alpha=float(c["alpha"]),
         seed=int(c["seed"]),
-        ensemble=c.get("ensemble", "cosine"),
-        oversample=int(c.get("oversample", 16)),
+        # manifests written before these fields existed take the defaults
+        **{k: cast(c[k]) for k, cast in (("ensemble", str), ("oversample", int)) if k in c},
     )
 
 
@@ -185,36 +191,29 @@ def simulate(k_values, reps, seed, interval_text, alpha, ensemble, config_path, 
     """Run a zero-count campaign; write records CSV, summary and manifest."""
     if config_path is not None:
         base = config_from_manifest(json.loads(Path(config_path).read_text(encoding="utf-8")))
-        cfg = ExperimentConfig(
-            K_list=tuple(k_values) or base.K_list,
-            replicates=reps if reps is not None else base.replicates,
-            interval=parse_interval(interval_text) if interval_text else base.interval,
-            alpha=alpha if alpha is not None else base.alpha,
-            seed=seed if seed is not None else base.seed,
-            ensemble=ensemble or base.ensemble,
-            oversample=base.oversample,
-        )
+    elif k_values:
+        base = ExperimentConfig(K_list=tuple(k_values))
     else:
-        if not k_values:
-            raise UsageError("at least one --K is required")
-        cfg = ExperimentConfig(
-            K_list=tuple(k_values),
-            replicates=reps if reps is not None else 1000,
-            interval=parse_interval(interval_text or "0:pi"),
-            alpha=alpha if alpha is not None else 0.25,
-            seed=seed if seed is not None else 0,
-            ensemble=ensemble or "cosine",
-        )
+        raise UsageError("at least one --K is required")
+    given = {
+        "K_list": tuple(k_values) or None,
+        "replicates": reps,
+        "interval": parse_interval(interval_text) if interval_text else None,
+        "alpha": alpha,
+        "seed": seed,
+        "ensemble": ensemble,
+    }
+    cfg = dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
     bundle = _Bundle(outdir)
     try:
         result = run_campaign(cfg)
-        _write_records_csv(bundle.path("records.csv"), result.records)
+        _write_records_csv(bundle.path("records.csv"), result)
         _dump_json(_summary_payload(result), bundle.path("summary.json"))
         _dump_json(_manifest_payload(cfg), bundle.path("manifest.json"))
     except OSError:
         bundle.cleanup()
         raise
-    click.echo(f"wrote {len(result.records)} records to {bundle.outdir}")
+    click.echo(f"wrote {sum(c.size for c in result.counts)} records to {bundle.outdir}")
 
 
 def _mean_original_axis(K, lo, hi):
@@ -323,20 +322,13 @@ def clt(k_value, reps, seed, outdir):
     """Normality report for standardized zero counts, plus plot data."""
     if reps < 500:
         raise UsageError("--reps must be at least 500")
-    cfg = ExperimentConfig(
-        K_list=(k_value,),
-        replicates=reps,
-        interval=IntervalSpec("original", 0.0, math.pi),
-        alpha=0.25,
-        seed=seed,
-    )
-    result = run_campaign(cfg)
-    counts = result.counts_by_K[k_value]
+    result = run_campaign(ExperimentConfig(K_list=(k_value,), replicates=reps, seed=seed))
+    counts = result.counts[0][result.warnings[0] == 0]
     report = clt_test(counts, k_value)
     z = standardize_counts(counts, k_value)
     bundle = _Bundle(outdir)
     try:
-        _dump_json(report.as_dict(), bundle.path("report.json"))
+        _dump_json(dataclasses.asdict(report), bundle.path("report.json"))
         with open(bundle.path("standardized.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("standardized\n")
             for val in z:
@@ -351,7 +343,7 @@ def clt(k_value, reps, seed, outdir):
     except OSError:
         bundle.cleanup()
         raise
-    _dump_json(report.as_dict())
+    _dump_json(dataclasses.asdict(report))
 
 
 @main.command("oracle-check")

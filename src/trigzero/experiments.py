@@ -1,11 +1,13 @@
 """Monte Carlo campaigns over zero counts and their statistical verdicts.
 
 A campaign draws replicates, counts zeros with the scan method, and reduces
-the counts with mergeable one-pass moment accumulators.  Replicates are
-processed in fixed-size chunks whose contents do not depend on the worker
-count, so record streams and summaries are bit-identical however the work is
-scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
-variable (0 or unset means automatic).
+the counts with mergeable one-pass moment accumulators.  Its result holds
+one int64 array of counts and one of tangency warnings per degree, in
+replicate order.  One engine counts every campaign and the window-chop
+check: replicates are processed in fixed-size chunks whose contents do not
+depend on the worker count, so counts and summaries are bit-identical
+however the work is scheduled.  Parallelism is capped by the
+TRIGZERO_THREADS environment variable (0 or unset means automatic).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -63,10 +65,10 @@ class IntervalSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     K_list: tuple
-    replicates: int
-    interval: IntervalSpec
-    alpha: float
-    seed: int
+    replicates: int = 1000
+    interval: IntervalSpec = IntervalSpec("original", 0.0, math.pi)
+    alpha: float = 0.25
+    seed: int = 0
     ensemble: str = "cosine"
     oversample: int = 16
 
@@ -77,16 +79,8 @@ class ExperimentConfig:
             raise UsageError("alpha must lie in (0, 1/2)")
         if not self.K_list:
             raise UsageError("empty K list")
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    replicate: int
-    K: int
-    seed: int
-    count: int
-    method: str
-    warnings: int
+        if min(self.K_list) < 1:
+            raise UsageError("degrees must be at least 1")
 
 
 class RunningMoments:
@@ -170,18 +164,6 @@ class NormalityReport:
     excess_kurtosis: float
     ad_statistic: float
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "variance_source": self.variance_source,
-            "variance_used": self.variance_used,
-            "ks_statistic": self.ks_statistic,
-            "p_value": self.p_value,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "ad_statistic": self.ad_statistic,
-        }
-
 
 @dataclass(frozen=True)
 class KSummary:
@@ -197,34 +179,24 @@ class KSummary:
     ci99_var_per_kpi: tuple
     normality: NormalityReport | None
 
-    def as_dict(self):
-        d = {
-            "K": self.K,
-            "n_total": self.n_total,
-            "n_used": self.n_used,
-            "n_excluded": self.n_excluded,
-            "mean": self.mean,
-            "variance": self.variance,
-            "var_per_kpi": self.var_per_kpi,
-            "se_mean": self.se_mean,
-            "se_var": self.se_var,
-            "ci99_var_per_kpi": list(self.ci99_var_per_kpi),
-            "normality": self.normality.as_dict() if self.normality else None,
-        }
-        return d
-
 
 @dataclass
 class CampaignResult:
+    """Per-degree summaries, counts and tangency-warning counts.
+
+    ``counts[i]`` and ``warnings[i]`` are int64 arrays over the replicates
+    of degree ``config.K_list[i]``, aligned with ``summaries[i]``.
+    """
+
     config: ExperimentConfig
     summaries: list
-    records: list
-    counts_by_K: dict = field(default_factory=dict)
+    counts: list
+    warnings: list
 
     @property
     def exclusion_fraction(self):
-        total = len(self.records)
-        bad = sum(1 for r in self.records if r.warnings > 0)
+        total = sum(w.size for w in self.warnings)
+        bad = sum(np.count_nonzero(w) for w in self.warnings)
         return bad / total if total else 0.0
 
 
@@ -293,51 +265,47 @@ def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=No
     )
 
 
-def _count_chunk(K, ensemble, seed, start, stop, bounds, oversample):
-    idx = range(start, stop)
-    a, b = draw_coefficient_batch(K, ensemble, seed, idx)
-    counts, warns = scan_count_batch(a, b, K, bounds, oversample=oversample, rescaled=False)
-    return counts, warns
+def _count_chunks(K, ensemble, seed, replicates, intervals, oversample, workers=None):
+    """Counts and warning counts of every replicate, summed over ``intervals``.
+
+    Replicates go in chunks of ``_CHUNK``; returns one (counts, warnings)
+    pair of int64 arrays per chunk, in replicate order whatever the worker
+    count.
+    """
+
+    def work(start):
+        stop = min(start + _CHUNK, replicates)
+        a, b = draw_coefficient_batch(K, ensemble, seed, range(start, stop))
+        counts = warns = 0
+        for bounds in intervals:
+            c, w = scan_count_batch(a, b, K, bounds, oversample=oversample, rescaled=False)
+            counts, warns = counts + c, warns + w
+        return counts, warns
+
+    starts = range(0, replicates, _CHUNK)
+    nworkers = worker_count(workers)
+    if nworkers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            return list(pool.map(work, starts))
+    return [work(start) for start in starts]
 
 
 def run_campaign(config: ExperimentConfig, workers=None) -> CampaignResult:
     """Execute a campaign; deterministic in ``config`` regardless of workers."""
     config.validate()
-    nworkers = worker_count(workers)
-    records = []
-    summaries = []
-    counts_by_K = {}
+    summaries, all_counts, all_warnings = [], [], []
     for K in config.K_list:
-        bounds = config.interval.bounds_original(K, config.alpha)
-        chunks = [
-            (start, min(start + _CHUNK, config.replicates))
-            for start in range(0, config.replicates, _CHUNK)
-        ]
-
-        def work(span, K=K, bounds=bounds):
-            return _count_chunk(
-                K, config.ensemble, config.seed, span[0], span[1], bounds, config.oversample
-            )
-
-        if nworkers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                results = list(pool.map(work, chunks))
-        else:
-            results = [work(span) for span in chunks]
-
-        counts = np.concatenate([r[0] for r in results])
-        warns = np.concatenate([r[1] for r in results])
-        for i in range(config.replicates):
-            records.append(
-                ExperimentRecord(
-                    replicate=i,
-                    K=K,
-                    seed=config.seed,
-                    count=int(counts[i]),
-                    method="scan_bisect",
-                    warnings=int(warns[i]),
-                )
-            )
+        chunks = _count_chunks(
+            K,
+            config.ensemble,
+            config.seed,
+            config.replicates,
+            [config.interval.bounds_original(K, config.alpha)],
+            config.oversample,
+            workers,
+        )
+        counts = np.concatenate([c for c, _ in chunks])
+        warns = np.concatenate([w for _, w in chunks])
         clean = counts[warns == 0]
         excluded = int(config.replicates - clean.size)
         if excluded > 0.001 * config.replicates:
@@ -346,8 +314,8 @@ def run_campaign(config: ExperimentConfig, workers=None) -> CampaignResult:
             )
         moments = RunningMoments()
         # chunk-wise accumulation in fixed chunk order
-        for r in results:
-            moments.push_batch(r[0][r[1] == 0])
+        for c, w in chunks:
+            moments.push_batch(c[w == 0])
         mean = moments.mean
         var = moments.variance
         kpi = K * math.pi
@@ -373,10 +341,9 @@ def run_campaign(config: ExperimentConfig, workers=None) -> CampaignResult:
                 normality=normality,
             )
         )
-        counts_by_K[K] = clean
-    return CampaignResult(
-        config=config, summaries=summaries, records=records, counts_by_K=counts_by_K
-    )
+        all_counts.append(counts)
+        all_warnings.append(warns)
+    return CampaignResult(config, summaries, all_counts, all_warnings)
 
 
 @dataclass(frozen=True)
@@ -395,22 +362,18 @@ def window_chop_check(K, alpha, replicates, seed=0, ensemble="cosine", oversampl
 
     Counts zeros on [0, edge] and [K*pi - edge, K*pi] (rescaled axis) per
     replicate and reports the mean divided by sqrt(K pi); the ratio shrinks
-    as K grows.
+    as K grows.  Replicates with a tangency warning on either side are left
+    out of the moments, as in a campaign.
     """
     if not (0.0 < alpha < 0.5):
         raise UsageError("alpha must lie in (0, 1/2)")
     w0, w1 = window_bounds(K, alpha)
-    left = (0.0, w0 / K)
-    right = (w1 / K, math.pi)
-    totals = np.zeros(replicates, dtype=np.int64)
-    for start in range(0, replicates, _CHUNK):
-        stop = min(start + _CHUNK, replicates)
-        a, b = draw_coefficient_batch(K, ensemble, seed, range(start, stop))
-        cl, _ = scan_count_batch(a, b, K, left, oversample=oversample, rescaled=False)
-        cr, _ = scan_count_batch(a, b, K, right, oversample=oversample, rescaled=False)
-        totals[start:stop] = cl + cr
+    chunks = _count_chunks(
+        K, ensemble, seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)], oversample
+    )
+    clean = np.concatenate([c[w == 0] for c, w in chunks])
     mom = RunningMoments()
-    mom.push_batch(totals)
+    mom.push_batch(clean)
     root = math.sqrt(K * math.pi)
     return WindowChopReport(
         K=K,
@@ -419,5 +382,5 @@ def window_chop_check(K, alpha, replicates, seed=0, ensemble="cosine", oversampl
         mean_complement=mom.mean,
         var_complement=mom.variance,
         ratio=mom.mean / root,
-        se_ratio=math.sqrt(mom.variance / replicates) / root,
+        se_ratio=math.sqrt(mom.variance / clean.size) / root,
     )

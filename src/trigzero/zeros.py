@@ -17,7 +17,10 @@ is returned in ``ZeroCountResult.warnings`` as a tangency bracket and adds
 no crossings; campaigns count these brackets in the ``warnings`` column of
 ``records.csv`` and leave such replicates out of their moments.  Otherwise a
 sign change at the extremum adds two crossings.  Root location, when asked
-for, bisects every bracket.
+for, takes one bracket per counted crossing (coarse and refined sign
+changes, and both sides of each crossed extremum) and bisects them all in
+lockstep on Taylor expansions, so the located roots are exactly as many as
+the count.
 
 The eigenvalue oracle rewrites the polynomial in z = exp(i t), lifts it to an
 ordinary degree-2K polynomial, and reads zeros off the unit-circle roots of
@@ -122,8 +125,8 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
 
 
 def _eval_at(a, b, freqs, pts):
-    """Values at ``pts`` of one row (1-D ``a``) or of every row, (B, len(pts))."""
-    ang = np.multiply.outer(np.atleast_1d(pts), freqs)
+    """Values at ``pts`` of every row, shape (B, len(pts))."""
+    ang = np.multiply.outer(pts, freqs)
     v = np.cos(ang) @ a.T
     if b is not None:
         v += np.sin(ang) @ b.T
@@ -157,13 +160,14 @@ def _taylor(mom, u):
     return acc.real
 
 
-def _bisect_extrema(dmom, t0, step, lo, hi, d_lo_pos):
-    """Derivative roots in cells [lo_i, hi_i], all cells in lockstep.
+def _bisect(mom, t0, step, lo, hi, lo_pos):
+    """Sign changes in brackets [lo_i, hi_i], all brackets in lockstep.
 
-    ``dmom[i]`` expands the derivative about ``t0[i]``, within a lattice step
-    of the cell; the derivative changes sign across every cell.  Each cell
-    halves until narrower than the bisection width, or stops where the
-    derivative at its midpoint is exactly zero.
+    ``mom[i]`` is the Taylor expansion about ``t0[i]``, within a lattice
+    step of the bracket, of the function that changes sign across it (the
+    path or its derivative); ``lo_pos[i]`` is its sign at ``lo_i``.  Each
+    bracket halves until narrower than the bisection width, or stops where
+    the function at its midpoint is exactly zero.
     """
     lo = lo.copy()
     hi = hi.copy()
@@ -174,29 +178,13 @@ def _bisect_extrema(dmom, t0, step, lo, hi, d_lo_pos):
         if not k.size:
             break
         mid = 0.5 * (lo[k] + hi[k])
-        dm = _taylor(dmom[k], (mid - t0[k]) / step)
-        flat = dm == 0.0
+        fm = _taylor(mom[k], (mid - t0[k]) / step)
+        flat = fm == 0.0
         live[k[flat]] = False
-        k, mid, dm = k[~flat], mid[~flat], dm[~flat]
-        right = (dm > 0) == d_lo_pos[k]
+        k, mid, fm = k[~flat], mid[~flat], fm[~flat]
+        right = (fm > 0) == lo_pos[k]
         lo[k] = np.where(right, mid, lo[k])
         hi[k] = np.where(right, hi[k], mid)
-    return 0.5 * (lo + hi)
-
-
-def _bisect_many(a, b, freqs, lo, hi, width=_BISECT_WIDTH):
-    """Vectorized bisection of value brackets [lo_i, hi_i] for one replicate."""
-    lo = lo.copy()
-    hi = hi.copy()
-    f_lo_pos = _eval_at(a, b, freqs, lo) > 0
-    for _ in range(64):
-        if np.all(hi - lo < width):
-            break
-        mid = 0.5 * (lo + hi)
-        pos = _eval_at(a, b, freqs, mid) > 0
-        go_right = pos == f_lo_pos
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -266,9 +254,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
 
     # sign-preserving extrema: settle each by bisection on the derivative
     ci, q = np.nonzero(~flip & (dpos[:, :-1] != dpos[:, 1:]))
-    tstar = _bisect_extrema(
-        dmom[left[ci]], t[ci, 0], step, t[ci, q], t[ci, q + 1], dpos[ci, q]
-    )
+    tstar = _bisect(dmom[left[ci]], t[ci, 0], step, t[ci, q], t[ci, q + 1], dpos[ci, q])
     vstar = _taylor(mom[left[ci]], (tstar - t[ci, 0]) / step)
     ext_rows = rows[ci]
     tangent = np.abs(vstar) <= _TANGENCY_REL_TOL * scale[ext_rows]
@@ -280,24 +266,24 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
 
     root_lists = [None] * B
     if locate:
+        # one bracket per crossing: coarse cells (expanded about their left
+        # grid point), refined cells, and both sides of each crossed extremum
+        kr, kp = np.nonzero(flips)
         fr, fq = np.nonzero(flip)
         cr = np.flatnonzero(crossed)
-        bkt_rows = np.concatenate((rows[fr], ext_rows[cr], ext_rows[cr]))
-        bkt_lo = np.concatenate((t[fr, fq], t[ci[cr], q[cr]], tstar[cr]))
-        bkt_hi = np.concatenate((t[fr, fq + 1], tstar[cr], t[ci[cr], q[cr] + 1]))
-        for r in range(B):
-            f = np.flatnonzero(flips[r])
-            mine = bkt_rows == r
-            blo = np.concatenate((pts[f], bkt_lo[mine]))
-            bhi = np.concatenate((pts[f + 1], bkt_hi[mine]))
-            br = b[r] if b is not None else None
-            roots = np.sort(_bisect_many(a[r], br, freqs, blo, bhi))
-            if roots.size > 1:
-                keep = np.concatenate(([True], np.diff(roots) > _DEDUPE_TOL))
-                roots = roots[keep]
-            roots = roots[(roots >= lo) & (roots < hi)]
-            root_lists[r] = roots
-            counts[r] = roots.size
+        xc, xq, xmom = ci[cr], q[cr], mom[left[ci[cr]]]
+        coarse = _expansions(a, b, freqs, kr, pts[kp], step)
+        owner = np.concatenate((kr, rows[fr], ext_rows[cr], ext_rows[cr]))
+        roots = _bisect(
+            np.concatenate((coarse, mom[left[fr]], xmom, xmom)),
+            np.concatenate((pts[kp], t[fr, 0], t[xc, 0], t[xc, 0])),
+            step,
+            np.concatenate((pts[kp], t[fr, fq], t[xc, xq], tstar[cr])),
+            np.concatenate((pts[kp + 1], t[fr, fq + 1], tstar[cr], t[xc, xq + 1])),
+            np.concatenate((sgn[kr, kp], sg[fr, fq], sg[xc, xq], vstar[cr] > 0)),
+        )
+        order = np.lexsort((roots, owner))
+        root_lists = np.split(roots[order], np.cumsum(np.bincount(owner, minlength=B))[:-1])
     return counts, warn_lists, root_lists
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, reproducibility, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -78,6 +79,14 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", "--reps", "10", "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_degree_below_one_is_usage_error(self, runner, tmp_path, degree):
+        res = runner.invoke(
+            main, ["simulate", "--K", "20", "--K", degree, "--reps", "10", "--out", str(tmp_path)]
+        )
+        assert res.exit_code == 2, res.output
+        assert not any(tmp_path.iterdir())
+
 
 class TestRice:
     def test_full_period_mean(self, runner):
@@ -138,11 +147,57 @@ class TestClt:
         std = [float(x) for x in (out / "standardized.csv").read_text().splitlines()[1:]]
         assert len(std) == 600
 
+    def test_degree_below_one_is_usage_error(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["clt", "--K", "0", "--reps", "600", "--out", str(tmp_path / "x")]
+        )
+        assert res.exit_code == 2, res.output
+
     def test_too_few_reps(self, runner, tmp_path):
         res = runner.invoke(
             main, ["clt", "--K", "40", "--reps", "100", "--seed", "2", "--out", str(tmp_path / "x")]
         )
         assert res.exit_code == 2
+
+
+def _digests(outdir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()}
+
+
+class TestOutputBytes:
+    """SHA-256 of every file a command writes, pinned to the released bytes."""
+
+    def test_window_two_degrees(self, runner, tmp_path):
+        args = ["simulate", "--K", "20", "--K", "40", "--reps", "700", "--interval", "window"]
+        res = runner.invoke(main, args + ["--seed", "3", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert _digests(tmp_path) == {
+            "records.csv": "125054166650a193927f7fd8008b975ce4b70136a72d61dcf0f95dd4464ccc98",
+            "summary.json": "24cf0df40a948cfe5831cdcffea9357d1e62a68b06da5388ac30c9308fd7377d",
+            "manifest.json": "b049e430c3ed08ddf497a2843108c1c860dea53d2a1e365cb130e58015ee87ae",
+        }
+
+    def test_stationary_off_lattice(self, runner, tmp_path):
+        args = ["simulate", "--K", "30", "--reps", "600", "--ensemble", "stationary"]
+        args += ["--interval", "0.3:5.9", "--seed", "9", "--out", str(tmp_path)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert _digests(tmp_path) == {
+            "records.csv": "746fe8c3760d99806b56f51e587b5bcc60a3e785ce3d84df016f9678700ac722",
+            "summary.json": "1c550dc7dadd144bfc3deb762798d7fd1c45b7502f901f4022103faef570d43f",
+            "manifest.json": "8804c7a2bf3e9b26b128313f76a5244837bf351e4d02892fa623ebf5d703f1f0",
+        }
+
+    def test_clt(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["clt", "--K", "60", "--reps", "1000", "--seed", "2", "--out", str(tmp_path)]
+        )
+        assert res.exit_code == 0, res.output
+        assert _digests(tmp_path) == {
+            "report.json": "cdbd6e3466b426a320ee413cff52c7bba900e8aa6d57e7e8322206226a208d16",
+            "standardized.csv": "e9222b862a8c5d179700b7e1896198a7ac5e8c1d17175b4f6ffc2ff3671a9ef7",
+            "histogram.csv": "8049332b6207c460d7b3b4b732758811a00f3185904f39fd97893bf049d4ae88",
+        }
 
 
 class TestSuites:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trigzero import experiments
 from trigzero.errors import UsageError
 from trigzero.experiments import (
     ExperimentConfig,
@@ -15,8 +16,9 @@ from trigzero.experiments import (
     window_chop_check,
 )
 from trigzero.rice import rice_mean
-from trigzero.sampling import draw_coefficients
-from trigzero.zeros import count_zeros_scan
+from trigzero.rice import window_bounds
+from trigzero.sampling import draw_coefficient_batch, draw_coefficients
+from trigzero.zeros import count_zeros_scan, scan_count_batch
 
 
 def _config(**kw):
@@ -35,13 +37,13 @@ class TestCampaign:
     def test_degenerate_degree_one(self):
         res = run_campaign(_config(K_list=(1,), replicates=50))
         row = res.summaries[0]
-        assert all(r.count == 1 for r in res.records)
+        assert all(c == 1 for c in res.counts[0])
         assert row.variance == 0.0
 
     def test_deterministic_across_worker_counts(self):
         r1 = run_campaign(_config(), workers=1)
         r3 = run_campaign(_config(), workers=3)
-        assert [r.count for r in r1.records] == [r.count for r in r3.records]
+        assert r1.counts[0].tolist() == r3.counts[0].tolist()
         assert r1.summaries[0].mean == r3.summaries[0].mean
         assert r1.summaries[0].variance == r3.summaries[0].variance
 
@@ -60,13 +62,25 @@ class TestCampaign:
     def test_two_degrees_two_rows(self):
         res = run_campaign(_config(K_list=(20, 40), replicates=100))
         assert [row.K for row in res.summaries] == [20, 40]
-        assert len(res.records) == 200
+        assert sum(c.size for c in res.counts) == 200
 
     def test_validation(self):
         with pytest.raises(UsageError):
             run_campaign(_config(replicates=1))
         with pytest.raises(UsageError):
             run_campaign(_config(alpha=0.7, interval=IntervalSpec("window")))
+        for K_list in ((0,), (-3,), (20, 0)):
+            with pytest.raises(UsageError):
+                run_campaign(_config(K_list=K_list))
+
+    def test_arrays_aligned_with_summaries(self):
+        res = run_campaign(_config(K_list=(20, 40), replicates=300))
+        for row, counts, warns in zip(res.summaries, res.counts, res.warnings):
+            assert counts.dtype == warns.dtype == np.int64
+            assert counts.shape == warns.shape == (300,)
+            assert row.n_used == np.count_nonzero(warns == 0)
+            assert row.mean == pytest.approx(counts[warns == 0].mean(), rel=1e-12)
+        assert res.exclusion_fraction == 0.0
 
 
 class TestStreamingMoments:
@@ -158,3 +172,36 @@ class TestWindowChop:
     def test_alpha_validation(self):
         with pytest.raises(UsageError):
             window_chop_check(100, 0.6, 10)
+
+    def test_worker_count_does_not_matter(self, monkeypatch):
+        reports = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("TRIGZERO_THREADS", workers)
+            reports.append(window_chop_check(40, 0.25, 600, seed=4))
+        assert reports[0] == reports[1]
+
+    def test_tangent_rows_left_out(self, monkeypatch):
+        # flag row 7 of every chunk (replicates 7 and 263) on the left
+        # interval only; the report must be the moments of the other rows
+        K, reps, seed = 30, 300, 1
+        real = experiments.scan_count_batch
+
+        def flagging(a, b, K, interval, **kw):
+            counts, warns = real(a, b, K, interval, **kw)
+            if interval[0] == 0.0:
+                warns = warns.copy()
+                warns[7] = 1
+            return counts, warns
+
+        monkeypatch.setattr(experiments, "scan_count_batch", flagging)
+        rep = window_chop_check(K, 0.25, reps, seed=seed)
+        w0, w1 = window_bounds(K, 0.25)
+        a, _ = draw_coefficient_batch(K, "cosine", seed, range(reps))
+        totals = sum(scan_count_batch(a, None, K, iv)[0] for iv in ((0.0, w0 / K), (w1 / K, np.pi)))
+        kept = np.delete(totals, [7, 263]).astype(float)
+        root = math.sqrt(K * math.pi)
+        assert rep.replicates == reps
+        assert rep.mean_complement == pytest.approx(kept.mean(), rel=1e-12)
+        assert rep.var_complement == pytest.approx(kept.var(ddof=1), rel=1e-10)
+        se = math.sqrt(kept.var(ddof=1) / kept.size)
+        assert rep.se_ratio == pytest.approx(se / root, rel=1e-10)

@@ -14,6 +14,7 @@ from trigzero.sampling import (
 )
 from trigzero.zeros import (
     _freqs,
+    _scan_batch,
     _scan_grid,
     count_zeros_eigen,
     count_zeros_scan,
@@ -154,6 +155,45 @@ class TestTangency:
         res = count_zeros_scan(shifted, (0.0, np.pi))
         assert np.sum(np.abs(res.roots - tstar) < 0.05) == 2
         assert res.count == count_zeros_eigen(shifted, (0.0, np.pi)).count
+
+
+class TestRootCount:
+    """Located roots are exactly the count-mode count, one per crossing."""
+
+    def _check(self, cv, interval):
+        res = count_zeros_scan(cv, interval)
+        assert res.roots.size == res.count
+        assert res.count == count_zeros_scan(cv, interval, locate_roots=False).count
+        assert np.all(np.diff(res.roots) > 0)
+        assert np.all((res.roots >= interval[0]) & (res.roots <= interval[1]))
+        vals, _ = eval_path(cv, res.roots, rescaled=False)
+        grid_vals, _ = eval_path(cv, np.linspace(0, 2 * np.pi, 2000), rescaled=False)
+        assert np.max(np.abs(vals), initial=0.0) < 1e-9 * np.max(np.abs(grid_vals))
+
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    @pytest.mark.parametrize("interval", [(0.0, np.pi), (0.3, 5.9)])
+    def test_random_rows(self, ensemble, interval):
+        for K in (5, 40, 200):
+            for idx in range(10):
+                self._check(draw_coefficients(K, ensemble, 12, idx), interval)
+
+    def test_batch_roots_split_by_row(self):
+        a, b = draw_coefficient_batch(20, "stationary", 13, range(16))
+        counts, _, roots = _scan_batch(a, b, 20, 0.3, 5.9, 16, False, True)
+        for r in range(16):
+            one = count_zeros_scan(_vector(20, a[r], b[r]), (0.3, 5.9))
+            assert roots[r].size == counts[r] == one.count
+            assert np.allclose(roots[r], one.roots, rtol=0.0, atol=1e-11)
+
+    # the touch points of TestTangency
+    @pytest.mark.parametrize(
+        "tstar", [1.0] + [(15 + f) * np.pi / 48 for f in (0.1, 0.35, 0.6, 0.85)]
+    )
+    def test_tangent_and_perturbed(self, tstar):
+        cv, _ = TestTangency()._tangent_vector(tstar)
+        self._check(cv, (0.0, np.pi))
+        delta = 1e-6 / np.cos(tstar)
+        self._check(_vector(3, cv.a - np.r_[delta, 0.0, 0.0]), (0.0, np.pi))
 
 
 class TestValidation:
