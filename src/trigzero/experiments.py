@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import CampaignError, UsageError
 from .rice import window_bounds
@@ -219,6 +218,8 @@ def standardize_counts(counts, K, center=None):
 
 
 def _anderson_darling(z, scale):
+    from scipy import stats  # deferred: the import costs most of start-up
+
     z = np.sort(z) / scale
     n = z.size
     cdf = stats.norm.cdf(z)
@@ -235,6 +236,8 @@ def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=No
     Kolmogorov-Smirnov test against N(0, v) with v either the empirical
     variance of the standardized sample or a supplied chaos constant.
     """
+    from scipy import stats  # deferred: the import costs most of start-up
+
     x = np.asarray(counts, dtype=float)
     if x.size < 500:
         raise UsageError("normality verdict needs at least 500 replicates")
@@ -365,6 +368,8 @@ def window_chop_check(K, alpha, replicates, seed=0, ensemble="cosine", oversampl
     as K grows.  Replicates with a tangency warning on either side are left
     out of the moments, as in a campaign.
     """
+    if K < 1:
+        raise UsageError(f"degree K must be >= 1, got {K}")
     if not (0.0 < alpha < 0.5):
         raise UsageError("alpha must lie in (0, 1/2)")
     w0, w1 = window_bounds(K, alpha)

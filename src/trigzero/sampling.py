@@ -4,7 +4,9 @@ Randomness is counter-based: every replicate owns a Philox stream keyed by
 (experiment seed, replicate index, stream purpose), so draws are reproducible
 independently of execution order or worker count.  Gaussian variates come
 from the inverse normal CDF applied to the stream's uniforms; each normal
-consumes exactly one 64-bit word, which keeps streams alignable.
+consumes exactly one 64-bit word, which keeps streams alignable.  A batch
+of replicates is drawn by one generator, re-keyed per replicate, and a
+stream never depends on the batch it is drawn in.
 """
 
 from __future__ import annotations
@@ -30,18 +32,36 @@ MAX_GRID = 4096
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
-def _philox(seed: int, index: int, purpose: int) -> np.random.Philox:
-    if index < 0 or index >= (1 << 56):
-        raise UsageError("replicate index out of the 56-bit key range")
-    key = np.array([seed & _MASK64, ((index << 8) | purpose) & _MASK64], dtype=np.uint64)
-    return np.random.Philox(key=key)
+def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
+    """Standard normals, shape (len(indices), n); row i from stream indices[i].
+
+    One Philox generator serves the whole call.  For each row it is re-keyed
+    to (seed, index << 8 | purpose) with counter 0 and an empty buffer,
+    which is exactly the state of a fresh ``Philox(key=...)``.  The generator
+    is local, so concurrent calls share nothing.
+    """
+    gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    state = gen.state  # counter 0, empty buffer
+    key = state["state"]["key"]
+    raw = np.empty((len(indices), n), dtype=np.uint64)
+    for i, index in enumerate(indices):
+        index = int(index)
+        if index < 0 or index >= (1 << 56):
+            raise UsageError("replicate index out of the 56-bit key range")
+        key[1] = ((index << 8) | purpose) & _MASK64
+        gen.state = state
+        raw[i] = gen.random_raw(n)
+    # top 53 bits, centered: u in (0, 1) strictly, so ndtri stays finite
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return ndtri(u, out=u)
+
 
 def standard_normals(seed: int, index: int, purpose: int, n: int) -> np.ndarray:
     """n standard normal draws from the (seed, index, purpose) stream."""
-    raw = _philox(seed, index, purpose).random_raw(n)
-    # top 53 bits, centered: u in (0, 1) strictly, so ndtri stays finite
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    return _normal_rows(seed, (index,), purpose, n)[0]
 
 
 @dataclass(frozen=True)
@@ -83,9 +103,7 @@ def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:
     if ensemble not in _ENSEMBLES:
         raise UsageError(f"unknown ensemble {ensemble!r}")
     per = 2 * K if ensemble == "stationary" else K
-    rows = np.empty((len(indices), per))
-    for i, idx in enumerate(indices):
-        rows[i] = standard_normals(seed, int(idx), PURPOSE_COEFFS, per)
+    rows = _normal_rows(seed, indices, PURPOSE_COEFFS, per)
     if ensemble == "stationary":
         return rows[:, :K], rows[:, K:]
     return rows, None

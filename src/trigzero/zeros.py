@@ -94,10 +94,15 @@ def _lattice_values(a, b, N, j):
     else:
         x[:, 1:] += 1j * b
         transform, width = fft.fft, N
+    # one ascending run (every interval inside [0, pi] on the cosine
+    # ensemble) is copied as a slice; folded or wrapped indices are gathered
+    run = bool(np.all(np.diff(j) == 1))
+    cols = slice(j[0], j[0] + j.size)
     rows = max(1, _BLOCK_ENTRIES // width)
     vals = np.empty((B, j.size))
     for s in range(0, B, rows):
-        vals[s : s + rows] = np.take(transform(x[s : s + rows], n=N).real, j, axis=1)
+        out = transform(x[s : s + rows], n=N).real
+        vals[s : s + rows] = out[:, cols] if run else np.take(out, j, axis=1)
     return vals
 
 
@@ -211,7 +216,11 @@ def _suspicious_triples(vals, absv, flips, scale):
 
 
 def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
-    """Scan all rows of (a, b); returns counts, warning lists, root lists."""
+    """Scan all rows of (a, b); returns counts, tangencies, root lists.
+
+    ``tangencies`` is (rows, lo, hi): one entry per tangency bracket
+    [lo, hi] of row ``rows[i]``.
+    """
     if oversample < 8:
         raise UsageError("oversample must be >= 8")
     if hi <= lo:
@@ -260,9 +269,8 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     tangent = np.abs(vstar) <= _TANGENCY_REL_TOL * scale[ext_rows]
     crossed = ~tangent & ((vstar > 0) != sg[ci, q])
     np.add.at(counts, ext_rows[crossed], 2)
-    warn_lists = [[] for _ in range(B)]
-    for m in np.flatnonzero(tangent):
-        warn_lists[ext_rows[m]].append((t[ci[m], q[m]], t[ci[m], q[m] + 1]))
+    tc, tq = ci[tangent], q[tangent]
+    tangencies = (ext_rows[tangent], t[tc, tq], t[tc, tq + 1])
 
     root_lists = [None] * B
     if locate:
@@ -284,7 +292,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
         )
         order = np.lexsort((roots, owner))
         root_lists = np.split(roots[order], np.cumsum(np.bincount(owner, minlength=B))[:-1])
-    return counts, warn_lists, root_lists
+    return counts, tangencies, root_lists
 
 
 def count_zeros_scan(
@@ -298,7 +306,7 @@ def count_zeros_scan(
     lo, hi = float(interval[0]), float(interval[1])
     a = coeffs.a[None, :]
     b = coeffs.b[None, :] if coeffs.b is not None else None
-    counts, warns, roots = _scan_batch(
+    counts, (_, t_lo, t_hi), roots = _scan_batch(
         a, b, coeffs.K, lo, hi, oversample, rescaled, locate_roots
     )
     return ZeroCountResult(
@@ -306,15 +314,15 @@ def count_zeros_scan(
         roots=roots[0],
         method="scan_bisect",
         interval=(lo, hi),
-        warnings=warns[0],
+        warnings=list(zip(t_lo, t_hi)),
     )
 
 
 def scan_count_batch(a, b, K, interval, oversample=16, rescaled=False):
     """Counts and tangency-warning counts for a batch of replicates."""
     lo, hi = float(interval[0]), float(interval[1])
-    counts, warns, _ = _scan_batch(a, b, K, lo, hi, oversample, rescaled, False)
-    return counts, np.array([len(w) for w in warns], dtype=np.int64)
+    counts, (t_rows, _, _), _ = _scan_batch(a, b, K, lo, hi, oversample, rescaled, False)
+    return counts, np.bincount(t_rows, minlength=a.shape[0])
 
 
 def count_zeros_eigen(coeffs: CoefficientVector, interval, rescaled: bool = False) -> ZeroCountResult:

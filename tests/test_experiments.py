@@ -173,6 +173,11 @@ class TestWindowChop:
         with pytest.raises(UsageError):
             window_chop_check(100, 0.6, 10)
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_degree_below_one(self, K):
+        with pytest.raises(UsageError):
+            window_chop_check(K, 0.25, 10)
+
     def test_worker_count_does_not_matter(self, monkeypatch):
         reports = []
         for workers in ("1", "3"):

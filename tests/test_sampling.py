@@ -1,7 +1,11 @@
 """Deterministic draws, path evaluation and limit-process sampling."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from trigzero.covariance import CosineKernel, Kernel, LimitKernel, SincKernel
 from trigzero.errors import DegeneracyError, UsageError
@@ -9,10 +13,18 @@ from trigzero.sampling import (
     CoefficientVector,
     draw_coefficient_batch,
     draw_coefficients,
+    PURPOSE_COEFFS,
     eval_path,
     sample_limit_process,
     standard_normals,
 )
+
+
+def _reference_normals(seed, index, purpose, n):
+    """One fresh Philox generator per stream: the draw path, spelled out."""
+    key = np.array([seed, (index << 8) | purpose], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(n)
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
 
 
 class TestDraws:
@@ -48,6 +60,49 @@ class TestDraws:
     def test_bad_ensemble(self):
         with pytest.raises(UsageError):
             draw_coefficients(3, "exotic", 0, 0)
+
+
+class TestDrawPath:
+    """Batch rows, single streams and a fresh generator per stream agree bitwise."""
+
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    @pytest.mark.parametrize("K", [1, 3, 100, 1600])
+    @pytest.mark.parametrize(
+        "indices", [range(5), [9, 2, 40, 3], [(1 << 56) - 1, 0]], ids=["run", "shuffled", "top"]
+    )
+    def test_batch_rows_equal_single_streams(self, ensemble, K, indices):
+        seed = 17
+        a, b = draw_coefficient_batch(K, ensemble, seed, indices)
+        rows = a if b is None else np.hstack((a, b))
+        per = rows.shape[1]
+        assert per == (K if b is None else 2 * K)
+        for row, idx in zip(rows, indices):
+            single = standard_normals(seed, idx, PURPOSE_COEFFS, per)
+            assert np.array_equal(row, single)
+            assert np.array_equal(single, _reference_normals(seed, idx, PURPOSE_COEFFS, per))
+
+    @pytest.mark.parametrize("index", [-1, 1 << 56])
+    def test_index_outside_key_range(self, index):
+        with pytest.raises(UsageError):
+            draw_coefficient_batch(4, "cosine", 0, [0, index])
+        with pytest.raises(UsageError):
+            standard_normals(0, index, PURPOSE_COEFFS, 4)
+
+    def test_concurrent_chunks_equal_serial(self):
+        # more threads than cores and a short switch interval, so that the
+        # draws of different chunks interleave
+        chunks = [range(s, s + 32) for s in range(0, 512, 32)]
+        serial = [draw_coefficient_batch(100, "stationary", 5, c) for c in chunks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(draw_coefficient_batch, 100, "stationary", 5, c) for c in chunks]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (a, b), (sa, sb) in zip(got, serial):
+            assert np.array_equal(a, sa) and np.array_equal(b, sb)
 
 
 class TestEvalPath:

@@ -14,6 +14,7 @@ from trigzero.sampling import (
 )
 from trigzero.zeros import (
     _freqs,
+    _lattice_values,
     _scan_batch,
     _scan_grid,
     count_zeros_eigen,
@@ -266,6 +267,23 @@ class TestLatticeGrid:
         # vanishes exactly at pi/2 and 3pi/2, lattice points)
         clear = np.abs(want) > 1e-14 * row_max
         assert np.array_equal((got > 0)[clear], (want > 0)[clear])
+
+
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    def test_gathered_values_equal_sliced_values(self, ensemble):
+        # one ascending run of lattice indices is copied as a slice; indices
+        # across pi (folded onto N - j by the cosine ensemble) and across 2 pi
+        # (wrapped) are gathered, and must read the same values
+        K, N = 40, 2 * 16 * 40
+        a, b = draw_coefficient_batch(K, ensemble, 31, range(5))
+        cosine = b is None
+        top = N // 2 + 1 if cosine else N
+        table = _lattice_values(a, b, N, np.arange(top))
+        for j in (np.arange(N // 2 - 30, N // 2 + 31), np.arange(N - 30, N + 31)):
+            col = np.mod(j, N)
+            if cosine:
+                col = np.minimum(col, N - col)
+            assert np.array_equal(_lattice_values(a, b, N, j), table[:, col])
 
 
 class TestBatchEngine:
