@@ -51,7 +51,6 @@ import numpy as np
 from .covariance import sinc_derivs
 from .errors import UsageError
 from .hermite import (
-    ChaosCoefficients,
     _mehler_terms,
     abs_coeff,
     dirac_coeff_normalized,
@@ -164,7 +163,7 @@ def _grid_sums(orders, n_nodes, tail):
     Returns, per order in ``orders``, weights @ G_q and the mean of
     G_q tau^2 over the last decade, tau >= tail / 10.
     """
-    nodes, weights = _gl_panels(0.0, tail, n_nodes)
+    nodes, weights, _ = _gl_panels(0.0, tail, n_nodes)
     fit_from = tail / 10.0
     body = dict.fromkeys(orders, 0.0)
     fit = dict.fromkeys(orders, 0.0)
@@ -216,7 +215,7 @@ def _chaos_terms(orders, tail):
     return terms
 
 
-def sigma_q_squared(q: int, coeffs: ChaosCoefficients | None = None, tail: float = 1e4) -> ChaosTerm:
+def sigma_q_squared(q: int, tail: float = 1e4) -> ChaosTerm:
     """Limiting variance of the order-q component.
 
     sigma_q^2 = (1/3) * 2 * [ int_0^tail G_q + remainder ], the remainder
@@ -225,8 +224,6 @@ def sigma_q_squared(q: int, coeffs: ChaosCoefficients | None = None, tail: float
     """
     if q < 1:
         raise UsageError("order must be >= 1")
-    if coeffs is not None and q > coeffs.q_max:
-        raise UsageError(f"order {q} above the coefficient table's q_max")
     return _chaos_terms([q], tail)[0]
 
 

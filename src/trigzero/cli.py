@@ -353,6 +353,8 @@ def clt(k_value, reps, seed, outdir):
 @_guarded
 def oracle_check(k_values, reps, seed):
     """Cross-validate the scan counter against the eigenvalue oracle."""
+    if reps < 1:
+        raise UsageError("--reps must be at least 1")
     report = oracle_agreement(list(k_values), reps, seed)
     _dump_json(report)
     if not report["passed"]:
@@ -365,6 +367,8 @@ def oracle_check(k_values, reps, seed):
 @_guarded
 def bounds_check(k_values, points):
     """Check the lag-covariance decay inequalities on log-spaced grids."""
+    if points < 1 or min(k_values) < 1:
+        raise UsageError("--K and --points must be at least 1")
     out = []
     ok = True
     for K in k_values:

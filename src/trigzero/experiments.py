@@ -45,7 +45,7 @@ def worker_count(requested=None) -> int:
 class IntervalSpec:
     """Counting interval: explicit bounds on one axis, or the alpha-window."""
 
-    kind: str  # "original" | "rescaled" | "window"
+    kind: str  # "original" | "window"
     lo: float | None = None
     hi: float | None = None
 
@@ -53,8 +53,6 @@ class IntervalSpec:
         """Bounds on the original [0, 2*pi) axis for degree K."""
         if self.kind == "original":
             return float(self.lo), float(self.hi)
-        if self.kind == "rescaled":
-            return float(self.lo) / K, float(self.hi) / K
         if self.kind == "window":
             w0, w1 = window_bounds(K, alpha)
             return w0 / K, w1 / K

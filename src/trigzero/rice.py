@@ -21,13 +21,17 @@ conditional absolute moment in closed form,
 
 The integrand has a removable singularity on the diagonal; a thin band
 |t - s| < delta is filled in by quadratic extrapolation from nearby lags.
+
+Both use one Gauss-Legendre panel rule: half-period panels of 16 nodes, whole
+arrays of panels per integrand call, and the 16-vs-8-node gap as the error
+estimate.  The mean halves the panels whose gap is large, in rounds.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,13 +39,14 @@ from .covariance import _deriv_var, c_k_derivs
 from .errors import NumericError, UsageError
 
 _PANEL = 0.5 * np.pi
-_GL_CACHE: dict = {}
+_BLOCK = 1024  # panels per integrand call of the mean: 24 nodes each, ~25k lags
+_MAX_PANELS = 20000  # no refinement round of the mean starts above this
+_DIAG_BAND = 1e-3  # half-width of the diagonal band of the second moment
 
 
+@lru_cache(maxsize=None)
 def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
@@ -79,45 +84,68 @@ def zero_intensity(K: int, t):
     return np.sqrt(np.maximum(_deriv_var(c, c1, c2, K), 0.0)) / np.pi
 
 
-def _adaptive_gl(f, lo, hi, rel_tol=1e-8, init_len=_PANEL, max_panels=20000):
-    """Adaptive Gauss-Legendre with an embedded 16-vs-8-node error estimate."""
+def _panel_edges(lo, hi):
+    """Ends a, b of the half-period panels tiling [lo, hi_i] per entry of ``hi``, and their entries.
+
+    The edges are those of np.linspace(lo, hi_i, m_i + 1): k * step + lo, the
+    last one exactly hi_i.
+    """
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    m = np.maximum(np.ceil((hi - lo) / _PANEL).astype(np.int64), 1)
+    owner = np.repeat(np.arange(hi.size), m)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m)
+    step = ((hi - lo) / m)[owner]
+    b = np.where(k + 1 == m[owner], hi[owner], (k + 1) * step + lo)
+    return k * step + lo, b, owner
+
+
+def _gl_panels(lo, hi, n_nodes):
+    """GL nodes and weights tiling [lo, hi] in half-period panels, and each panel's entry of hi.
+
+    ``hi`` may be an array of upper ends; their tilings are concatenated in order.
+    """
+    x, w = _gl(n_nodes)
+    a, b, owner = _panel_edges(lo, hi)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel(), owner
+
+
+def _panel_sums(f, a, b):
+    """16-node values and 16-vs-8-node gaps on panels [a_i, b_i], at most ``_BLOCK`` panels per call of f."""
     x16, w16 = _gl(16)
     x8, w8 = _gl(8)
+    x = np.concatenate((x16, x8))
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    sums = np.empty((2, a.size))
+    for i in range(0, a.size, _BLOCK):
+        y = f((mid[i : i + _BLOCK, None] + half[i : i + _BLOCK, None] * x).ravel()).reshape(-1, x.size)
+        sums[:, i : i + _BLOCK] = (y[:, :16] * w16).sum(axis=1), (y[:, 16:] * w8).sum(axis=1)
+    v16, v8 = half * sums
+    return v16, np.abs(v16 - v8)
 
-    def panel(a_, b_):
-        half = 0.5 * (b_ - a_)
-        mid = 0.5 * (a_ + b_)
-        nodes = np.concatenate((mid + half * x16, mid + half * x8))
-        y = f(nodes)
-        v16 = half * float(w16 @ y[:16])
-        v8 = half * float(w8 @ y[16:])
-        return v16, abs(v16 - v8)
 
-    n0 = max(int(np.ceil((hi - lo) / init_len)), 1)
-    edges = np.linspace(lo, hi, n0 + 1)
-    heap = []
-    total = 0.0
-    err = 0.0
-    for i in range(n0):
-        v, e = panel(edges[i], edges[i + 1])
-        total += v
-        err += e
-        heapq.heappush(heap, (-e, i, edges[i], edges[i + 1], v))
-    counter = n0
-    while err > rel_tol * max(abs(total), 1e-300) and len(heap) < max_panels:
-        negE, _, a_, b_, v = heapq.heappop(heap)
-        if -negE <= 0.0:
-            heapq.heappush(heap, (negE, counter, a_, b_, v))
+def _adaptive_gl(f, lo, hi, rel_tol=1e-8):
+    """Adaptive Gauss-Legendre on half-period panels, refined in rounds.
+
+    Each round halves, in one batch, every panel whose gap exceeds its share
+    rel_tol * |total| / n of the tolerance.  It stops when the gaps sum to at
+    most rel_tol * |total|, when no panel qualifies, or at ``_MAX_PANELS``.
+    Sums are numpy reductions and math.fsum, so no BLAS thread count moves them.
+    """
+    a, b, _ = _panel_edges(lo, hi)
+    v, e = _panel_sums(f, a, b)
+    while True:
+        total, err = math.fsum(v), math.fsum(e)
+        split = e > rel_tol * abs(total) / a.size
+        if err <= rel_tol * abs(total) or a.size >= _MAX_PANELS or not split.any():
             break
-        mid = 0.5 * (a_ + b_)
-        v1, e1 = panel(a_, mid)
-        v2, e2 = panel(mid, b_)
-        total += v1 + v2 - v
-        err += e1 + e2 + negE  # negE = -old error
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, a_, mid, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b_, v2))
+        mid = 0.5 * (a[split] + b[split])
+        a_new, b_new = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
+        v_new, e_new = _panel_sums(f, a_new, b_new)
+        a, b = np.concatenate((a[~split], a_new)), np.concatenate((b[~split], b_new))
+        v, e = np.concatenate((v[~split], v_new)), np.concatenate((e[~split], e_new))
     if err > 1e-4 * max(abs(total), 1.0):
         raise NumericError(f"quadrature stalled: estimate {err:g} on value {total:g}")
     return total, err
@@ -215,48 +243,24 @@ def _pair_intensity(K, s, t):
     return euv * p00
 
 
-def _gl_panels(lo, hi, n_nodes):
-    """GL nodes and weights tiling [lo, hi] in half-period panels."""
-    x, w = _gl(n_nodes)
-    n_panels = max(int(np.ceil((hi - lo) / _PANEL)), 1)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _offband_integral(K, w0, w1, delta, n_nodes):
-    """2 * int_{u=delta}^{L} int_{s=w0}^{w1-u} F(s, s+u) ds du."""
-    L = w1 - w0
-    xg, wg = _gl(n_nodes)
-    n_u_panels = max(int(np.ceil((L - delta) / _PANEL)), 1)
-    u_edges = np.linspace(delta, L, n_u_panels + 1)
+    """2 * int_{u=delta}^{L} int_{s=w0}^{w1-u} F(s, s+u) ds du.
+
+    One integrand call per u panel covers the s-tilings of all its u nodes.
+    """
+    u_nodes, u_weights, _ = _gl_panels(delta, w1 - w0, n_nodes)
     total = 0.0
-    for p in range(n_u_panels):
-        ua, ub = u_edges[p], u_edges[p + 1]
-        half_u = 0.5 * (ub - ua)
-        u_nodes = 0.5 * (ua + ub) + half_u * xg
-        u_weights = half_u * wg
-        s_all = []
-        t_all = []
-        w_all = []
-        for u, wu in zip(u_nodes, u_weights):
-            s_nodes, s_weights = _gl_panels(w0, w1 - u, n_nodes)
-            s_all.append(s_nodes)
-            t_all.append(s_nodes + u)
-            w_all.append(wu * s_weights)
-        s_all = np.concatenate(s_all)
-        t_all = np.concatenate(t_all)
-        w_all = np.concatenate(w_all)
-        total += float(w_all @ _pair_intensity(K, s_all, t_all))
+    for u, wu in zip(u_nodes.reshape(-1, n_nodes), u_weights.reshape(-1, n_nodes)):
+        s, ws, owner = _gl_panels(w0, w1 - u, n_nodes)
+        s = s.reshape(owner.size, n_nodes)
+        weights = ws.reshape(s.shape) * wu[owner, None]
+        total += float(weights.ravel() @ _pair_intensity(K, s.ravel(), (s + u[owner, None]).ravel()))
     return 2.0 * total
 
 
 def _band_integral(K, w0, w1, delta, n_nodes):
     """Diagonal band |t-s| < delta via quadratic extrapolation to the diagonal."""
-    s_nodes, s_weights = _gl_panels(w0, w1 - 3.0 * delta, n_nodes)
+    s_nodes, s_weights, _ = _gl_panels(w0, w1 - 3.0 * delta, n_nodes)
     f1 = _pair_intensity(K, s_nodes, s_nodes + delta)
     f2 = _pair_intensity(K, s_nodes, s_nodes + 2.0 * delta)
     f3 = _pair_intensity(K, s_nodes, s_nodes + 3.0 * delta)
@@ -266,13 +270,7 @@ def _band_integral(K, w0, w1, delta, n_nodes):
     return 2.0 * delta * 0.5 * (line0 + line1)
 
 
-def rice_second_moment(
-    K: int,
-    alpha: float = 0.25,
-    interval=None,
-    diag_band: float = 1e-3,
-    nodes: int = 16,
-) -> RiceResult:
+def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 16) -> RiceResult:
     """Second factorial moment E[N(N-1)] of the zero count over a window.
 
     The window defaults to the alpha-trimmed axis; explicit intervals must
@@ -286,11 +284,11 @@ def rice_second_moment(
     w0, w1 = float(interval[0]), float(interval[1])
     if not (0.0 < w0 < w1 < K * np.pi):
         raise UsageError("interval must sit strictly inside (0, K*pi)")
-    if w1 - w0 <= 10.0 * diag_band:
+    if w1 - w0 <= 10.0 * _DIAG_BAND:
         raise UsageError("interval is shorter than the diagonal band treatment")
-    off16 = _offband_integral(K, w0, w1, diag_band, nodes)
-    off8 = _offband_integral(K, w0, w1, diag_band, max(nodes // 2, 4))
-    band = _band_integral(K, w0, w1, diag_band, nodes)
+    off16 = _offband_integral(K, w0, w1, _DIAG_BAND, nodes)
+    off8 = _offband_integral(K, w0, w1, _DIAG_BAND, max(nodes // 2, 4))
+    band = _band_integral(K, w0, w1, _DIAG_BAND, nodes)
     err = abs(off16 - off8) + 0.1 * abs(band)
     value = off16 + band
     if not np.isfinite(value):
@@ -307,10 +305,10 @@ class RiceVariance:
     variance: float
 
 
-def rice_variance(K: int, alpha: float = 0.25, nodes: int = 16) -> RiceVariance:
+def rice_variance(K: int, alpha: float = 0.25) -> RiceVariance:
     """Var N = E[N(N-1)] + E[N] - (E[N])^2 over the alpha-window."""
     window = window_bounds(K, alpha)
     m1 = rice_mean(K, interval=window)
-    m2 = rice_second_moment(K, alpha=alpha, nodes=nodes)
+    m2 = rice_second_moment(K, alpha=alpha)
     var = m2.value + m1.value - m1.value ** 2
     return RiceVariance(mean=m1, second_factorial=m2, variance=var)

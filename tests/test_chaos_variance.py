@@ -230,8 +230,6 @@ class TestSigmaQ:
             sigma_q_squared(0)
         with pytest.raises(UsageError):
             sigma_q_squared(2, tail=50.0)
-        with pytest.raises(UsageError):
-            sigma_q_squared(8, chaos_coefficients(4))
 
 
 class TestTotal:

@@ -210,3 +210,17 @@ class TestSuites:
         res = runner.invoke(main, ["bounds-check", "--K", "10", "--K", "50", "--points", "100"])
         assert res.exit_code == 0
         assert all(entry["passed"] for entry in json.loads(res.output))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bounds-check", "--K", "0"],
+            ["bounds-check", "--points", "-3"],
+            ["oracle-check", "--reps", "0"],
+            ["oracle-check", "--reps", "-5"],
+        ],
+    )
+    def test_rejects_empty_requests(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "passed" not in res.output

@@ -1,11 +1,17 @@
 """Rice moment integrals: means, second moments, and their Monte Carlo ties."""
 
+import math
+
 import numpy as np
 import pytest
 
+from trigzero import rice
 from trigzero.errors import UsageError
 from trigzero.experiments import ExperimentConfig, IntervalSpec, run_campaign
 from trigzero.rice import (
+    _BLOCK,
+    _adaptive_gl,
+    _gl_panels,
     conditional_abs_moment,
     rice_mean,
     rice_second_moment,
@@ -67,6 +73,70 @@ class TestMean:
             rice_mean(10, interval=(0.0, 11 * np.pi))
         with pytest.raises(UsageError):
             rice_mean(0)
+
+
+class TestPanelRule:
+    def test_mean_is_one_integrand_call(self, monkeypatch):
+        calls = []
+        inner = rice.zero_intensity
+
+        def counted(K, t):
+            calls.append(t.size)
+            return inner(K, t)
+
+        monkeypatch.setattr(rice, "zero_intensity", counted)
+        rice_mean(1600, interval=(0.0, 400.0 * np.pi))
+        assert calls == [800 * 24]  # all 800 half-period panels, 16 + 8 nodes each
+
+    def test_narrow_bump_is_refined(self):
+        width = 0.02
+        sizes = []
+
+        def bump(t):
+            sizes.append(t.size)
+            return np.exp(-0.5 * ((t - 2.0) / width) ** 2)
+
+        val, err = _adaptive_gl(bump, 0.0, 5.0)
+        scale = width * math.sqrt(2.0)
+        exact = width * math.sqrt(0.5 * math.pi) * (math.erf(3.0 / scale) + math.erf(2.0 / scale))
+        assert abs(val - exact) <= err
+        assert err <= 1e-8 * val
+        assert len(sizes) > 1  # the first round's 4 panels could not resolve it
+
+    def test_integrand_calls_are_bounded(self):
+        sizes = []
+
+        def cheap(t):
+            sizes.append(t.size)
+            return np.ones_like(t)
+
+        assert _BLOCK < 6000
+        val, _ = _adaptive_gl(cheap, 0.0, 3000.0 * np.pi)  # 6000 panels of 24 nodes
+        assert val == pytest.approx(3000.0 * np.pi, rel=1e-13)
+        assert max(sizes) <= _BLOCK * 24
+        assert sum(sizes) == 6000 * 24
+
+    def test_ragged_panels_match_scalar_tilings(self):
+        lo, his = 0.3, np.array([0.31, 2.0, np.pi, 40.0, 17.0 * np.pi / 2.0])
+        nodes, weights, owner = _gl_panels(lo, his, 16)
+        assert np.all(np.diff(owner) >= 0)
+        per_node = np.repeat(owner, 16)
+        for i, hi in enumerate(his):
+            want_nodes, want_weights, want_owner = _gl_panels(lo, hi, 16)
+            assert np.array_equal(nodes[per_node == i], want_nodes)
+            assert np.array_equal(weights[per_node == i], want_weights)
+            assert np.all(want_owner == 0)
+            assert weights[per_node == i].sum() == pytest.approx(hi - lo, rel=1e-14)
+
+    def test_scalar_tiling_matches_linspace(self):
+        lo, hi = 1.1, 123.456  # where the last edge k * step + lo misses hi
+        nodes, weights, _ = _gl_panels(lo, hi, 8)
+        x, w = np.polynomial.legendre.leggauss(8)
+        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / (0.5 * np.pi))) + 1)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        assert np.array_equal(nodes, (mid[:, None] + half[:, None] * x).ravel())
+        assert np.array_equal(weights, (half[:, None] * w).ravel())
 
 
 class TestBenchmarkPins:
