@@ -38,11 +38,15 @@ constant has the closed form 2/(15 pi), used as an independent oracle in the
 tests.
 
 G_q decays like 1/tau^2, so the integral is truncated at a cutoff and the
-remainder is added back from a fitted C/tau^2 envelope.
+remainder is added back from a fitted C/tau^2 envelope.  The orders beyond
+q_max are summed from a fitted C q^{-3/2} envelope through the Hurwitz zeta
+function, which ``_hurwitz_zeta`` evaluates in pure Python (Euler-Maclaurin),
+so this module never loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -246,18 +250,35 @@ class VarianceConstant:
 
 
 _TAIL_EXPONENT = 1.5
+_ZETA_DIRECT = 12  # terms summed directly before the Euler-Maclaurin remainder
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2, B_4, ..., B_14
+
+
+def _hurwitz_zeta(s, a):
+    """zeta(s, a) = sum_{k >= 0} (a + k)^-s for s > 1, a >= 1, by Euler-Maclaurin.
+
+    Twelve direct terms, then the integral, the half end term and seven
+    Bernoulli corrections at n = a + 12; the first omitted correction is
+    below 1e-18 for s = 3/2.
+    """
+    n = a + _ZETA_DIRECT
+    terms = [(a + k) ** -s for k in range(_ZETA_DIRECT)]
+    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n**-s]
+    rising = s * n ** (-s - 1.0)  # s (s+1) ... (s+2j-2) n^(-s-2j+1) at j = 1
+    for j, b in enumerate(_BERNOULLI, start=1):
+        terms.append(b / math.factorial(2 * j) * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j) / (n * n)
+    return math.fsum(terms)
 
 
 def _series_tail(terms, q_max):
     """Estimated sum of sigma_q^2 over even q > q_max from the C q^{-3/2} law."""
-    from scipy.special import zeta
-
     anchors = [(t.q, t.sigma_sq) for t in terms if t.sigma_sq > 0.0][-2:]
     if not anchors:
         return 0.0, 0.0
     c_fit = float(np.mean([s * q ** _TAIL_EXPONENT for q, s in anchors]))
     m0 = q_max // 2 + 1  # next even order is 2*m0
-    tail = c_fit * 2.0 ** -_TAIL_EXPONENT * float(zeta(_TAIL_EXPONENT, m0))
+    tail = c_fit * 2.0 ** -_TAIL_EXPONENT * _hurwitz_zeta(_TAIL_EXPONENT, m0)
     return tail, c_fit
 
 

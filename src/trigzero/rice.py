@@ -24,7 +24,9 @@ The integrand has a removable singularity on the diagonal; a thin band
 
 Both use one Gauss-Legendre panel rule: half-period panels of 16 nodes, whole
 arrays of panels per integrand call, and the 16-vs-8-node gap as the error
-estimate.  The mean halves the panels whose gap is large, in rounds.
+estimate.  The mean halves the panels whose gap is large, in rounds.  Every
+weighted sum is a numpy reduction, not a BLAS dot product, so the results do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -254,7 +256,8 @@ def _offband_integral(K, w0, w1, delta, n_nodes):
         s, ws, owner = _gl_panels(w0, w1 - u, n_nodes)
         s = s.reshape(owner.size, n_nodes)
         weights = ws.reshape(s.shape) * wu[owner, None]
-        total += float(weights.ravel() @ _pair_intensity(K, s.ravel(), (s + u[owner, None]).ravel()))
+        f = _pair_intensity(K, s.ravel(), (s + u[owner, None]).ravel())
+        total += float((weights.ravel() * f).sum())
     return 2.0 * total
 
 
@@ -265,8 +268,8 @@ def _band_integral(K, w0, w1, delta, n_nodes):
     f2 = _pair_intensity(K, s_nodes, s_nodes + 2.0 * delta)
     f3 = _pair_intensity(K, s_nodes, s_nodes + 3.0 * delta)
     f0 = 3.0 * f1 - 3.0 * f2 + f3
-    line0 = float(s_weights @ f0)
-    line1 = float(s_weights @ f1)
+    line0 = float((s_weights * f0).sum())
+    line1 = float((s_weights * f1).sum())
     return 2.0 * delta * 0.5 * (line0 + line1)
 
 

@@ -6,7 +6,9 @@ independently of execution order or worker count.  Gaussian variates come
 from the inverse normal CDF applied to the stream's uniforms; each normal
 consumes exactly one 64-bit word, which keeps streams alignable.  A batch
 of replicates is drawn by one generator, re-keyed per replicate, and a
-stream never depends on the batch it is drawn in.
+stream never depends on the batch it is drawn in.  The inverse CDF is
+``scipy.special.ndtri``, imported on the first draw rather than with the
+module, so commands that draw nothing never load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .covariance import Kernel
 from .errors import DegeneracyError, UsageError
@@ -40,6 +41,8 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
     which is exactly the state of a fresh ``Philox(key=...)``.  The generator
     is local, so concurrent calls share nothing.
     """
+    from scipy.special import ndtri  # deferred: commands that draw nothing never load scipy
+
     gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
     state = gen.state  # counter 0, empty buffer
     key = state["state"]["key"]

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .errors import UsageError
 from .sampling import CoefficientVector
@@ -84,6 +83,8 @@ def _lattice_values(a, b, N, j):
     the value.  The cosine ensemble is even in t, so it uses a real FFT and
     folds j > N/2 onto N - j.
     """
+    from scipy import fft  # deferred: commands that scan nothing never load scipy
+
     j = np.mod(j, N)
     B, K = a.shape
     x = np.zeros((B, K + 1), dtype=float if b is None else complex)
@@ -372,10 +373,14 @@ def oracle_agreement(K_list, reps, seed, interval=(0.0, np.pi), oversample=16):
     """Cross-validate scan counts and root locations against the eigen oracle.
 
     Returns a report dict with any count mismatches and the worst root-location
-    gap seen across all replicates.
+    gap seen across all replicates.  An empty request (no degree, or
+    reps < 1) raises UsageError rather than passing vacuously.
     """
     from .sampling import draw_coefficients
 
+    K_list = list(K_list)
+    if reps < 1 or not K_list:
+        raise UsageError("oracle agreement needs reps >= 1 and at least one degree")
     mismatches = []
     worst_gap = 0.0
     runs = 0

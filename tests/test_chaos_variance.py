@@ -232,6 +232,32 @@ class TestSigmaQ:
             sigma_q_squared(2, tail=50.0)
 
 
+class TestSeriesTail:
+    def test_hurwitz_zeta_matches_scipy(self):
+        from scipy.special import zeta
+
+        for m in range(1, 201):
+            ref = float(zeta(1.5, m))
+            assert abs(chaos_variance._hurwitz_zeta(1.5, m) - ref) <= 1e-15 * ref, m
+
+    @pytest.mark.parametrize("m", [2, 11, 200])
+    def test_hurwitz_zeta_against_30_digits(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = mpmath.zeta(mpmath.mpf(3) / 2, m)
+            rel = abs(mpmath.mpf(chaos_variance._hurwitz_zeta(1.5, m)) / ref - 1)
+        assert rel <= 1e-15
+
+    def test_tail_is_the_zeta_envelope(self, chaos_total):
+        from scipy.special import zeta
+
+        # orders 22, 24, ... are 2 * (11, 12, ...)
+        tail = chaos_total.envelope_constant * 2.0**-1.5 * float(zeta(1.5, 11))
+        assert abs(chaos_total.series_tail - tail) <= 1e-15 * tail
+        partial = sum(t.sigma_sq for t in chaos_total.terms)
+        assert chaos_total.total == partial + chaos_total.series_tail
+
+
 class TestTotal:
     def test_band_and_stability(self, chaos_total):
         assert 0.084 <= chaos_total.total <= 0.094

@@ -16,10 +16,40 @@ def test_all_names_resolve_and_none_is_a_module():
 
 
 _STARTUP_PROBE = """
+import os
 import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
+from click.testing import CliRunner
+
 import trigzero.cli
-assert "scipy.stats" not in sys.modules, "import trigzero.cli loaded scipy.stats"
+
+
+def run(*args):
+    res = CliRunner().invoke(trigzero.cli.main, list(args))
+    assert res.exit_code == 0, (args, res.output, res.exception)
+
+
+run("rice", "--K", "4", "--moment", "1")
+run("rice", "--K", "4", "--moment", "2", "--interval", "window")
+run("chaos-var", "--qmax", "2", "--tail", "100")
+run("bounds-check", "--K", "10", "--points", "20")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"the analytic commands loaded {loaded[:4]}"
+
+# two chunks under two threads: the first scipy imports happen in pool threads
+records = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for threads in ("2", "1"):
+        os.environ["TRIGZERO_THREADS"] = threads
+        run("simulate", "--K", "8", "--reps", "300", "--seed", "3", "--out", f"{tmp}/t{threads}")
+        records[threads] = (Path(tmp) / f"t{threads}" / "records.csv").read_bytes()
+assert records["2"] == records["1"]
+assert records["1"].count(b"\\n") == 301
+
+assert "scipy.stats" not in sys.modules, "a campaign loaded scipy.stats"
 from trigzero.experiments import clt_test
 counts = 200 + np.arange(500) % 17
 report = clt_test(counts, 100)
@@ -28,8 +58,8 @@ print("ok")
 """
 
 
-def test_cli_import_leaves_scipy_stats_for_the_normality_verdict():
-    # a fresh interpreter: the test session itself has imported scipy.stats
+def test_analytic_commands_never_load_scipy():
+    # a fresh interpreter: the test session itself has imported scipy
     src = str(Path(trigzero.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -67,6 +67,12 @@ class TestCrossValidation:
         assert report["passed"], report["mismatches"]
         assert report["max_root_gap"] < 1e-8
 
+    @pytest.mark.parametrize("K_list, reps", [([5, 10], 0), ([5], -5), ([], 10)])
+    def test_oracle_agreement_rejects_empty_requests(self, K_list, reps):
+        # an empty request must not read as a pass with "runs": 0
+        with pytest.raises(UsageError):
+            oracle_agreement(K_list, reps, seed=0)
+
     def test_stationary_ensemble_agrees(self):
         for idx in range(25):
             cv = draw_coefficients(10, "stationary", 55, idx)
