@@ -87,15 +87,8 @@ class CoefficientVector:
 
 def draw_coefficients(K: int, ensemble: str = "cosine", seed: int = 0, index: int = 0) -> CoefficientVector:
     """Draw one replicate's coefficient vector(s), deterministically."""
-    if K < 1:
-        raise UsageError(f"degree K must be >= 1, got {K}")
-    if ensemble not in _ENSEMBLES:
-        raise UsageError(f"unknown ensemble {ensemble!r}")
-    if ensemble == "stationary":
-        z = standard_normals(seed, index, PURPOSE_COEFFS, 2 * K)
-        return CoefficientVector(K=K, a=z[:K], b=z[K:], seed_info=(seed, index))
-    z = standard_normals(seed, index, PURPOSE_COEFFS, K)
-    return CoefficientVector(K=K, a=z, b=None, seed_info=(seed, index))
+    a, b = draw_coefficient_batch(K, ensemble, seed, (index,))
+    return CoefficientVector(K=K, a=a[0], b=None if b is None else b[0], seed_info=(seed, index))
 
 
 def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:
@@ -103,6 +96,8 @@ def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:
 
     Returns (a, b) with shapes (B, K); ``b`` is None for the cosine ensemble.
     """
+    if K < 1:
+        raise UsageError(f"degree K must be >= 1, got {K}")
     if ensemble not in _ENSEMBLES:
         raise UsageError(f"unknown ensemble {ensemble!r}")
     per = 2 * K if ensemble == "stationary" else K

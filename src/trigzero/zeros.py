@@ -24,8 +24,10 @@ the count.
 
 The eigenvalue oracle rewrites the polynomial in z = exp(i t), lifts it to an
 ordinary degree-2K polynomial, and reads zeros off the unit-circle roots of
-its companion matrix.  It is exact up to eigenvalue accuracy and serves as
-the cross-validation reference for the scan method.
+its companion matrix.  A batch's companion matrices are stacked (real for
+the cosine ensemble) and solved by one ``eigvals`` call per chunk; a single
+replicate is first cut to its last nonzero coefficient.  The oracle is exact
+up to eigenvalue accuracy and is the reference for the scan method.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .sampling import CoefficientVector
 _EIGEN_MAX_K = 256
 _CIRCLE_TOL = 1e-8
 _DEDUPE_TOL = 1e-9
+# matrix entries per eigvals call: 8 companion matrices at K = 256
+_STACK_ENTRIES = 1 << 21
 _BISECT_WIDTH = 1e-12
 # fraction of the discrete curvature scale below which a parabola extremum
 # estimate counts as a possible hidden root pair
@@ -65,8 +69,6 @@ class ZeroCountResult:
 
     count: int
     roots: np.ndarray | None
-    method: str
-    interval: tuple
     warnings: list = field(default_factory=list)  # unresolved tangency brackets
 
 
@@ -310,13 +312,7 @@ def count_zeros_scan(
     counts, (_, t_lo, t_hi), roots = _scan_batch(
         a, b, coeffs.K, lo, hi, oversample, rescaled, locate_roots
     )
-    return ZeroCountResult(
-        count=int(counts[0]),
-        roots=roots[0],
-        method="scan_bisect",
-        interval=(lo, hi),
-        warnings=list(zip(t_lo, t_hi)),
-    )
+    return ZeroCountResult(count=int(counts[0]), roots=roots[0], warnings=list(zip(t_lo, t_hi)))
 
 
 def scan_count_batch(a, b, K, interval, oversample=16, rescaled=False):
@@ -326,80 +322,88 @@ def scan_count_batch(a, b, K, interval, oversample=16, rescaled=False):
     return counts, np.bincount(t_rows, minlength=a.shape[0])
 
 
-def count_zeros_eigen(coeffs: CoefficientVector, interval, rescaled: bool = False) -> ZeroCountResult:
+def _stack_rows(K: int) -> int:
+    return max(1, _STACK_ENTRIES // (2 * K) ** 2)  # companion matrices per eigvals call
+
+
+def _eigen_roots(a, b, K, lo, hi):
+    """Each row's distinct unit-circle root angles in [lo, hi), ascending.
+
+    Every row's top coefficient (a_K, b_K) must be nonzero.
+    """
+    c = a if b is None else a + 1j * b
+    # companion top rows -[conj c_{K-1}, ..., conj c_1, 0, c_1, ..., c_K] / conj c_K
+    top = np.concatenate((np.conj(c[:, -2::-1]), np.zeros((len(c), 1)), c), axis=1)
+    top /= -np.conj(c[:, -1:])
+    rows = _stack_rows(K)
+    out = []
+    for s in range(0, len(top), rows):
+        chunk = top[s : s + rows]
+        m = np.repeat(np.eye(2 * K, k=-1, dtype=top.dtype)[None], len(chunk), axis=0)
+        m[:, 0] = chunk
+        z = np.linalg.eigvals(m)
+        t = np.mod(np.angle(z), 2.0 * np.pi)
+        t[np.abs(np.abs(z) - 1.0) >= _CIRCLE_TOL] = np.nan  # sorts last
+        t.sort(axis=1)
+        keep = np.ones(t.shape, dtype=bool)
+        keep[:, 1:] = np.diff(t, axis=1) > _DEDUPE_TOL
+        keep &= (t >= lo) & (t < hi)
+        out += np.split(t[keep], np.cumsum(keep.sum(axis=1))[:-1])
+    return out
+
+
+def count_zeros_eigen(coeffs: CoefficientVector, interval) -> ZeroCountResult:
     """Exact zero count via companion-matrix eigenvalues on the unit circle.
 
     Lifts sum a_n cos(nt) (+ b_n sin(nt)) to the degree-2K polynomial
     z^K * sum_n [(a_n - i b_n)/2 z^n + (a_n + i b_n)/2 z^{-n}] and keeps
     eigen-roots within 1e-8 of |z| = 1 whose angle falls in the interval.
     """
-    K = coeffs.K
-    if K > _EIGEN_MAX_K:
+    if coeffs.K > _EIGEN_MAX_K:
         raise UsageError(f"eigen oracle limited to K <= {_EIGEN_MAX_K}")
     lo, hi = float(interval[0]), float(interval[1])
-    period = 2.0 * np.pi * (K if rescaled else 1.0)
-    if not (0.0 <= lo < hi <= period + 1e-9):
+    if not (0.0 <= lo < hi <= 2.0 * np.pi + 1e-9):
         raise UsageError("interval must sit inside one period starting at 0")
-
-    c = np.zeros(2 * K + 1, dtype=complex)
-    bvec = coeffs.b if coeffs.b is not None else np.zeros(K)
-    for n in range(1, K + 1):
-        c[K + n] += 0.5 * (coeffs.a[n - 1] - 1j * bvec[n - 1])
-        c[K - n] += 0.5 * (coeffs.a[n - 1] + 1j * bvec[n - 1])
-    p = c[::-1]  # highest degree first
-    nz = np.nonzero(np.abs(p) > 0.0)[0]
+    a, b = coeffs.a, coeffs.b
+    nz = np.flatnonzero(a if b is None else a + 1j * b)
     if nz.size == 0:
         raise UsageError("zero polynomial has no isolated roots")
-    z = np.roots(p[nz[0]:])
-    z = z[np.abs(np.abs(z) - 1.0) < _CIRCLE_TOL]
-    t = np.mod(np.angle(z), 2.0 * np.pi)
-    t = np.sort(t)
-    if t.size > 1:
-        keep = np.concatenate(([True], np.diff(t) > _DEDUPE_TOL))
-        t = t[keep]
-    if rescaled:
-        t = t * K
-    t = t[(t >= lo) & (t < hi)]
-    return ZeroCountResult(
-        count=int(t.size),
-        roots=t,
-        method="eigen_oracle",
-        interval=(lo, hi),
-        warnings=[],
-    )
+    k = nz[-1] + 1  # trailing zero coefficients only add roots at z = 0
+    roots = _eigen_roots(a[None, :k], None if b is None else b[None, :k], k, lo, hi)[0]
+    return ZeroCountResult(count=roots.size, roots=roots)
 
 
-def oracle_agreement(K_list, reps, seed, interval=(0.0, np.pi), oversample=16):
+def oracle_agreement(K_list, reps, seed):
     """Cross-validate scan counts and root locations against the eigen oracle.
 
-    Returns a report dict with any count mismatches and the worst root-location
-    gap seen across all replicates.  An empty request (no degree, or
-    reps < 1) raises UsageError rather than passing vacuously.
+    Compares ``reps`` cosine replicates per degree on [0, pi).  Returns a
+    report dict with any count mismatches and the worst root-location gap
+    seen across all replicates.  An empty request (no degree, or reps < 1)
+    raises UsageError rather than passing vacuously.
     """
-    from .sampling import draw_coefficients
+    from .sampling import draw_coefficient_batch
 
     K_list = list(K_list)
     if reps < 1 or not K_list:
         raise UsageError("oracle agreement needs reps >= 1 and at least one degree")
+    if not all(1 <= K <= _EIGEN_MAX_K for K in K_list):
+        raise UsageError(f"oracle degrees must lie in 1..{_EIGEN_MAX_K}")
     mismatches = []
     worst_gap = 0.0
-    runs = 0
     for K in K_list:
-        for idx in range(reps):
-            cv = draw_coefficients(K, "cosine", seed, idx)
-            scan = count_zeros_scan(cv, interval, oversample=oversample)
-            eig = count_zeros_eigen(cv, interval)
-            runs += 1
-            if scan.count != eig.count:
-                mismatches.append(
-                    {"K": K, "index": idx, "scan": scan.count, "eigen": eig.count}
-                )
-                continue
-            if scan.count:
-                gap = float(np.max(np.abs(scan.roots - eig.roots)))
-                worst_gap = max(worst_gap, gap)
+        rows = _stack_rows(K)
+        for start in range(0, reps, rows):
+            idx = range(start, min(start + rows, reps))
+            a, _ = draw_coefficient_batch(K, "cosine", seed, idx)
+            eig = _eigen_roots(a, None, K, 0.0, np.pi)
+            _, _, scan = _scan_batch(a, None, K, 0.0, np.pi, 16, rescaled=False, locate=True)
+            for i, s, e in zip(idx, scan, eig):
+                if s.size != e.size:
+                    mismatches.append({"K": K, "index": i, "scan": s.size, "eigen": e.size})
+                elif s.size:
+                    worst_gap = max(worst_gap, float(np.max(np.abs(s - e))))
     return {
-        "runs": runs,
+        "runs": reps * len(K_list),
         "mismatches": mismatches,
         "max_root_gap": worst_gap,
         "passed": not mismatches,

@@ -218,6 +218,8 @@ class TestSuites:
             ["bounds-check", "--points", "-3"],
             ["oracle-check", "--reps", "0"],
             ["oracle-check", "--reps", "-5"],
+            ["oracle-check", "--K", "0"],
+            ["oracle-check", "--K", "300", "--reps", "1"],
         ],
     )
     def test_rejects_empty_requests(self, runner, args):

@@ -61,6 +61,13 @@ class TestDraws:
         with pytest.raises(UsageError):
             draw_coefficients(3, "exotic", 0, 0)
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_bad_degree(self, K):
+        with pytest.raises(UsageError):
+            draw_coefficients(K, "cosine", 0, 0)
+        with pytest.raises(UsageError):
+            draw_coefficient_batch(K, "cosine", 0, range(3))
+
 
 class TestDrawPath:
     """Batch rows, single streams and a fresh generator per stream agree bitwise."""

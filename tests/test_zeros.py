@@ -1,6 +1,7 @@
 """Scan counting versus the companion-matrix oracle."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from trigzero.sampling import (
     eval_path,
 )
 from trigzero.zeros import (
+    _STACK_ENTRIES,
+    _eigen_roots,
     _freqs,
     _lattice_values,
     _scan_batch,
@@ -45,6 +48,23 @@ class TestTrivialCounts:
         assert eig.count == K
         assert np.max(np.abs(res.roots - eig.roots)) < 1e-10
 
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    def test_eigen_cuts_trailing_zeros(self, ensemble):
+        # a zero top coefficient would divide the companion row by zero
+        # unless the row is cut to its last nonzero coefficient
+        K = 8
+        cases = [_vector(K, np.r_[np.sqrt(K), np.zeros(K - 1)])]
+        a, b = draw_coefficient_batch(K, ensemble, 5, range(1))
+        a[0, -2:] = 0.0
+        if b is not None:
+            b[0, -2:] = 0.0
+        cases.append(_vector(K, a[0], None if b is None else b[0]))
+        for cv in cases:
+            for interval in ((0.0, np.pi), (0.3, 2.0 * np.pi)):
+                eig = count_zeros_eigen(cv, interval)
+                assert eig.count == count_zeros_scan(cv, interval, locate_roots=False).count
+        assert count_zeros_eigen(cases[0], (0.0, np.pi)).roots == pytest.approx([np.pi / 2.0])
+
     def test_count_bound_full_period(self):
         for idx in range(20):
             cv = draw_coefficients(12, "cosine", 90, idx)
@@ -66,6 +86,36 @@ class TestCrossValidation:
         report = oracle_agreement([5, 10, 20], 150, seed=2024)
         assert report["passed"], report["mismatches"]
         assert report["max_root_gap"] < 1e-8
+
+    def test_oracle_agreement_emits_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = oracle_agreement([5], 20, 0)
+        assert report["passed"] and report["runs"] == 20
+
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    def test_eigen_batch_rows_equal_single_rows(self, ensemble):
+        K, interval = 24, (0.3, 2.9)
+        a, b = draw_coefficient_batch(K, ensemble, 41, range(32))
+        batch = _eigen_roots(a, b, K, *interval)
+        for r in range(32):
+            one = count_zeros_eigen(_vector(K, a[r], None if b is None else b[r]), interval)
+            assert np.array_equal(batch[r], one.roots)
+
+    def test_eigvals_stack_within_budget(self, monkeypatch):
+        # only the stack shapes matter here: the stub returns roots at z = 0,
+        # which lie off the unit circle
+        shapes = []
+
+        def spy(m):
+            shapes.append(m.shape)
+            return np.zeros(m.shape[:-1], dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        a, _ = draw_coefficient_batch(256, "cosine", 3, range(20))
+        assert all(r.size == 0 for r in _eigen_roots(a, None, 256, 0.0, np.pi))
+        assert sum(s[0] for s in shapes) == 20 and len(shapes) > 1
+        assert max(np.prod(s) for s in shapes) <= _STACK_ENTRIES
 
     @pytest.mark.parametrize("K_list, reps", [([5, 10], 0), ([5], -5), ([], 10)])
     def test_oracle_agreement_rejects_empty_requests(self, K_list, reps):
@@ -215,6 +265,8 @@ class TestValidation:
         cv = draw_coefficients(300, "cosine", 0, 0)
         with pytest.raises(UsageError):
             count_zeros_eigen(cv, (0.0, np.pi))
+        with pytest.raises(UsageError):
+            oracle_agreement([300], 1, seed=0)
 
     def test_empty_interval(self):
         cv = draw_coefficients(5, "cosine", 0, 0)
@@ -328,9 +380,9 @@ class TestBatchEngine:
         a, b = draw_coefficient_batch(K, ensemble, 23, range(reps))
         counts, warns = scan_count_batch(a, b, K, interval)
         assert not warns.any()
+        eig = _eigen_roots(a, b, K, *interval)
         for r in range(reps):
-            cv = _vector(K, a[r], None if b is None else b[r])
-            assert counts[r] == count_zeros_eigen(cv, interval).count
+            assert counts[r] == eig[r].size
 
     def test_pinned_k1600_counts(self):
         # seed 0, replicates 0..255, K = 1600 on [0, pi/2): the first chunk
