@@ -18,20 +18,14 @@ from .chaos_variance import (
 )
 from .covariance import (
     BoundsReport,
-    CosineKernel,
     Kernel,
-    LimitKernel,
-    SincKernel,
     StandardizedKernel,
-    StationaryFiniteKernel,
     c_k,
     c_k_dd0,
     c_k_derivs,
     kernel_bounds_check,
-    limit_kernel,
     sinc,
     sinc_derivs,
-    standardized,
 )
 from .errors import (
     CampaignError,
@@ -53,13 +47,10 @@ from .experiments import (
     window_chop_check,
 )
 from .hermite import (
-    ChaosCoefficients,
     HermiteBasis,
     abs_coeff,
-    chaos_coefficients,
     dirac_coeff,
     dirac_coeff_normalized,
-    f_q_eval,
     hermite_eval,
     mehler_product_expectation,
 )
@@ -76,12 +67,10 @@ from .rice import (
 )
 from .sampling import (
     CoefficientVector,
-    PathSample,
     draw_coefficient_batch,
     draw_coefficients,
     eval_path,
     sample_limit_process,
-    standard_normals,
 )
 from .zeros import (
     ZeroCountResult,
@@ -94,21 +83,19 @@ from .zeros import (
 __all__ = [
     "ChaosTerm", "VarianceConstant", "chaos_lag_correlation", "lag_correlations",
     "sigma_q_squared", "total_variance_constant",
-    "BoundsReport", "CosineKernel", "Kernel", "LimitKernel", "SincKernel",
-    "StandardizedKernel", "StationaryFiniteKernel", "c_k", "c_k_dd0", "c_k_derivs",
-    "kernel_bounds_check", "limit_kernel", "sinc", "sinc_derivs", "standardized",
+    "BoundsReport", "Kernel", "StandardizedKernel", "c_k", "c_k_dd0", "c_k_derivs",
+    "kernel_bounds_check", "sinc", "sinc_derivs",
     "CampaignError", "DegeneracyError", "NumericError", "UsageError",
     "CampaignResult", "ExperimentConfig", "IntervalSpec", "KSummary",
     "NormalityReport", "RunningMoments", "WindowChopReport", "clt_test",
     "run_campaign", "standardize_counts", "window_chop_check",
-    "ChaosCoefficients", "HermiteBasis", "abs_coeff", "chaos_coefficients",
-    "dirac_coeff", "dirac_coeff_normalized", "f_q_eval", "hermite_eval",
-    "mehler_product_expectation",
+    "HermiteBasis", "abs_coeff", "dirac_coeff", "dirac_coeff_normalized",
+    "hermite_eval", "mehler_product_expectation",
     "RiceResult", "RiceVariance", "conditional_abs_moment", "rice_mean",
     "rice_second_moment", "rice_variance", "wilkins_mean", "window_bounds",
     "zero_intensity",
-    "CoefficientVector", "PathSample", "draw_coefficient_batch",
-    "draw_coefficients", "eval_path", "sample_limit_process", "standard_normals",
+    "CoefficientVector", "draw_coefficient_batch", "draw_coefficients",
+    "eval_path", "sample_limit_process",
     "ZeroCountResult", "count_zeros_eigen", "count_zeros_scan", "oracle_agreement",
     "scan_count_batch",
 ]

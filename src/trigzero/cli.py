@@ -26,7 +26,6 @@ from .errors import CampaignError, NumericError, UsageError
 from .experiments import (
     ExperimentConfig,
     IntervalSpec,
-    clt_test,
     run_campaign,
     standardize_counts,
 )
@@ -323,8 +322,10 @@ def clt(k_value, reps, seed, outdir):
     if reps < 500:
         raise UsageError("--reps must be at least 500")
     result = run_campaign(ExperimentConfig(K_list=(k_value,), replicates=reps, seed=seed))
+    report = result.summaries[0].normality
+    if report is None:
+        raise UsageError("sample is degenerate; no normality verdict")
     counts = result.counts[0][result.warnings[0] == 0]
-    report = clt_test(counts, k_value)
     z = standardize_counts(counts, k_value)
     bundle = _Bundle(outdir)
     try:

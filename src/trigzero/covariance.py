@@ -14,16 +14,16 @@ taken with its first two derivatives:
 ``Kernel(K, cosine)`` composes f = c_k(K, .), or f = sinc for K = None, as
 the cosine-type surface (f(t-s) + f(t+s))/2 or the stationary f(t-s):
 
-=============================================  ====================  ===========================
-Kernel(K)           = CosineKernel(K)            cosine_ensemble       (c_k(t-s) + c_k(t+s)) / 2
-Kernel(K, False)    = StationaryFiniteKernel(K)  stationary_finite     c_k(t-s)
-Kernel(None, False) = SincKernel()               stationary_sinc       sinc(t-s)
-Kernel()            = LimitKernel()              limit_nonstationary   (sinc(t-s) + sinc(t+s)) / 2
-=============================================  ====================  ===========================
+=======================  =============================  ===========================
+``Kernel(K)``            cosine ensemble, degree K      (c_k(t-s) + c_k(t+s)) / 2
+``Kernel(K, False)``     stationary ensemble, degree K  c_k(t-s)
+``Kernel(None, False)``  stationary sinc limit          sinc(t-s)
+``Kernel()``             cosine-type limit              (sinc(t-s) + sinc(t+s)) / 2
+=======================  =============================  ===========================
 
-``standardized`` wraps any kernel into its unit-variance version and exposes
-the standard deviation of the standardized derivative, which is pi times the
-Rice intensity of the zero set.
+``StandardizedKernel`` wraps any kernel into its unit-variance version and
+exposes the standard deviation of the standardized derivative, which is pi
+times the Rice intensity of the zero set.
 """
 
 from __future__ import annotations
@@ -182,12 +182,6 @@ class Kernel:
     K: int | None = None
     cosine: bool = True
 
-    @property
-    def kind(self):
-        if self.K is None:
-            return "limit_nonstationary" if self.cosine else "stationary_sinc"
-        return "cosine_ensemble" if self.cosine else "stationary_finite"
-
     def _lag(self, tau):
         return sinc_derivs(tau) if self.K is None else c_k_derivs(self.K, tau)
 
@@ -207,26 +201,10 @@ class Kernel:
         t = np.asarray(t, float)
         return 0.5 * (f(t - s) + f(t + s)) if self.cosine else f(t - s)
 
-    def std(self, t):
-        """Pointwise standard deviation sqrt(r(t, t))."""
-        t = np.asarray(t, dtype=float)
-        return np.sqrt(np.maximum(self.r(t, t), 0.0))
-
     def gram(self, grid):
         """Covariance matrix of the process sampled on ``grid``."""
         g = np.asarray(grid, dtype=float)
         return self.r(g[:, None], g[None, :])
-
-
-CosineKernel = functools.partial(Kernel, cosine=True)
-StationaryFiniteKernel = functools.partial(Kernel, cosine=False)
-SincKernel = functools.partial(Kernel, K=None, cosine=False)
-LimitKernel = functools.partial(Kernel, K=None, cosine=True)
-
-
-def limit_kernel(s, t):
-    """Limit covariance (sinc(t-s) + sinc(t+s)) / 2 as a plain function."""
-    return LimitKernel().r(np.asarray(s, float), np.asarray(t, float))
 
 
 class StandardizedKernel:
@@ -270,11 +248,6 @@ class StandardizedKernel:
     def v(self, s):
         """Standard deviation of the standardized derivative at s."""
         return np.sqrt(np.maximum(self.parts(s, s)[3], 0.0))
-
-
-def standardized(kernel: Kernel, tol: float = 1e-7) -> StandardizedKernel:
-    """Wrap ``kernel`` into its unit-variance standardized form."""
-    return StandardizedKernel(kernel, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,7 @@ _CHUNK = 256
 _Z_995 = 2.575829303548901  # 99% two-sided normal quantile
 
 
-def worker_count(requested=None) -> int:
-    if requested is not None and requested > 0:
-        return int(requested)
+def worker_count() -> int:
     env = os.environ.get("TRIGZERO_THREADS", "0")
     try:
         n = int(env)
@@ -266,7 +264,7 @@ def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=No
     )
 
 
-def _count_chunks(K, ensemble, seed, replicates, intervals, oversample, workers=None):
+def _count_chunks(K, ensemble, seed, replicates, intervals, oversample):
     """Counts and warning counts of every replicate, summed over ``intervals``.
 
     Replicates go in chunks of ``_CHUNK``; returns one (counts, warnings)
@@ -284,15 +282,15 @@ def _count_chunks(K, ensemble, seed, replicates, intervals, oversample, workers=
         return counts, warns
 
     starts = range(0, replicates, _CHUNK)
-    nworkers = worker_count(workers)
+    nworkers = worker_count()
     if nworkers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             return list(pool.map(work, starts))
     return [work(start) for start in starts]
 
 
-def run_campaign(config: ExperimentConfig, workers=None) -> CampaignResult:
-    """Execute a campaign; deterministic in ``config`` regardless of workers."""
+def run_campaign(config: ExperimentConfig) -> CampaignResult:
+    """Execute a campaign; deterministic in ``config`` whatever the worker count."""
     config.validate()
     summaries, all_counts, all_warnings = [], [], []
     for K in config.K_list:
@@ -303,7 +301,6 @@ def run_campaign(config: ExperimentConfig, workers=None) -> CampaignResult:
             config.replicates,
             [config.interval.bounds_original(K, config.alpha)],
             config.oversample,
-            workers,
         )
         counts = np.concatenate([c for c, _ in chunks])
         warns = np.concatenate([w for _, w in chunks])
@@ -370,6 +367,8 @@ def window_chop_check(K, alpha, replicates, seed=0, ensemble="cosine", oversampl
         raise UsageError(f"degree K must be >= 1, got {K}")
     if not (0.0 < alpha < 0.5):
         raise UsageError("alpha must lie in (0, 1/2)")
+    if replicates < 2:
+        raise UsageError("need at least 2 replicates")
     w0, w1 = window_bounds(K, alpha)
     chunks = _count_chunks(
         K, ensemble, seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)], oversample

@@ -6,14 +6,16 @@ The polynomials follow the probabilists' convention
 
 orthogonal for the standard Gaussian weight with ||H_q||^2 = q!.
 
-Two coefficient tables are built here:
+The coefficients of the chaos expansion come from two sequences:
 
-* ``a_{2l}``, the Hermite coefficients of |x|:
+* ``abs_coeff(l)`` = a_{2l}, the Hermite coefficients of |x|:
       a_{2l} = sqrt(2/pi) * (-1)^{l+1} / (2^l l! (2l-1)),
-* ``b_k``, the (unnormalized) limits of the Hermite coefficients of a
-  Gaussian bump shrinking to a point mass at 0:
+* ``dirac_coeff(k)`` = b_k, the raw values behind the Hermite coefficients
+  of a Gaussian bump shrinking to a point mass at 0:
       b_k = (-1)^{k/2} (k-1)!!   for even k,  0 for odd k,
   with the empty double factorial (-1)!! = 1 so that b_0 = 1.
+  ``dirac_coeff_normalized(k)`` = b_k / (k! sqrt(2 pi)) is the coefficient
+  itself, and the one the variance constants use.
 
 ``_mehler_terms`` enumerates the pairing diagrams of a four-fold Hermite
 product of jointly Gaussian variables; ``mehler_product_expectation`` sums
@@ -26,7 +28,6 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def abs_coeff(ell: int) -> float:
 
 
 def dirac_coeff(k: int) -> float:
-    """Table value b_k: (-1)^{k/2} (k-1)!! for even k, zero for odd k."""
+    """Raw point-mass value b_k: (-1)^{k/2} (k-1)!! for even k, zero for odd k."""
     if k < 0:
         raise UsageError("index must be >= 0")
     if k % 2 == 1:
@@ -125,53 +126,6 @@ def dirac_coeff_normalized(k: int) -> float:
     mean, and the one used by the variance-constant assembly.
     """
     return dirac_coeff(k) / (math.factorial(k) * math.sqrt(_TWO_PI))
-
-
-@dataclass(frozen=True)
-class ChaosCoefficients:
-    """Coefficient tables for expansions up to order ``q_max``.
-
-    a        : {2l: a_{2l}}         coefficients of |x|
-    b        : {k: b_k}             point-mass table (unnormalized)
-    fq_grid  : {q: [(l, b_{q-2l} * a_{2l})]}, one row per order q,
-               each row holding exactly floor(q/2)+1 entries
-    """
-
-    q_max: int
-    a: dict
-    b: dict
-    fq_grid: dict
-
-
-def chaos_coefficients(q_max: int) -> ChaosCoefficients:
-    """Build the (a, b) tables and the per-order coefficient grid."""
-    if q_max < 0:
-        raise UsageError("q_max must be >= 0")
-    a = {2 * ell: abs_coeff(ell) for ell in range(q_max // 2 + 1)}
-    b = {k: dirac_coeff(k) for k in range(q_max + 1)}
-    grid = {}
-    for q in range(q_max + 1):
-        grid[q] = [(ell, b[q - 2 * ell] * a[2 * ell]) for ell in range(q // 2 + 1)]
-    return ChaosCoefficients(q_max=q_max, a=a, b=b, fq_grid=grid)
-
-
-def f_q_eval(coeffs: ChaosCoefficients, q: int, x, y):
-    """Evaluate sum_l b_{q-2l} a_{2l} H_{q-2l}(x) H_{2l}(y)."""
-    if q < 0 or q > coeffs.q_max:
-        raise UsageError(f"order {q} outside [0, {coeffs.q_max}]")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    basis = HermiteBasis(max(q, 1))
-    hx = basis.eval_all(q, x)
-    hy = basis.eval_all(q, y)
-    out = np.zeros(np.broadcast(x, y).shape)
-    for ell, coef in coeffs.fq_grid[q]:
-        if coef == 0.0:
-            continue
-        out = out + coef * hx[q - 2 * ell] * hy[2 * ell]
-    if out.ndim == 0 or (x.ndim == 0 and y.ndim == 0):
-        return float(out)
-    return out
 
 
 def _mehler_terms(orders):

@@ -1,4 +1,5 @@
-"""Replicate sampling: deterministic coefficient draws and path evaluation.
+"""Replicate sampling: deterministic coefficient draws, path evaluation and
+Gaussian-process draws on a grid.
 
 Randomness is counter-based: every replicate owns a Philox stream keyed by
 (experiment seed, replicate index, stream purpose), so draws are reproducible
@@ -9,6 +10,10 @@ of replicates is drawn by one generator, re-keyed per replicate, and a
 stream never depends on the batch it is drawn in.  The inverse CDF is
 ``scipy.special.ndtri``, imported on the first draw rather than with the
 module, so commands that draw nothing never load scipy.
+
+``sample_limit_process`` draws a batch of paths of any ``Kernel`` on one
+grid: one Gram matrix and one Cholesky factor per call, applied to the
+PURPOSE_GRID streams of the requested replicate indices.
 """
 
 from __future__ import annotations
@@ -60,11 +65,6 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
     u += 0.5
     u *= 2.0 ** -53
     return ndtri(u, out=u)
-
-
-def standard_normals(seed: int, index: int, purpose: int, n: int) -> np.ndarray:
-    """n standard normal draws from the (seed, index, purpose) stream."""
-    return _normal_rows(seed, (index,), purpose, n)[0]
 
 
 @dataclass(frozen=True)
@@ -134,21 +134,14 @@ def eval_path(coeffs: CoefficientVector, t, rescaled: bool = True):
     return val, der
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """Values of one Gaussian-process draw on a strictly increasing grid."""
+def sample_limit_process(kernel: Kernel, grid, seed: int, indices) -> np.ndarray:
+    """Multivariate-normal draws of ``kernel`` restricted to ``grid``.
 
-    grid: np.ndarray
-    values: np.ndarray
-    derivative_values: np.ndarray | None = None
-
-
-def sample_limit_process(kernel: Kernel, grid, seed: int, index: int = 0) -> PathSample:
-    """One multivariate-normal draw of ``kernel`` restricted to ``grid``.
-
-    The Gram matrix is factorized symmetrically (Cholesky) with a diagonal
-    jitter ladder 0 -> 1e-12 -> 1e-10 -> 1e-8; exhausting the ladder raises
-    DegeneracyError.
+    Returns shape (len(indices), grid.size); row i is the Cholesky factor
+    of the Gram matrix applied to the normals of stream ``indices[i]``
+    (purpose PURPOSE_GRID).  The factorization runs once per call, with a
+    diagonal jitter ladder 0 -> 1e-12 -> 1e-10 -> 1e-8; exhausting the
+    ladder raises DegeneracyError.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -167,5 +160,4 @@ def sample_limit_process(kernel: Kernel, grid, seed: int, index: int = 0) -> Pat
             continue
     if chol is None:
         raise DegeneracyError("Gram matrix not factorizable within the jitter ladder")
-    z = standard_normals(seed, index, PURPOSE_GRID, g.size)
-    return PathSample(grid=g, values=chol @ z)
+    return _normal_rows(seed, indices, PURPOSE_GRID, g.size) @ chol.T

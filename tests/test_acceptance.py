@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from conftest import record_acceptance
 from trigzero.cli import main as cli_main
-from trigzero.covariance import CosineKernel, c_k, c_k_derivs, kernel_bounds_check
+from trigzero.covariance import Kernel, c_k, c_k_derivs, kernel_bounds_check
 from trigzero.experiments import (
     ExperimentConfig,
     IntervalSpec,
@@ -187,7 +187,7 @@ class TestCriterion7InvariantSuites:
                 failures.append(f"mehler random {orders}")
 
         # kernel partials vs finite differences
-        kern = CosineKernel(50)
+        kern = Kernel(50)
         s = rng.uniform(1.0, 40.0, size=100)
         t = s + rng.uniform(0.5, 15.0, size=100)
         h = 1e-5

@@ -17,7 +17,7 @@ from trigzero.chaos_variance import (
 from trigzero.covariance import sinc_derivs
 from trigzero.errors import UsageError
 from trigzero.experiments import ExperimentConfig, IntervalSpec, run_campaign
-from trigzero.hermite import HermiteBasis, chaos_coefficients, mehler_product_grid
+from trigzero.hermite import HermiteBasis, mehler_product_grid
 
 # sigma_q^2 of total_variance_constant(20, 1e4) as the pairs x pairs diagram
 # sum computed them, one whole-grid dot product per order
@@ -135,7 +135,6 @@ class TestChaosLagCorrelation:
         pts = np.stack([g.ravel() for g in grids])
         wg = np.meshgrid(w, w, w, w, indexing="ij")
         weights = (wg[0] * wg[1] * wg[2] * wg[3]).ravel()
-        coeffs = chaos_coefficients(6)
         basis = HermiteBasis(6)
         for tau in (0.7, 2.2):
             rzz, rzw, rwz, rww = lag_correlations(tau)
@@ -152,14 +151,10 @@ class TestChaosLagCorrelation:
             for q in (2, 4):
                 integrand = np.zeros(z1.shape)
                 integrand2 = np.zeros(z1.shape)
-                for ell, coef in coeffs.fq_grid[q]:
-                    # normalized weights as used by the variance assembly
-                    k = q - 2 * ell
-                    from trigzero.hermite import abs_coeff, dirac_coeff_normalized
-
-                    cnorm = dirac_coeff_normalized(k) * abs_coeff(ell)
-                    integrand += cnorm * basis.eval(k, z1) * basis.eval(2 * ell, w1)
-                    integrand2 += cnorm * basis.eval(k, z2) * basis.eval(2 * ell, w2)
+                # normalized weights as used by the variance assembly
+                for kx, ky, cnorm in _order_pairs(q):
+                    integrand += cnorm * basis.eval(kx, z1) * basis.eval(ky, w1)
+                    integrand2 += cnorm * basis.eval(kx, z2) * basis.eval(ky, w2)
                 quad_val = float(weights @ (integrand * integrand2))
                 diagram = float(chaos_lag_correlation(q, np.array([tau]))[0])
                 assert abs(quad_val - diagram) < 1e-4

@@ -5,28 +5,24 @@ import pytest
 
 from trigzero.covariance import (
     _SMALL_LAG,
-    CosineKernel,
-    LimitKernel,
-    SincKernel,
-    StationaryFiniteKernel,
+    Kernel,
+    StandardizedKernel,
     c_k,
     c_k_dd0,
     c_k_derivs,
     kernel_bounds_check,
-    limit_kernel,
     sinc,
     sinc_derivs,
-    standardized,
 )
 from trigzero.errors import DegeneracyError, UsageError
 from trigzero.rice import zero_intensity
 
 ALL_KERNELS = [
-    CosineKernel(17),
-    CosineKernel(120),
-    StationaryFiniteKernel(60),
-    SincKernel(),
-    LimitKernel(),
+    pytest.param(Kernel(17), id="cosine_ensemble0"),
+    pytest.param(Kernel(120), id="cosine_ensemble1"),
+    pytest.param(Kernel(60, cosine=False), id="stationary_finite"),
+    pytest.param(Kernel(None, cosine=False), id="stationary_sinc"),
+    pytest.param(Kernel(), id="limit_nonstationary"),
 ]
 
 
@@ -185,19 +181,19 @@ class TestBounds:
 
 class TestLimitKernel:
     def test_origin(self):
-        assert limit_kernel(0.0, 0.0) == 1.0
+        assert Kernel().r(0.0, 0.0) == 1.0
 
     def test_diagonal_half(self):
         t = np.pi / 2.0
-        assert limit_kernel(t, t) == pytest.approx(0.5, abs=1e-15)
+        assert Kernel().r(t, t) == pytest.approx(0.5, abs=1e-15)
 
     def test_large_K_convergence(self):
         K = 2000
-        kern = CosineKernel(K)
+        kern = Kernel(K)
         rng = np.random.default_rng(5)
         s = rng.uniform(1.0, 40.0, size=12)
         t = s + rng.uniform(0.5, 20.0, size=12)
-        assert np.allclose(kern.r(s, t), limit_kernel(s, t), atol=1e-3)
+        assert np.allclose(kern.r(s, t), Kernel().r(s, t), atol=1e-3)
 
     def test_uniform_offdiagonal_convergence(self):
         taus = np.linspace(1.0, 20.0, 400)
@@ -209,7 +205,7 @@ class TestLimitKernel:
 
 
 class TestKernelSurface:
-    @pytest.mark.parametrize("kern", ALL_KERNELS, ids=lambda k: f"{k.kind}")
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
     def test_symmetry(self, kern):
         rng = np.random.default_rng(2)
         s = rng.uniform(0.3, 30.0, size=64)
@@ -218,18 +214,18 @@ class TestKernelSurface:
 
     def test_cosine_diagonal_identity(self):
         K = 35
-        kern = CosineKernel(K)
+        kern = Kernel(K)
         t = np.linspace(0.0, K * np.pi, 97)
         assert np.allclose(kern.r(t, t), 0.5 * (1.0 + c_k(K, 2.0 * t)), atol=1e-12)
 
-    @pytest.mark.parametrize("kern", ALL_KERNELS, ids=lambda k: f"{k.kind}")
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
     def test_gram_positive_semidefinite(self, kern):
         rng = np.random.default_rng(8)
         grid = np.sort(rng.uniform(0.0, 25.0, size=64))
         eig = np.linalg.eigvalsh(kern.gram(grid))
         assert eig[0] >= -1e-8
 
-    @pytest.mark.parametrize("kern", ALL_KERNELS, ids=lambda k: f"{k.kind}")
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
     def test_partials_match_finite_differences(self, kern):
         rng = np.random.default_rng(31)
         s = rng.uniform(1.0, 25.0, size=100)
@@ -267,19 +263,19 @@ class TestKernelSurface:
 
 class TestStandardized:
     def test_unit_diagonal(self):
-        sk = standardized(CosineKernel(40))
+        sk = StandardizedKernel(Kernel(40))
         t = np.linspace(0.5, 40 * np.pi - 0.5, 50)
         assert np.allclose(sk.parts(t, t)[0], 1.0, atol=1e-12)
 
     def test_deriv_sd_limit(self):
-        sk = standardized(CosineKernel(500))
+        sk = StandardizedKernel(Kernel(500))
         v = float(sk.v(np.array([300.0]))[0])
         assert abs(v - 1.0 / np.sqrt(3.0)) < 0.02
 
     def test_dual_route_assembly(self):
         # chain-rule partials versus the direct lag-covariance formula
         for K in (10, 100, 500):
-            sk = standardized(CosineKernel(K))
+            sk = StandardizedKernel(Kernel(K))
             s = np.linspace(1.0, K * np.pi - 1.0, 41)
             assert np.allclose(sk.v(s) ** 2, (np.pi * zero_intensity(K, s)) ** 2, atol=1e-10)
 
@@ -293,19 +289,19 @@ class TestStandardized:
         # 2t <= K*pi, so the inequality's domain is [0.5, K*pi/2] (past the
         # midpoint the lag wraps around the period and V^2 returns to 1)
         for K in (10, 100, 500):
-            kern = CosineKernel(K)
+            kern = Kernel(K)
             t = np.linspace(0.5, K * np.pi / 2.0, 400)
             v2 = kern.r(t, t)
             assert np.all(v2 <= 0.5 * (1.0 + np.pi / (2.0 * t)) + 1e-12)
 
     def test_degenerate_base_raises(self):
-        sk = standardized(CosineKernel(1))
+        sk = StandardizedKernel(Kernel(1))
         with pytest.raises(DegeneracyError):
             sk.parts(np.pi / 2.0, 1.0)
 
-    @pytest.mark.parametrize("kern", ALL_KERNELS, ids=lambda k: f"{k.kind}")
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
     def test_parts_match_finite_differences(self, kern):
-        sk = standardized(kern)
+        sk = StandardizedKernel(kern)
         rng = np.random.default_rng(37)
         s = rng.uniform(1.0, 25.0, size=100)
         t = s + rng.uniform(0.5, 10.0, size=100)

@@ -40,9 +40,11 @@ class TestCampaign:
         assert all(c == 1 for c in res.counts[0])
         assert row.variance == 0.0
 
-    def test_deterministic_across_worker_counts(self):
-        r1 = run_campaign(_config(), workers=1)
-        r3 = run_campaign(_config(), workers=3)
+    def test_deterministic_across_worker_counts(self, monkeypatch):
+        monkeypatch.setenv("TRIGZERO_THREADS", "1")
+        r1 = run_campaign(_config())
+        monkeypatch.setenv("TRIGZERO_THREADS", "3")
+        r3 = run_campaign(_config())
         assert r1.counts[0].tolist() == r3.counts[0].tolist()
         assert r1.summaries[0].mean == r3.summaries[0].mean
         assert r1.summaries[0].variance == r3.summaries[0].variance
@@ -177,6 +179,12 @@ class TestWindowChop:
     def test_degree_below_one(self, K):
         with pytest.raises(UsageError):
             window_chop_check(K, 0.25, 10)
+
+    @pytest.mark.parametrize("replicates", [0, 1, -5])
+    def test_too_few_replicates(self, replicates):
+        # one replicate has no sample variance; none has no moments at all
+        with pytest.raises(UsageError):
+            window_chop_check(30, 0.25, replicates)
 
     def test_worker_count_does_not_matter(self, monkeypatch):
         reports = []

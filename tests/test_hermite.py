@@ -11,10 +11,8 @@ from trigzero.errors import UsageError
 from trigzero.hermite import (
     HermiteBasis,
     abs_coeff,
-    chaos_coefficients,
     dirac_coeff,
     dirac_coeff_normalized,
-    f_q_eval,
     hermite_eval,
     mehler_product_expectation,
 )
@@ -84,23 +82,15 @@ class TestHermiteEval:
 
 class TestChaosCoefficients:
     def test_a0(self):
-        cc = chaos_coefficients(0)
-        assert cc.a[0] == pytest.approx(SQRT_2_OVER_PI, rel=1e-14)
+        assert abs_coeff(0) == pytest.approx(SQRT_2_OVER_PI, rel=1e-14)
 
     def test_b_odd_zero(self):
-        cc = chaos_coefficients(9)
-        assert cc.b[1] == 0.0
-        assert all(cc.b[k] == 0.0 for k in range(1, 10, 2))
+        assert dirac_coeff(1) == 0.0
+        assert all(dirac_coeff(k) == 0.0 for k in range(1, 10, 2))
 
     def test_b2_b4(self):
-        cc = chaos_coefficients(4)
-        assert cc.b[2] == -1.0
-        assert cc.b[4] == 3.0
-
-    def test_grid_row_lengths(self):
-        cc = chaos_coefficients(11)
-        for q in range(12):
-            assert len(cc.fq_grid[q]) == q // 2 + 1
+        assert dirac_coeff(2) == -1.0
+        assert dirac_coeff(4) == 3.0
 
     @pytest.mark.parametrize("ell", range(9))
     def test_abs_coeff_against_quadrature(self, ell):
@@ -117,42 +107,6 @@ class TestChaosCoefficients:
     def test_normalized_dirac_weight_order_zero_gives_mean_density(self):
         # the order-0 weight times E|x| must equal the 1/pi zero-count density
         assert dirac_coeff_normalized(0) * abs_coeff(0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-
-
-class TestFqEval:
-    def test_q1_vanishes(self):
-        cc = chaos_coefficients(8)
-        rng = np.random.default_rng(0)
-        x, y = rng.normal(size=10), rng.normal(size=10)
-        assert np.all(f_q_eval(cc, 1, x, y) == 0.0)
-
-    def test_q0_constant(self):
-        cc = chaos_coefficients(2)
-        assert f_q_eval(cc, 0, 0.3, -1.2) == pytest.approx(SQRT_2_OVER_PI, rel=1e-14)
-
-    def test_q2_at_origin(self):
-        # b2*a0*H2(0) + b0*a2*H2(0) = sqrt(2/pi) - sqrt(2/pi)/2
-        cc = chaos_coefficients(2)
-        assert f_q_eval(cc, 2, 0.0, 0.0) == pytest.approx(SQRT_2_OVER_PI / 2.0, rel=1e-13)
-
-    def test_above_qmax_errors(self):
-        cc = chaos_coefficients(3)
-        with pytest.raises(UsageError):
-            f_q_eval(cc, 4, 0.0, 0.0)
-
-    def test_centered_under_independent_gaussians(self):
-        cc = chaos_coefficients(8)
-        rng = np.random.default_rng(7)
-        n = 10 ** 6
-        z = rng.normal(size=n)
-        w = rng.normal(size=n)
-        for q in range(1, 9):
-            vals = f_q_eval(cc, q, z, w)
-            se = vals.std(ddof=1) / math.sqrt(n)
-            if se == 0.0:  # odd orders vanish identically
-                assert np.all(vals == 0.0)
-            else:
-                assert abs(vals.mean()) < 4.0 * se
 
 
 def _random_valid_correlations(rng):

@@ -198,9 +198,9 @@ class TestSecondMoment:
     def _conditional_covariance_via_kernel(self, K, s, t):
         # independent assembly of the conditioned derivative-pair covariance
         # through the standardized-kernel object
-        from trigzero.covariance import CosineKernel, standardized
+        from trigzero.covariance import Kernel, StandardizedKernel
 
-        sk = standardized(CosineKernel(K))
+        sk = StandardizedKernel(Kernel(K))
         rho, gs, gt, r11 = sk.parts(s, t)
         vs2 = sk.v(s) ** 2
         vt2 = sk.v(t) ** 2

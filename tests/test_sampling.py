@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from trigzero.covariance import CosineKernel, Kernel, LimitKernel, SincKernel
+from trigzero.covariance import Kernel
 from trigzero.errors import DegeneracyError, UsageError
 from trigzero.sampling import (
     CoefficientVector,
     draw_coefficient_batch,
     draw_coefficients,
     PURPOSE_COEFFS,
+    PURPOSE_GRID,
     eval_path,
     sample_limit_process,
-    standard_normals,
 )
 
 
@@ -70,7 +70,7 @@ class TestDraws:
 
 
 class TestDrawPath:
-    """Batch rows, single streams and a fresh generator per stream agree bitwise."""
+    """Batch rows and a fresh generator per stream agree bitwise."""
 
     @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
     @pytest.mark.parametrize("K", [1, 3, 100, 1600])
@@ -84,16 +84,14 @@ class TestDrawPath:
         per = rows.shape[1]
         assert per == (K if b is None else 2 * K)
         for row, idx in zip(rows, indices):
-            single = standard_normals(seed, idx, PURPOSE_COEFFS, per)
-            assert np.array_equal(row, single)
-            assert np.array_equal(single, _reference_normals(seed, idx, PURPOSE_COEFFS, per))
+            assert np.array_equal(row, _reference_normals(seed, idx, PURPOSE_COEFFS, per))
 
     @pytest.mark.parametrize("index", [-1, 1 << 56])
     def test_index_outside_key_range(self, index):
         with pytest.raises(UsageError):
             draw_coefficient_batch(4, "cosine", 0, [0, index])
         with pytest.raises(UsageError):
-            standard_normals(0, index, PURPOSE_COEFFS, 4)
+            sample_limit_process(Kernel(), [0.0, 1.0], 0, [index])
 
     def test_concurrent_chunks_equal_serial(self):
         # more threads than cores and a short switch interval, so that the
@@ -152,7 +150,7 @@ class TestEvalPath:
         reps = 10 ** 4
         rng = np.random.default_rng(123)
         for K in (10, 100):
-            kern = CosineKernel(K)
+            kern = Kernel(K)
             a, _ = draw_coefficient_batch(K, "cosine", 321, range(reps))
             s = rng.uniform(0.0, K * np.pi, size=10)
             t = rng.uniform(0.0, K * np.pi, size=10)
@@ -167,35 +165,40 @@ class TestEvalPath:
 
 class TestLimitProcess:
     def test_deterministic(self):
-        kern = LimitKernel()
+        kern = Kernel()
         grid = np.linspace(0.0, 10.0, 64)
-        p1 = sample_limit_process(kern, grid, seed=5)
-        p2 = sample_limit_process(kern, grid, seed=5)
-        assert np.array_equal(p1.values, p2.values)
+        p1 = sample_limit_process(kern, grid, 5, range(3))
+        p2 = sample_limit_process(kern, grid, 5, range(3))
+        assert p1.shape == (3, 64)
+        assert np.array_equal(p1, p2)
+
+    def test_rows_are_the_grid_streams(self):
+        # row i is the Cholesky factor applied to stream indices[i]
+        kern = Kernel(None, cosine=False)
+        grid = np.array([0.0, 0.9, 2.2, 4.0, 7.3])
+        indices = [11, 0, 7, 3, 250]
+        chol = np.linalg.cholesky(kern.gram(grid))
+        z = np.stack([_reference_normals(13, i, PURPOSE_GRID, grid.size) for i in indices])
+        assert np.array_equal(sample_limit_process(kern, grid, 13, indices), z @ chol.T)
 
     def test_single_point_variance(self):
         # r(0,0) = 1: scalar draws are standard normal
-        kern = LimitKernel()
-        vals = np.array(
-            [sample_limit_process(kern, [0.0], seed=42, index=i).values[0] for i in range(10 ** 5)]
-        )
+        vals = sample_limit_process(Kernel(), [0.0], 42, range(10 ** 5))[:, 0]
         assert abs(vals.var() - 1.0) < 0.02
 
     def test_empirical_covariance_on_grid(self):
-        kern = SincKernel()
+        kern = Kernel(None, cosine=False)
         grid = np.array([0.0, 0.9, 2.2, 4.0, 7.3])
-        draws = np.stack(
-            [sample_limit_process(kern, grid, seed=7, index=i).values for i in range(10 ** 4)]
-        )
+        draws = sample_limit_process(kern, grid, 7, range(10 ** 4))
         emp = (draws.T @ draws) / draws.shape[0]
         assert np.max(np.abs(emp - kern.gram(grid))) < 0.05
 
     def test_grid_validation(self):
-        kern = LimitKernel()
+        kern = Kernel()
         with pytest.raises(UsageError):
-            sample_limit_process(kern, np.zeros(5000), seed=0)
+            sample_limit_process(kern, np.zeros(5000), 0, [0])
         with pytest.raises(UsageError):
-            sample_limit_process(kern, [1.0, 0.5], seed=0)
+            sample_limit_process(kern, [1.0, 0.5], 0, [0])
 
     def test_degenerate_gram_raises(self):
         class BadKernel(Kernel):
@@ -203,4 +206,4 @@ class TestLimitProcess:
                 return np.full((len(grid), len(grid)), -1.0)
 
         with pytest.raises(DegeneracyError):
-            sample_limit_process(BadKernel(), [0.0, 1.0], seed=0)
+            sample_limit_process(BadKernel(), [0.0, 1.0], 0, [0])
