@@ -47,11 +47,11 @@ from .experiments import (
     window_chop_check,
 )
 from .hermite import (
-    HermiteBasis,
     abs_coeff,
     dirac_coeff,
     dirac_coeff_normalized,
     hermite_eval,
+    hermite_table,
     mehler_product_expectation,
 )
 from .rice import (
@@ -89,8 +89,8 @@ __all__ = [
     "CampaignResult", "ExperimentConfig", "IntervalSpec", "KSummary",
     "NormalityReport", "RunningMoments", "WindowChopReport", "clt_test",
     "run_campaign", "standardize_counts", "window_chop_check",
-    "HermiteBasis", "abs_coeff", "dirac_coeff", "dirac_coeff_normalized",
-    "hermite_eval", "mehler_product_expectation",
+    "abs_coeff", "dirac_coeff", "dirac_coeff_normalized",
+    "hermite_eval", "hermite_table", "mehler_product_expectation",
     "RiceResult", "RiceVariance", "conditional_abs_moment", "rice_mean",
     "rice_second_moment", "rice_variance", "wilkins_mean", "window_bounds",
     "zero_intensity",

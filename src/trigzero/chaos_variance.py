@@ -191,7 +191,6 @@ class ChaosTerm:
 
     q: int
     sigma_sq: float
-    tail_cutoff: float
     quadrature_error: float
 
 
@@ -215,7 +214,7 @@ def _chaos_terms(orders, tail):
             remainder = c_fit[q] / tail
             sigma = (2.0 / 3.0) * (body[q] + remainder)
             err = (2.0 / 3.0) * (abs(body[q] - body8[q]) + 0.5 * abs(remainder))
-        terms.append(ChaosTerm(q=q, sigma_sq=sigma, tail_cutoff=tail, quadrature_error=err))
+        terms.append(ChaosTerm(q=q, sigma_sq=sigma, quadrature_error=err))
     return terms
 
 

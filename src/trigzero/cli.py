@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 IO failure.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -82,25 +83,27 @@ def _dump_json(obj, path=None):
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-class _Bundle:
-    """Tracks files written by one command so failures leave no partial output."""
+@contextlib.contextmanager
+def _bundle(outdir):
+    """Yield ``path(name)`` for files under ``outdir``; an IO failure inside
+    the block removes every file it named, so it leaves no partial output."""
+    outdir = Path(outdir)
+    written = []
 
-    def __init__(self, outdir):
-        self.outdir = Path(outdir)
-        self.written = []
+    def path(name):
+        outdir.mkdir(parents=True, exist_ok=True)
+        written.append(outdir / name)
+        return written[-1]
 
-    def path(self, name):
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        p = self.outdir / name
-        self.written.append(p)
-        return p
-
-    def cleanup(self):
-        for p in self.written:
+    try:
+        yield path
+    except OSError:
+        for p in written:
             try:
                 p.unlink(missing_ok=True)
             except OSError:
                 pass
+        raise
 
 
 def _guarded(fn):
@@ -203,16 +206,12 @@ def simulate(k_values, reps, seed, interval_text, alpha, ensemble, config_path, 
         "ensemble": ensemble,
     }
     cfg = dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
-    bundle = _Bundle(outdir)
-    try:
+    with _bundle(outdir) as path:
         result = run_campaign(cfg)
-        _write_records_csv(bundle.path("records.csv"), result)
-        _dump_json(_summary_payload(result), bundle.path("summary.json"))
-        _dump_json(_manifest_payload(cfg), bundle.path("manifest.json"))
-    except OSError:
-        bundle.cleanup()
-        raise
-    click.echo(f"wrote {sum(c.size for c in result.counts)} records to {bundle.outdir}")
+        _write_records_csv(path("records.csv"), result)
+        _dump_json(_summary_payload(result), path("summary.json"))
+        _dump_json(_manifest_payload(cfg), path("manifest.json"))
+    click.echo(f"wrote {sum(c.size for c in result.counts)} records to {Path(outdir)}")
 
 
 def _mean_original_axis(K, lo, hi):
@@ -237,13 +236,16 @@ def _mean_original_axis(K, lo, hi):
 @main.command()
 @click.option("--K", "k_value", type=int, required=True)
 @click.option("--moment", type=int, default=1)
-@click.option("--interval", "interval_text", default="0:pi")
+@click.option("--interval", "interval_text", default=None,
+              help="0:pi | 0:2pi | a:b | window [default: 0:pi for --moment 1, window for 2]")
 @click.option("--alpha", type=float, default=0.25)
 @_guarded
 def rice(k_value, moment, interval_text, alpha):
     """Print a Rice moment integral as JSON."""
     if moment not in (1, 2):
         raise UsageError("--moment must be 1 or 2")
+    if interval_text is None:
+        interval_text = "0:pi" if moment == 1 else "window"
     spec = parse_interval(interval_text)
     if moment == 1:
         if spec.kind == "window":
@@ -278,10 +280,6 @@ def rice(k_value, moment, interval_text, alpha):
 @_guarded
 def chaos_var(qmax, tail, outdir):
     """Per-order variance constants and their total, as JSON (and CSV)."""
-    if qmax < 2:
-        # degenerate request: order 1 vanishes identically
-        _dump_json({"qmax": qmax, "terms": [], "total": 0.0})
-        return
     vc = total_variance_constant(q_max=qmax, tail=tail)
     payload = {
         "qmax": qmax,
@@ -300,15 +298,11 @@ def chaos_var(qmax, tail, outdir):
     }
     _dump_json(payload)
     if outdir is not None:
-        bundle = _Bundle(outdir)
-        try:
-            with open(bundle.path("chaos_terms.csv"), "w", encoding="utf-8", newline="") as fh:
+        with _bundle(outdir) as path:
+            with open(path("chaos_terms.csv"), "w", encoding="utf-8", newline="") as fh:
                 fh.write("q,sigma_sq,quadrature_error\n")
                 for t in vc.terms:
                     fh.write(f"{t.q},{_fmt(t.sigma_sq)},{_fmt(t.quadrature_error)}\n")
-        except OSError:
-            bundle.cleanup()
-            raise
 
 
 @main.command()
@@ -327,23 +321,19 @@ def clt(k_value, reps, seed, outdir):
         raise UsageError("sample is degenerate; no normality verdict")
     counts = result.counts[0][result.warnings[0] == 0]
     z = standardize_counts(counts, k_value)
-    bundle = _Bundle(outdir)
-    try:
-        _dump_json(dataclasses.asdict(report), bundle.path("report.json"))
-        with open(bundle.path("standardized.csv"), "w", encoding="utf-8", newline="") as fh:
+    with _bundle(outdir) as path:
+        _dump_json(dataclasses.asdict(report), path("report.json"))
+        with open(path("standardized.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("standardized\n")
             for val in z:
                 fh.write(_fmt(val) + "\n")
         edges = np.linspace(-5.0, 5.0, 52)
         clipped = np.clip(z, -5.0 + 1e-12, 5.0 - 1e-12)
         hist, _ = np.histogram(clipped, bins=edges)
-        with open(bundle.path("histogram.csv"), "w", encoding="utf-8", newline="") as fh:
+        with open(path("histogram.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("bin_lo,bin_hi,count\n")
             for i in range(51):
                 fh.write(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(hist[i])}\n")
-    except OSError:
-        bundle.cleanup()
-        raise
     _dump_json(dataclasses.asdict(report))
 
 

@@ -355,24 +355,21 @@ class WindowChopReport:
     se_ratio: float
 
 
-def window_chop_check(K, alpha, replicates, seed=0, ensemble="cosine", oversample=16) -> WindowChopReport:
+def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     """Monte Carlo moments of the zero count on the window's complement.
 
-    Counts zeros on [0, edge] and [K*pi - edge, K*pi] (rescaled axis) per
-    replicate and reports the mean divided by sqrt(K pi); the ratio shrinks
-    as K grows.  Replicates with a tangency warning on either side are left
-    out of the moments, as in a campaign.
+    Counts zeros of cosine-ensemble replicates on [0, edge] and
+    [K*pi - edge, K*pi] (rescaled axis, oversample 16) and reports the mean
+    divided by sqrt(K pi); the ratio shrinks as K grows.  Replicates with a
+    tangency warning on either side are left out of the moments, as in a
+    campaign.
     """
     if K < 1:
         raise UsageError(f"degree K must be >= 1, got {K}")
-    if not (0.0 < alpha < 0.5):
-        raise UsageError("alpha must lie in (0, 1/2)")
     if replicates < 2:
         raise UsageError("need at least 2 replicates")
     w0, w1 = window_bounds(K, alpha)
-    chunks = _count_chunks(
-        K, ensemble, seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)], oversample
-    )
+    chunks = _count_chunks(K, "cosine", seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)], 16)
     clean = np.concatenate([c[w == 0] for c, w in chunks])
     mom = RunningMoments()
     mom.push_batch(clean)

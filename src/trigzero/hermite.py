@@ -5,6 +5,8 @@ The polynomials follow the probabilists' convention
     H_0 = 1,  H_1 = x,  H_{q+1}(x) = x H_q(x) - q H_{q-1}(x),
 
 orthogonal for the standard Gaussian weight with ||H_q||^2 = q!.
+``hermite_table(q, x)`` runs that recurrence once and returns H_0 .. H_q;
+``hermite_eval(q, x)`` is its last row.
 
 The coefficients of the chaos expansion come from two sequences:
 
@@ -18,11 +20,11 @@ The coefficients of the chaos expansion come from two sequences:
   itself, and the one the variance constants use.
 
 ``_mehler_terms`` enumerates the pairing diagrams of a four-fold Hermite
-product of jointly Gaussian variables; ``mehler_product_expectation`` sums
-them into the expectation.  The chaos variance constants merge these terms
-into one coefficient table per order; the vectorized sum
-``mehler_product_grid`` is kept as the reference the tests check that table
-against.
+product of jointly Gaussian variables; ``mehler_product_grid`` sums them over
+correlation arrays, and ``mehler_product_expectation`` is the same sum at one
+checked correlation tuple.  The chaos variance constants merge these terms
+into one coefficient table per order; ``mehler_product_grid`` is the
+reference the tests check that table against.
 """
 
 from __future__ import annotations
@@ -33,56 +35,32 @@ import numpy as np
 
 from .errors import UsageError
 
-_DEFAULT_MAX_ORDER = 60
 _TWO_PI = 2.0 * math.pi
 
 
-class HermiteBasis:
-    """Evaluator for H_0 .. H_{max_order} by the three-term recurrence.
+def hermite_table(q: int, x):
+    """Stack of H_0(x) .. H_q(x), shape (q+1,) + x.shape.
 
-    The recurrence is run in floating point rather than through stored
-    monomial coefficients, which avoids catastrophic cancellation at
+    The three-term recurrence runs in floating point rather than through
+    stored monomial coefficients, which avoids catastrophic cancellation at
     moderately high order.
     """
-
-    def __init__(self, max_order: int = _DEFAULT_MAX_ORDER):
-        if max_order < 0:
-            raise UsageError("max_order must be >= 0")
-        self.max_order = int(max_order)
-
-    def eval(self, q: int, x):
-        """Value of H_q at x (scalar or array)."""
-        if q < 0 or q > self.max_order:
-            raise UsageError(f"order {q} outside [0, {self.max_order}]")
-        x = np.asarray(x, dtype=float)
-        h_prev = np.ones_like(x)
-        if q == 0:
-            return float(h_prev) if x.ndim == 0 else h_prev
-        h_cur = x.copy()
-        for k in range(1, q):
-            h_prev, h_cur = h_cur, x * h_cur - k * h_prev
-        return float(h_cur) if x.ndim == 0 else h_cur
-
-    def eval_all(self, q: int, x):
-        """Stack of H_0(x) .. H_q(x), shape (q+1,) + x.shape."""
-        if q < 0 or q > self.max_order:
-            raise UsageError(f"order {q} outside [0, {self.max_order}]")
-        x = np.asarray(x, dtype=float)
-        out = np.empty((q + 1,) + x.shape)
-        out[0] = 1.0
-        if q >= 1:
-            out[1] = x
-        for k in range(1, q):
-            out[k + 1] = x * out[k] - k * out[k - 1]
-        return out
-
-
-_default_basis = HermiteBasis()
+    if q < 0:
+        raise UsageError(f"order {q} must be >= 0")
+    x = np.asarray(x, dtype=float)
+    out = np.empty((q + 1,) + x.shape)
+    out[0] = 1.0
+    if q >= 1:
+        out[1] = x
+    for k in range(1, q):
+        out[k + 1] = x * out[k] - k * out[k - 1]
+    return out
 
 
 def hermite_eval(q: int, x):
-    """H_q(x) through the package-default basis (orders up to 60)."""
-    return _default_basis.eval(q, x)
+    """Value of H_q at x: row q of ``hermite_table``, a float for scalar x."""
+    row = hermite_table(q, x)[q]
+    return float(row) if row.ndim == 0 else row
 
 
 def _double_factorial_odd(m: int) -> float:
@@ -188,11 +166,7 @@ def mehler_product_expectation(orders, correlations) -> float:
     gram = correlation_gram(correlations)
     if np.linalg.eigvalsh(gram)[0] < -1e-9:
         raise UsageError("correlation matrix is not positive semidefinite")
-    rzz, rzw, rwz, rww = (float(c) for c in correlations)
-    total = 0.0
-    for m1, m2, m3, m4, w in _mehler_terms(orders):
-        total += w * rzz ** m1 * rzw ** m2 * rwz ** m3 * rww ** m4
-    return total
+    return float(mehler_product_grid(orders, *map(float, correlations)))
 
 
 def mehler_product_grid(orders, rzz, rzw, rwz, rww):

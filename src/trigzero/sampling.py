@@ -78,17 +78,12 @@ class CoefficientVector:
     K: int
     a: np.ndarray
     b: np.ndarray | None
-    seed_info: tuple  # (seed, replicate index)
-
-    @property
-    def ensemble(self) -> str:
-        return "stationary" if self.b is not None else "cosine"
 
 
 def draw_coefficients(K: int, ensemble: str = "cosine", seed: int = 0, index: int = 0) -> CoefficientVector:
     """Draw one replicate's coefficient vector(s), deterministically."""
     a, b = draw_coefficient_batch(K, ensemble, seed, (index,))
-    return CoefficientVector(K=K, a=a[0], b=None if b is None else b[0], seed_info=(seed, index))
+    return CoefficientVector(K=K, a=a[0], b=None if b is None else b[0])
 
 
 def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:

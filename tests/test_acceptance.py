@@ -20,7 +20,7 @@ from trigzero.experiments import (
     run_campaign,
     window_chop_check,
 )
-from trigzero.hermite import HermiteBasis, mehler_product_expectation
+from trigzero.hermite import hermite_eval, hermite_table, mehler_product_expectation
 from trigzero.rice import rice_mean, wilkins_mean
 from trigzero.sampling import draw_coefficients
 from trigzero.zeros import count_zeros_scan, oracle_agreement
@@ -139,8 +139,7 @@ class TestCriterion7InvariantSuites:
         x, w = np.polynomial.hermite.hermgauss(64)
         x = x * math.sqrt(2.0)
         w = w / math.sqrt(math.pi)
-        basis = HermiteBasis(12)
-        table = basis.eval_all(12, x)
+        table = hermite_table(12, x)
         for p in range(13):
             for q in range(13):
                 inner = float(np.sum(w * table[p] * table[q]))
@@ -181,7 +180,7 @@ class TestCriterion7InvariantSuites:
             orders = tuple(rng.integers(0, 5, size=4))
             vals = np.ones(pts.shape[1])
             for row, order in zip(corr, orders):
-                vals = vals * basis.eval(order, row)
+                vals = vals * hermite_eval(order, row)
             quad_val = float(weights @ vals)
             if abs(quad_val - mehler_product_expectation(orders, tuple(rho))) >= 1e-4:
                 failures.append(f"mehler random {orders}")

@@ -106,16 +106,25 @@ class TestRice:
         doc = json.loads(res.output)
         assert doc["value"] > 0.0
 
+    def test_second_moment_defaults_to_window(self, runner):
+        # 0:pi reaches the ends of (0, K*pi), where the second moment is undefined
+        default = runner.invoke(main, ["rice", "--K", "10", "--moment", "2"])
+        window = runner.invoke(main, ["rice", "--K", "10", "--moment", "2", "--interval", "window"])
+        assert default.exit_code == 0, default.output
+        assert default.output == window.output
+
     def test_unsupported_moment(self, runner):
         res = runner.invoke(main, ["rice", "--K", "10", "--moment", "3", "--interval", "0:pi"])
         assert res.exit_code == 2
 
 
 class TestChaosVar:
-    def test_qmax_one_total_zero(self, runner):
-        res = runner.invoke(main, ["chaos-var", "--qmax", "1"])
-        assert res.exit_code == 0
-        assert json.loads(res.output)["total"] == 0.0
+    @pytest.mark.parametrize("qmax", ["1", "0", "-3"])
+    def test_qmax_below_two_is_usage_error(self, runner, qmax):
+        # a total without the order-2 term would drop the whole series
+        res = runner.invoke(main, ["chaos-var", "--qmax", qmax])
+        assert res.exit_code == 2, res.output
+        assert "total" not in res.output
 
     def test_small_run_shape(self, runner, tmp_path):
         res = runner.invoke(
@@ -158,6 +167,35 @@ class TestClt:
             main, ["clt", "--K", "40", "--reps", "100", "--seed", "2", "--out", str(tmp_path / "x")]
         )
         assert res.exit_code == 2
+
+
+class TestIoFailure:
+    """A file that cannot be written exits 4 and leaves no partial output."""
+
+    def test_simulate_removes_written_files(self, runner, tmp_path):
+        (tmp_path / "summary.json").mkdir()
+        res = runner.invoke(
+            main, ["simulate", "--K", "5", "--reps", "10", "--seed", "1", "--out", str(tmp_path)]
+        )
+        assert res.exit_code == 4, res.output
+        assert not (tmp_path / "records.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_chaos_var_csv_unwritable(self, runner, tmp_path):
+        (tmp_path / "chaos_terms.csv").mkdir()
+        res = runner.invoke(
+            main, ["chaos-var", "--qmax", "2", "--tail", "100", "--out", str(tmp_path)]
+        )
+        assert res.exit_code == 4, res.output
+
+    def test_clt_out_is_a_file(self, runner, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("x", encoding="utf-8")
+        res = runner.invoke(
+            main, ["clt", "--K", "10", "--reps", "500", "--seed", "1", "--out", str(out)]
+        )
+        assert res.exit_code == 4, res.output
+        assert out.read_text(encoding="utf-8") == "x"
 
 
 def _digests(outdir):

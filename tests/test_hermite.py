@@ -9,11 +9,11 @@ from scipy.integrate import quad
 
 from trigzero.errors import UsageError
 from trigzero.hermite import (
-    HermiteBasis,
     abs_coeff,
     dirac_coeff,
     dirac_coeff_normalized,
     hermite_eval,
+    hermite_table,
     mehler_product_expectation,
 )
 
@@ -60,18 +60,18 @@ class TestHermiteEval:
             direct = sum(c * xs ** i for i, c in enumerate(polys[q]))
             assert np.allclose(hermite_eval(q, xs), direct, rtol=1e-12, atol=1e-9)
 
-    def test_order_above_basis_errors(self):
-        basis = HermiteBasis(4)
+    def test_negative_order_errors(self):
         with pytest.raises(UsageError):
-            basis.eval(5, 0.0)
+            hermite_eval(-1, 0.0)
+        with pytest.raises(UsageError):
+            hermite_table(-1, np.zeros(3))
 
     def test_orthogonality_by_quadrature(self):
         # 64-node quadrature is exact for degree <= 24; the 1e-8 check is on
         # the orthonormalized inner product (q! itself reaches 4.8e8 at q=12,
         # whose float64 ulp already exceeds an absolute 1e-8)
         x, w = gauss_hermite_probabilist(64)
-        basis = HermiteBasis(12)
-        table = basis.eval_all(12, x)
+        table = hermite_table(12, x)
         for p in range(13):
             for q in range(13):
                 inner = float(np.sum(w * table[p] * table[q]))
@@ -127,11 +127,11 @@ def _random_valid_correlations(rng):
 class _QuadratureOracle:
     """Tensor Gauss-Hermite expectations over a 4-D Gaussian Gram matrix.
 
-    Hermite values of every order up to ``max_order`` are tabulated on the
+    Hermite values of every order up to ``top_order`` are tabulated on the
     transformed node cloud once, so each order tuple costs a weighted product.
     """
 
-    def __init__(self, gram, max_order=4, nodes=12):
+    def __init__(self, gram, top_order=4, nodes=12):
         x, w = gauss_hermite_probabilist(nodes)
         grids = np.meshgrid(x, x, x, x, indexing="ij")
         pts = np.stack([g.ravel() for g in grids])  # (4, nodes^4)
@@ -139,8 +139,7 @@ class _QuadratureOracle:
         self.weights = (wg[0] * wg[1] * wg[2] * wg[3]).ravel()
         chol = np.linalg.cholesky(gram + 1e-12 * np.eye(4))
         corr = chol @ pts  # rows: Z1, W1, Z2, W2
-        basis = HermiteBasis(max_order)
-        self.tables = [basis.eval_all(max_order, row) for row in corr]
+        self.tables = [hermite_table(top_order, row) for row in corr]
 
     def expect(self, orders):
         vals = (
@@ -153,7 +152,7 @@ class _QuadratureOracle:
 
 
 def _mehler_quadrature_oracle(orders, gram, nodes=12):
-    return _QuadratureOracle(gram, max_order=max(orders), nodes=nodes).expect(orders)
+    return _QuadratureOracle(gram, top_order=max(orders), nodes=nodes).expect(orders)
 
 
 class TestMehler:

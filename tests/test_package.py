@@ -1,10 +1,14 @@
 """Package namespace: the public names exported by ``trigzero``."""
 
+import inspect
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import trigzero
 
@@ -68,3 +72,37 @@ def test_analytic_commands_never_load_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    """perfbench's ``layers`` and ``spans``, imported read-only from the repo."""
+    import trigzero.cli  # noqa: F401  layers.install wraps names in it
+
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import layers
+        import spans
+    finally:
+        sys.path.remove(bench)
+    return layers, spans
+
+
+def test_benchmark_wraps_names_that_exist(bench_modules):
+    # the benchmark rebinds these names by attribute; deleting one breaks it
+    layers, spans = bench_modules
+    with spans.Tracer() as tracer:
+        layers.install(tracer, trigzero)
+        saved = list(tracer._saved)
+        assert len(saved) == 11
+        for module, attr, original in saved:
+            assert getattr(module, attr).__wrapped__ is original, attr
+        bound = inspect.signature(trigzero.experiments.scan_count_batch).bind(
+            np.ones((1, 3)), None, 3, (0.0, 1.0)
+        )
+        bound.apply_defaults()
+        assert bound.arguments["oversample"] == 16
+        assert bound.arguments["rescaled"] is False
+    for module, attr, original in saved:
+        assert getattr(module, attr) is original, attr

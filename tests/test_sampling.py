@@ -113,7 +113,7 @@ class TestDrawPath:
 class TestEvalPath:
     def test_single_mode_rescaled(self):
         K = 9
-        cv = CoefficientVector(K=K, a=np.r_[np.sqrt(K), np.zeros(K - 1)], b=None, seed_info=(0, 0))
+        cv = CoefficientVector(K=K, a=np.r_[np.sqrt(K), np.zeros(K - 1)], b=None)
         t = np.linspace(0.0, K * np.pi, 33)
         val, der = eval_path(cv, t, rescaled=True)
         assert np.allclose(val, np.cos(t / K), atol=1e-14)

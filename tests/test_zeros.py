@@ -28,7 +28,7 @@ from trigzero.zeros import (
 
 
 def _vector(K, a, b=None):
-    return CoefficientVector(K=K, a=np.asarray(a, float), b=b, seed_info=(0, 0))
+    return CoefficientVector(K=K, a=np.asarray(a, float), b=b)
 
 
 class TestTrivialCounts:
