@@ -255,12 +255,8 @@ def rice(k_value, moment, interval_text, alpha):
             value, err = _mean_original_axis(k_value, spec.lo, spec.hi)
             interval = (spec.lo * k_value, spec.hi * k_value)
     else:
-        if spec.kind == "window":
-            res = rice_second_moment(k_value, alpha=alpha)
-        else:
-            res = rice_second_moment(
-                k_value, alpha=alpha, interval=(spec.lo * k_value, spec.hi * k_value)
-            )
+        interval = None if spec.kind == "window" else (spec.lo * k_value, spec.hi * k_value)
+        res = rice_second_moment(k_value, alpha=alpha, interval=interval)
         value, err, interval = res.value, res.quadrature_error_estimate, res.interval
     _dump_json(
         {
@@ -296,13 +292,13 @@ def chaos_var(qmax, tail, outdir):
         "truncation_indicator": vc.truncation_indicator,
         "total": vc.total,
     }
-    _dump_json(payload)
     if outdir is not None:
         with _bundle(outdir) as path:
             with open(path("chaos_terms.csv"), "w", encoding="utf-8", newline="") as fh:
                 fh.write("q,sigma_sq,quadrature_error\n")
                 for t in vc.terms:
                     fh.write(f"{t.q},{_fmt(t.sigma_sq)},{_fmt(t.quadrature_error)}\n")
+    _dump_json(payload)
 
 
 @main.command()

@@ -15,12 +15,13 @@ Second factorial moment: E[N(N-1)] over a window is the double integral of
     E[|D_s| |D_t| given values vanish at s and t] * p_{s,t}(0, 0),
 
 with the conditioned pair handled by explicit 2x2 Gaussian regression and the
-conditional absolute moment in closed form,
+conditional absolute moment E|UV| in closed form (``conditional_abs_moment``).
 
-    E|UV| = (2/pi) sigma_U sigma_V (sqrt(1-rho^2) + rho * arcsin rho).
-
-The integrand has a removable singularity on the diagonal; a thin band
-|t - s| < delta is filled in by quadratic extrapolation from nearby lags.
+The integrand has a removable singularity on the diagonal t = s and vanishes
+linearly there, so the lag u = t - s is integrated from 0 with the same
+Gauss-Legendre rule: its nodes never land on u = 0, and at the smallest
+16-node lag node (u ~ 0.008 on a half-period panel) the float64 integrand
+still agrees with a 40-digit evaluation to about 1e-5 relative.
 
 Both use one Gauss-Legendre panel rule: half-period panels of 16 nodes, whole
 arrays of panels per integrand call, and the 16-vs-8-node gap as the error
@@ -43,7 +44,6 @@ from .errors import NumericError, UsageError
 _PANEL = 0.5 * np.pi
 _BLOCK = 1024  # panels per integrand call of the mean: 24 nodes each, ~25k lags
 _MAX_PANELS = 20000  # no refinement round of the mean starts above this
-_DIAG_BAND = 1e-3  # half-width of the diagonal band of the second moment
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +182,10 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
 
 
 def conditional_abs_moment(sigma_u, sigma_v, rho):
-    """E|UV| for a centered bivariate Gaussian with the given sds and correlation."""
+    """E|UV| for a centered bivariate Gaussian with the given sds and correlation:
+
+        E|UV| = (2/pi) sigma_U sigma_V (sqrt(1-rho^2) + rho * arcsin rho).
+    """
     rho = np.clip(np.asarray(rho, dtype=float), -1.0, 1.0)
     return (
         (2.0 / np.pi)
@@ -236,21 +239,19 @@ def _pair_intensity(K, s, t):
     sV2 = np.maximum(vt2 - g_t * g_t / det, 0.0)
     c12 = r11 + rho * g_s * g_t / det
 
-    prod = sU2 * sV2
-    root = np.sqrt(np.maximum(prod - c12 * c12, 0.0))
+    sU, sV = np.sqrt(sU2), np.sqrt(sV2)
+    prod = sU * sV
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho_c = np.clip(c12 / np.sqrt(np.where(prod > 0.0, prod, 1.0)), -1.0, 1.0)
-    euv = (2.0 / np.pi) * (root + np.where(prod > 0.0, c12 * np.arcsin(rho_c), 0.0))
-    p00 = 1.0 / (2.0 * np.pi * np.sqrt(det))
-    return euv * p00
+        rho_c = np.where(prod > 0.0, c12 / prod, 0.0)
+    return conditional_abs_moment(sU, sV, rho_c) / (2.0 * np.pi * np.sqrt(det))
 
 
-def _offband_integral(K, w0, w1, delta, n_nodes):
-    """2 * int_{u=delta}^{L} int_{s=w0}^{w1-u} F(s, s+u) ds du.
+def _pair_integral(K, w0, w1, n_nodes):
+    """2 * int_{u=0}^{L} int_{s=w0}^{w1-u} F(s, s+u) ds du.
 
     One integrand call per u panel covers the s-tilings of all its u nodes.
     """
-    u_nodes, u_weights, _ = _gl_panels(delta, w1 - w0, n_nodes)
+    u_nodes, u_weights, _ = _gl_panels(0.0, w1 - w0, n_nodes)
     total = 0.0
     for u, wu in zip(u_nodes.reshape(-1, n_nodes), u_weights.reshape(-1, n_nodes)):
         s, ws, owner = _gl_panels(w0, w1 - u, n_nodes)
@@ -259,18 +260,6 @@ def _offband_integral(K, w0, w1, delta, n_nodes):
         f = _pair_intensity(K, s.ravel(), (s + u[owner, None]).ravel())
         total += float((weights.ravel() * f).sum())
     return 2.0 * total
-
-
-def _band_integral(K, w0, w1, delta, n_nodes):
-    """Diagonal band |t-s| < delta via quadratic extrapolation to the diagonal."""
-    s_nodes, s_weights, _ = _gl_panels(w0, w1 - 3.0 * delta, n_nodes)
-    f1 = _pair_intensity(K, s_nodes, s_nodes + delta)
-    f2 = _pair_intensity(K, s_nodes, s_nodes + 2.0 * delta)
-    f3 = _pair_intensity(K, s_nodes, s_nodes + 3.0 * delta)
-    f0 = 3.0 * f1 - 3.0 * f2 + f3
-    line0 = float((s_weights * f0).sum())
-    line1 = float((s_weights * f1).sum())
-    return 2.0 * delta * 0.5 * (line0 + line1)
 
 
 def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 16) -> RiceResult:
@@ -287,13 +276,10 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
     w0, w1 = float(interval[0]), float(interval[1])
     if not (0.0 < w0 < w1 < K * np.pi):
         raise UsageError("interval must sit strictly inside (0, K*pi)")
-    if w1 - w0 <= 10.0 * _DIAG_BAND:
-        raise UsageError("interval is shorter than the diagonal band treatment")
-    off16 = _offband_integral(K, w0, w1, _DIAG_BAND, nodes)
-    off8 = _offband_integral(K, w0, w1, _DIAG_BAND, max(nodes // 2, 4))
-    band = _band_integral(K, w0, w1, _DIAG_BAND, nodes)
-    err = abs(off16 - off8) + 0.1 * abs(band)
-    value = off16 + band
+    if w1 - w0 <= 0.01:
+        raise UsageError("interval must be longer than 0.01")
+    value = _pair_integral(K, w0, w1, nodes)
+    err = abs(value - _pair_integral(K, w0, w1, max(nodes // 2, 4)))
     if not np.isfinite(value):
         raise NumericError("second-moment integrand produced non-finite values")
     return RiceResult(value, (w0, w1), err, K)

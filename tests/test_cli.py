@@ -187,6 +187,7 @@ class TestIoFailure:
             main, ["chaos-var", "--qmax", "2", "--tail", "100", "--out", str(tmp_path)]
         )
         assert res.exit_code == 4, res.output
+        assert '"total"' not in res.stdout
 
     def test_clt_out_is_a_file(self, runner, tmp_path):
         out = tmp_path / "taken"

@@ -104,5 +104,10 @@ def test_benchmark_wraps_names_that_exist(bench_modules):
         bound.apply_defaults()
         assert bound.arguments["oversample"] == 16
         assert bound.arguments["rescaled"] is False
+    # the calls the benchmark's reference and correctness checks make untraced
+    inspect.signature(trigzero.rice.rice_mean).bind(30, interval=(0.0, 1.0), rel_tol=1e-12)
+    inspect.signature(trigzero.rice.rice_second_moment).bind(30, interval=(0.5, 1.0), nodes=32)
+    coeffs = trigzero.sampling.draw_coefficients(4, "cosine", 0, 3)
+    assert isinstance(trigzero.zeros.count_zeros_eigen(coeffs, (0.0, np.pi)).count, int)
     for module, attr, original in saved:
         assert getattr(module, attr) is original, attr

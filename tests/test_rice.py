@@ -245,6 +245,51 @@ class TestSecondMoment:
             rice_second_moment(1)
         with pytest.raises(UsageError):
             rice_second_moment(20, interval=(0.0, 20 * np.pi))
+        with pytest.raises(UsageError):
+            rice_second_moment(20, interval=(1.0, 1.005))
+
+    def test_integrand_at_first_lag_node_matches_mpmath(self):
+        # the lag integral starts at the diagonal u = 0; that is sound while
+        # float64 keeps the integrand accurate at the smallest lag node
+        mp = pytest.importorskip("mpmath")
+        from trigzero.rice import _pair_intensity
+
+        K, w0, w1 = 30, 6.0 * np.pi, 22.5 * np.pi
+        u = _gl_panels(0.0, w1 - w0, 16)[0][0]
+        s = np.linspace(w0, w1 - u, 20)
+        got = _pair_intensity(K, s, s + u)
+        with mp.workdps(40):
+            K_ = mp.mpf(K)
+
+            def lag(tau):
+                terms = [(n / K_, mp.cos(n * tau / K_), mp.sin(n * tau / K_)) for n in range(1, K + 1)]
+                return (
+                    mp.fsum(c for _, c, _ in terms) / K_,
+                    -mp.fsum(m * sn for m, _, sn in terms) / K_,
+                    -mp.fsum(m * m * c for m, c, _ in terms) / K_,
+                )
+
+            c2_0 = -(K_ + 1) * (2 * K_ + 1) / (6 * K_ * K_)
+            for si, fi in zip(s, got):
+                ss = mp.mpf(float(si))
+                tt = ss + mp.mpf(float(u))
+                cm, c1m, c2m = lag(tt - ss)
+                cp, c1p, c2p = lag(tt + ss)
+                (cs, c1s, c2s), (ct, c1t, c2t) = lag(2 * ss), lag(2 * tt)
+                r, r_s, r_t, r_st = (cm + cp) / 2, (c1p - c1m) / 2, (c1m + c1p) / 2, (c2p - c2m) / 2
+                Vs, Vt = mp.sqrt((1 + cs) / 2), mp.sqrt((1 + ct) / 2)
+                Ps, Pt = c1s / (2 * Vs * Vs), c1t / (2 * Vt * Vt)
+                rho = r / (Vs * Vt)
+                g_s = (r_s - r * Ps) / (Vs * Vt)
+                g_t = (r_t - r * Pt) / (Vs * Vt)
+                r11 = (r_st - r_t * Ps - r_s * Pt + r * Ps * Pt) / (Vs * Vt)
+                det = 1 - rho * rho
+                su2 = (c2s - c2_0 - c1s * c1s / (1 + cs)) / (1 + cs) - g_s * g_s / det
+                sv2 = (c2t - c2_0 - c1t * c1t / (1 + ct)) / (1 + ct) - g_t * g_t / det
+                c12 = r11 + rho * g_s * g_t / det
+                euv = 2 / mp.pi * (mp.sqrt(su2 * sv2 - c12 * c12) + c12 * mp.asin(c12 / mp.sqrt(su2 * sv2)))
+                want = euv / (2 * mp.pi * mp.sqrt(det))
+                assert abs(fi / want - 1) < 1e-4, (si, fi, want)
 
     def test_positive_and_bounded(self):
         res = rice_second_moment(10)
