@@ -289,6 +289,21 @@ def _count_chunks(K, ensemble, seed, replicates, intervals, oversample):
     return [work(start) for start in starts]
 
 
+def _clean_counts(chunks, K):
+    """All counts, all warnings and the warning-free counts of ``chunks``.
+
+    Replicates with a tangency warning are left out of the moments; more
+    than 0.1% of them raises CampaignError.
+    """
+    counts = np.concatenate([c for c, _ in chunks])
+    warns = np.concatenate([w for _, w in chunks])
+    clean = counts[warns == 0]
+    excluded = counts.size - clean.size
+    if excluded > 0.001 * counts.size:
+        raise CampaignError(f"{excluded} of {counts.size} replicates excluded at K={K}")
+    return counts, warns, clean
+
+
 def run_campaign(config: ExperimentConfig) -> CampaignResult:
     """Execute a campaign; deterministic in ``config`` whatever the worker count."""
     config.validate()
@@ -302,14 +317,8 @@ def run_campaign(config: ExperimentConfig) -> CampaignResult:
             [config.interval.bounds_original(K, config.alpha)],
             config.oversample,
         )
-        counts = np.concatenate([c for c, _ in chunks])
-        warns = np.concatenate([w for _, w in chunks])
-        clean = counts[warns == 0]
+        counts, warns, clean = _clean_counts(chunks, K)
         excluded = int(config.replicates - clean.size)
-        if excluded > 0.001 * config.replicates:
-            raise CampaignError(
-                f"{excluded} of {config.replicates} replicates excluded at K={K}"
-            )
         moments = RunningMoments()
         # chunk-wise accumulation in fixed chunk order
         for c, w in chunks:
@@ -361,8 +370,8 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     Counts zeros of cosine-ensemble replicates on [0, edge] and
     [K*pi - edge, K*pi] (rescaled axis, oversample 16) and reports the mean
     divided by sqrt(K pi); the ratio shrinks as K grows.  Replicates with a
-    tangency warning on either side are left out of the moments, as in a
-    campaign.
+    tangency warning on either side are left out of the moments, and more
+    than 0.1% of them raises CampaignError, as in a campaign.
     """
     if K < 1:
         raise UsageError(f"degree K must be >= 1, got {K}")
@@ -370,7 +379,7 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
         raise UsageError("need at least 2 replicates")
     w0, w1 = window_bounds(K, alpha)
     chunks = _count_chunks(K, "cosine", seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)], 16)
-    clean = np.concatenate([c[w == 0] for c, w in chunks])
+    _, _, clean = _clean_counts(chunks, K)
     mom = RunningMoments()
     mom.push_batch(clean)
     root = math.sqrt(K * math.pi)

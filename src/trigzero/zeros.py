@@ -4,13 +4,18 @@ The scan method samples each replicate on the lattice t_j = j * period / N,
 with N = 2 * oversample * K points per period, fine relative to the 2K root
 bound.  One FFT of a replicate's coefficients gives all its lattice values
 (a real FFT for the cosine ensemble); an interval end off the lattice is
-added as a grid point and summed directly.  Sign changes between
-neighbouring grid points are counted for the whole batch at once.
+added as a grid point and summed directly.  A grid short enough that
+direct sums cost less than the FFT (P points with P * K < N log2 N) is
+summed directly throughout.  Sign changes between neighbouring grid points
+are counted, and suspects classified, in blocks of rows sized to stay in
+cache.
 
 Same-sign triples whose parabola fit dips toward zero flag the two cells
 around them, which are re-scanned at 4x density.  There the path comes from
-a Taylor expansion about each lattice point: one direct sum per point,
-exact to rounding within a lattice step.  A sign-preserving extremum found
+a Taylor expansion about each lattice point, exact to rounding within a
+lattice step.  Its moments are real: two real matrix products per block of
+points, over phases exp(i n t) built from two tables of about sqrt(K)
+columns per point.  A sign-preserving extremum found
 there is located by bisection on the derivative, all extrema of the batch
 in lockstep.  If the extremum value is indistinguishable from zero, its cell
 is returned in ``ZeroCountResult.warnings`` as a tangency bracket and adds
@@ -83,28 +88,31 @@ def _lattice_values(a, b, N, j):
     Each row is one FFT of length N with coefficient n at input index n, so
     output j is sum_n (a_n + i b_n) exp(-2 pi i n j / N), whose real part is
     the value.  The cosine ensemble is even in t, so it uses a real FFT and
-    folds j > N/2 onto N - j.
+    folds j > N/2 onto N - j.  Blocks of rows go through one zero-padded
+    input buffer, filled in place.
     """
     from scipy import fft  # deferred: commands that scan nothing never load scipy
 
     j = np.mod(j, N)
     B, K = a.shape
-    x = np.zeros((B, K + 1), dtype=float if b is None else complex)
-    x[:, 1:] = a
     if b is None:
         j = np.minimum(j, N - j)
         transform, width = fft.rfft, N // 2 + 1
     else:
-        x[:, 1:] += 1j * b
         transform, width = fft.fft, N
     # one ascending run (every interval inside [0, pi] on the cosine
     # ensemble) is copied as a slice; folded or wrapped indices are gathered
     run = bool(np.all(np.diff(j) == 1))
     cols = slice(j[0], j[0] + j.size)
-    rows = max(1, _BLOCK_ENTRIES // width)
+    rows = max(1, min(B, _BLOCK_ENTRIES // width))
+    x = np.zeros((rows, N), dtype=float if b is None else complex)
     vals = np.empty((B, j.size))
     for s in range(0, B, rows):
-        out = transform(x[s : s + rows], n=N).real
+        xs = x[: min(rows, B - s)]
+        xs[:, 1 : K + 1] = a[s : s + rows]
+        if b is not None:
+            xs[:, 1 : K + 1] += 1j * b[s : s + rows]
+        out = transform(xs).real
         vals[s : s + rows] = out[:, cols] if run else np.take(out, j, axis=1)
     return vals
 
@@ -113,8 +121,10 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
     """Scan grid on [lo, hi] and every row's values there, shape (B, P).
 
     Interior points are the lattice points j * step strictly inside; the
-    ends are exactly lo and hi, valued from the lattice where they lie on it
-    and by direct summation otherwise.
+    ends are exactly lo and hi.  A grid with P * K < N log2 N (short
+    intervals) is valued by direct sums, which then cost less than one FFT
+    per row; otherwise values come from the lattice, and an end off it is
+    summed directly.
     """
     x = np.array([lo, hi]) / step
     near = np.rint(x)
@@ -125,6 +135,8 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
     j = np.concatenate(([near[0]], inner, [near[1]])).astype(np.int64)
     pts = j * step
     pts[0], pts[-1] = lo, hi
+    if j.size * freqs.size < N * math.log2(N):
+        return pts, _eval_at(a, b, freqs, pts)
     vals = _lattice_values(a, b, N, j)
     ends = np.array([0, j.size - 1])[direct]
     if ends.size:
@@ -133,39 +145,67 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
 
 
 def _eval_at(a, b, freqs, pts):
-    """Values at ``pts`` of every row, shape (B, len(pts))."""
-    ang = np.multiply.outer(pts, freqs)
-    v = np.cos(ang) @ a.T
-    if b is not None:
-        v += np.sin(ang) @ b.T
-    return v.T
+    """Values at ``pts`` of every row, shape (B, len(pts)), by direct sums."""
+    out = np.empty((a.shape[0], pts.size))
+    per = max(1, _BLOCK_ENTRIES // freqs.size)
+    for s in range(0, pts.size, per):
+        ang = np.multiply.outer(pts[s : s + per], freqs)
+        v = np.cos(ang) @ a.T
+        if b is not None:
+            v += np.sin(ang) @ b.T
+        out[:, s : s + per] = v.T
+    return out
 
 
 def _expansions(a, b, freqs, rows, t, step):
-    """Taylor moments m of row ``rows[i]`` about ``t[i]``, shape (M, terms).
+    """Real Taylor moments m of row ``rows[i]`` about ``t[i]``, shape (M, terms).
 
-    The row's value at t[i] + u * step is Re sum_k m[i, k] u^k for |u| <= 1;
-    m[i, 0] is the direct sum at t[i].
+    The row's value at t[i] + u * step is sum_k m[i, k] u^k for |u| <= 1;
+    m[i, 0] is the direct sum at t[i].  With phase theta = freq * t[i],
+    C = a cos(theta) + b sin(theta) and S = a sin(theta) - b cos(theta),
+    m[i, k] sums C, -S, -C, S (k mod 4, from i^k) times
+    g_k = (freq * step)^k / k! over the frequencies: one real product for
+    the even k and one for the odd k.
     """
-    # column k of scale is (i * freq * step)^k / k!
-    ratios = np.multiply.outer(1j * freqs * step, 1.0 / np.arange(1, _TAYLOR_TERMS))
-    scale = np.cumprod(np.hstack((np.ones((freqs.size, 1)), ratios)), axis=1)
-    mom = np.empty((rows.size, _TAYLOR_TERMS), dtype=complex)
-    per = max(1, _BLOCK_ENTRIES // freqs.size)
+    K = freqs.size
+    # g[:, k] = (freq * step)^k / k! with the sign of its term: +, -, -, +
+    # for k mod 4 = 0, 1, 2, 3
+    ratios = np.multiply.outer(freqs * step, 1.0 / np.arange(1, _TAYLOR_TERMS))
+    g = np.cumprod(np.hstack((np.ones((K, 1)), ratios)), axis=1)
+    g[:, 2::4] *= -1.0
+    g[:, 1::4] *= -1.0
+    even, odd = np.ascontiguousarray(g[:, 0::2]), np.ascontiguousarray(g[:, 1::2])
+    # freqs are n * freqs[0]; exp(i n tau) = exp(i q w tau) * exp(i m tau)
+    # for n = q * w + m, from two tables of about sqrt(K) columns per point
+    w = math.isqrt(K) + 1
+    coarse = np.arange(K // w + 1) * (w * freqs[0])
+    fine = np.arange(w) * freqs[0]
+    mom = np.empty((rows.size, _TAYLOR_TERMS))
+    per = max(1, _BLOCK_ENTRIES // K)
     for s in range(0, rows.size, per):
         sl = slice(s, s + per)
-        c = a[rows[sl]] if b is None else a[rows[sl]] - 1j * b[rows[sl]]
-        mom[sl] = (c * np.exp(1j * np.multiply.outer(t[sl], freqs))) @ scale
+        ts, ar = t[sl], a[rows[sl]]
+        big = np.exp(1j * np.multiply.outer(ts, coarse))
+        small = np.exp(1j * np.multiply.outer(ts, fine))
+        ph = (big[:, :, None] * small[:, None, :]).reshape(ts.size, -1)[:, 1 : K + 1]
+        if b is None:
+            cterm, sterm = ar * ph.real, ar * ph.imag
+        else:
+            br = b[rows[sl]]
+            cterm = ar * ph.real + br * ph.imag
+            sterm = ar * ph.imag - br * ph.real
+        mom[sl, 0::2] = cterm @ even
+        mom[sl, 1::2] = sterm @ odd
     return mom
 
 
 def _taylor(mom, u):
-    """Re sum_k mom[i, k] u[i, ...]^k by Horner's rule."""
+    """sum_k mom[i, k] u[i, ...]^k by Horner's rule (real moments)."""
     shape = (-1,) + (1,) * (u.ndim - 1)
     acc = mom[:, -1].reshape(shape)
     for k in range(mom.shape[1] - 2, -1, -1):
         acc = acc * u + mom[:, k].reshape(shape)
-    return acc.real
+    return acc
 
 
 def _bisect(mom, t0, step, lo, hi, lo_pos):
@@ -196,17 +236,15 @@ def _bisect(mom, t0, step, lo, hi, lo_pos):
     return 0.5 * (lo + hi)
 
 
-def _suspicious_triples(vals, absv, flips, scale):
+def _suspicious_triples(vals, r, i, scale):
     """(row, index) pairs of interior grid points hiding a possible root pair.
 
-    A triple (i-1, i, i+1) of same-sign values with a discrete |v| minimum at
-    i is fitted with a parabola; the fit's extremum value crossing zero, or
-    landing within a quarter of the discrete curvature scale of it, flags the
-    neighborhood for refinement.  Only the same-sign minima are fitted.
+    Candidates are the triples (i, i+1, i+2) of row ``r`` whose values share
+    one sign and whose |v| is least at the middle.  Each is fitted with a
+    parabola; the fit's extremum value crossing zero, or landing within a
+    quarter of the discrete curvature scale of it, flags the neighborhood
+    of the middle point for refinement.
     """
-    a1 = absv[:, 1:-1]
-    cand = ~flips[:, :-1] & ~flips[:, 1:] & (a1 <= absv[:, :-2]) & (a1 <= absv[:, 2:])
-    r, i = np.nonzero(cand)
     v0, v1, v2 = vals[r, i], vals[r, i + 1], vals[r, i + 2]
     d1 = 0.5 * (v2 - v0)
     d2 = v2 - 2.0 * v1 + v0
@@ -216,6 +254,42 @@ def _suspicious_triples(vals, absv, flips, scale):
     ok = (np.abs(d2) > 0) & (np.abs(d1) <= 1.5 * np.abs(d2))
     hit = ok & ((np.sign(est) != np.sign(v1)) | (np.abs(est) <= margin))
     return r[hit], i[hit] + 1
+
+
+def _classify(vals, locate):
+    """Sign changes, scales and suspects of grid values ``vals``, shape (B, P).
+
+    Returns each row's sign-change count and largest |value|, the (row,
+    index) pairs of suspicious triples and, with ``locate``, the (row,
+    index) pairs of the left points of sign changes (else None).  Rows go
+    in blocks of _BLOCK_ENTRIES // P so that a block's temporaries stay in
+    cache; positions are gathered as flat indices.
+    """
+    B, P = vals.shape
+    counts = np.empty(B, dtype=np.int64)
+    scale = np.empty(B)
+    none = np.empty(0, dtype=np.intp)
+    cands, changes = [none], [none]
+    rows = max(1, _BLOCK_ENTRIES // P)
+    for s in range(0, B, rows):
+        v = vals[s : s + rows]
+        absv = np.abs(v)
+        np.max(absv, axis=1, out=scale[s : s + rows])
+        sgn = v > 0
+        same = sgn[:, :-1] == sgn[:, 1:]
+        counts[s : s + rows] = (P - 1) - np.count_nonzero(same, axis=1)
+        a1 = absv[:, 1:-1]
+        cand = a1 <= absv[:, :-2]
+        cand &= a1 <= absv[:, 2:]
+        cand &= same[:, :-1]
+        cand &= same[:, 1:]
+        cands.append(s * (P - 2) + np.flatnonzero(cand))
+        if locate:
+            changes.append(s * (P - 1) + np.flatnonzero(~same))
+    r, i = np.divmod(np.concatenate(cands), max(P - 2, 1))
+    s_rows, s_idx = _suspicious_triples(vals, r, i, scale)
+    changes = np.divmod(np.concatenate(changes), P - 1) if locate else None
+    return counts, scale, s_rows, s_idx, changes
 
 
 def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
@@ -233,11 +307,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     step = 2.0 * np.pi * (K if rescaled else 1.0) / N
     pts, vals = _scan_grid(a, b, freqs, N, step, lo, hi)
     B, P = vals.shape
-    absv = np.abs(vals)
-    scale = absv.max(axis=1)
-    sgn = vals > 0
-    flips = sgn[:, :-1] != sgn[:, 1:]
-    counts = flips.sum(axis=1)
+    counts, scale, s_rows, s_idx, changes = _classify(vals, locate)
 
     # Refinement: the grid cells on either side of a suspect, keyed
     # row * P + left point, are re-scanned at 4x density.  Both ends of such
@@ -245,7 +315,6 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     # come from the Taylor expansion about the cell's left point; the
     # derivative at each end comes from that point's own expansion, so that
     # neighbouring cells agree on it.
-    s_rows, s_idx = _suspicious_triples(vals, absv, flips, scale)
     cells = np.unique(np.concatenate((s_rows * P + s_idx - 1, s_rows * P + s_idx)))
     points = np.unique(np.concatenate((cells, cells + 1)))
     mom = _expansions(a, b, freqs, points // P, pts[points % P], step)
@@ -255,12 +324,12 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     t = pts[p, None] + np.multiply.outer(pts[p + 1] - pts[p], np.arange(5) / 4.0)
     t[:, 4] = pts[p + 1]
     u = (t[:, 1:4] - t[:, :1]) / step
-    sg = np.repeat(sgn[rows, p][:, None], 5, axis=1)
+    sg = np.repeat(vals[rows, p][:, None] > 0, 5, axis=1)
     sg[:, 1:4] = _taylor(mom[left], u) > 0
     dpos = np.empty((cells.size, 5), dtype=bool)
-    dpos[:, 0] = dmom[left, 0].real > 0
+    dpos[:, 0] = dmom[left, 0] > 0
     dpos[:, 1:4] = _taylor(dmom[left], u) > 0
-    dpos[:, 4] = dmom[left + 1, 0].real > 0
+    dpos[:, 4] = dmom[left + 1, 0] > 0
     flip = sg[:, :-1] != sg[:, 1:]
     np.add.at(counts, rows, flip.sum(axis=1))
 
@@ -279,7 +348,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     if locate:
         # one bracket per crossing: coarse cells (expanded about their left
         # grid point), refined cells, and both sides of each crossed extremum
-        kr, kp = np.nonzero(flips)
+        kr, kp = changes
         fr, fq = np.nonzero(flip)
         cr = np.flatnonzero(crossed)
         xc, xq, xmom = ci[cr], q[cr], mom[left[ci[cr]]]
@@ -291,7 +360,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
             step,
             np.concatenate((pts[kp], t[fr, fq], t[xc, xq], tstar[cr])),
             np.concatenate((pts[kp + 1], t[fr, fq + 1], tstar[cr], t[xc, xq + 1])),
-            np.concatenate((sgn[kr, kp], sg[fr, fq], sg[xc, xq], vstar[cr] > 0)),
+            np.concatenate((vals[kr, kp] > 0, sg[fr, fq], sg[xc, xq], vstar[cr] > 0)),
         )
         order = np.lexsort((roots, owner))
         root_lists = np.split(roots[order], np.cumsum(np.bincount(owner, minlength=B))[:-1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trigzero import experiments
-from trigzero.errors import UsageError
+from trigzero.errors import CampaignError, UsageError
 from trigzero.experiments import (
     ExperimentConfig,
     IntervalSpec,
@@ -194,16 +194,17 @@ class TestWindowChop:
         assert reports[0] == reports[1]
 
     def test_tangent_rows_left_out(self, monkeypatch):
-        # flag row 7 of every chunk (replicates 7 and 263) on the left
-        # interval only; the report must be the moments of the other rows
-        K, reps, seed = 30, 300, 1
+        # flag replicate 7 on the left interval only, one of 1200 rows (under
+        # the 0.1% exclusion cap); the report must be the moments of the
+        # other rows
+        K, reps, seed = 30, 1200, 1
         real = experiments.scan_count_batch
+        flagged = draw_coefficient_batch(K, "cosine", seed, [7])[0][0]
 
         def flagging(a, b, K, interval, **kw):
             counts, warns = real(a, b, K, interval, **kw)
             if interval[0] == 0.0:
-                warns = warns.copy()
-                warns[7] = 1
+                warns = warns + np.all(a == flagged, axis=1)
             return counts, warns
 
         monkeypatch.setattr(experiments, "scan_count_batch", flagging)
@@ -211,10 +212,26 @@ class TestWindowChop:
         w0, w1 = window_bounds(K, 0.25)
         a, _ = draw_coefficient_batch(K, "cosine", seed, range(reps))
         totals = sum(scan_count_batch(a, None, K, iv)[0] for iv in ((0.0, w0 / K), (w1 / K, np.pi)))
-        kept = np.delete(totals, [7, 263]).astype(float)
+        kept = np.delete(totals, [7]).astype(float)
         root = math.sqrt(K * math.pi)
         assert rep.replicates == reps
         assert rep.mean_complement == pytest.approx(kept.mean(), rel=1e-12)
         assert rep.var_complement == pytest.approx(kept.var(ddof=1), rel=1e-10)
         se = math.sqrt(kept.var(ddof=1) / kept.size)
         assert rep.se_ratio == pytest.approx(se / root, rel=1e-10)
+
+    @pytest.mark.parametrize("flag_every", [1, 150])
+    def test_exclusions_over_cap_raise(self, monkeypatch, flag_every):
+        # every row warned (no clean replicate left), or row 7 of every 150
+        # (1%): the check refuses, as a campaign does, by the same rule
+        real = experiments.scan_count_batch
+
+        def flagging(a, b, K, interval, **kw):
+            counts, warns = real(a, b, K, interval, **kw)
+            return counts, warns + (np.arange(a.shape[0]) % flag_every == 7 % flag_every)
+
+        monkeypatch.setattr(experiments, "scan_count_batch", flagging)
+        with pytest.raises(CampaignError, match="excluded at K=30"):
+            window_chop_check(30, 0.25, 300, seed=1)
+        with pytest.raises(CampaignError, match="excluded at K=30"):
+            run_campaign(_config(replicates=300))

@@ -1,6 +1,7 @@
 """Scan counting versus the companion-matrix oracle."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from trigzero.sampling import (
 from trigzero.zeros import (
     _STACK_ENTRIES,
     _eigen_roots,
+    _expansions,
     _freqs,
     _lattice_values,
     _scan_batch,
@@ -315,16 +317,20 @@ class TestLatticeGrid:
         assert np.array_equal(pts[1:-1], j * step)
         assert np.all(np.diff(j) == 1)
         assert pts[1] - lo <= step * (1 + 1e-9) and hi - pts[-2] <= step * (1 + 1e-9)
-        # compare on at most ~2000 evenly spread points, ends included
+        # compare on at most ~2000 evenly spread points, ends included: the
+        # grid's values (summed directly on short grids), and the FFT
+        # lattice values of the interior points whichever route the grid took
         keep = np.unique(np.r_[np.arange(0, pts.size, max(1, pts.size // 2000)), pts.size - 1])
+        inner = keep[(keep > 0) & (keep < pts.size - 1)]
         want = _direct_values(a, b, freqs, pts[keep])
-        got = vals[:, keep]
         row_max = np.max(np.abs(want), axis=1, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-11 * row_max)
-        # signs agree wherever the path is not zero to rounding (K = 1
-        # vanishes exactly at pi/2 and 3pi/2, lattice points)
-        clear = np.abs(want) > 1e-14 * row_max
-        assert np.array_equal((got > 0)[clear], (want > 0)[clear])
+        lattice = _lattice_values(a, b, N, j.astype(np.int64))
+        for got, ref in ((vals[:, keep], want), (lattice[:, inner - 1], want[:, np.isin(keep, inner)])):
+            assert np.all(np.abs(got - ref) <= 1e-11 * row_max)
+            # signs agree wherever the path is not zero to rounding (K = 1
+            # vanishes exactly at pi/2 and 3pi/2, lattice points)
+            clear = np.abs(ref) > 1e-14 * row_max
+            assert np.array_equal((got > 0)[clear], (ref > 0)[clear])
 
 
     @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
@@ -384,12 +390,79 @@ class TestBatchEngine:
         for r in range(reps):
             assert counts[r] == eig[r].size
 
-    def test_pinned_k1600_counts(self):
+    @pytest.mark.parametrize("K", [30, 1600])
+    def test_empty_batch(self, K):
+        # K = 30 on [0, pi/8] is summed directly, K = 1600 goes through the FFT
+        counts, warns = scan_count_batch(np.zeros((0, K)), None, K, (0.0, np.pi / 8))
+        assert counts.shape == warns.shape == (0,)
+
+    @pytest.fixture(scope="class")
+    def k1600_chunk(self):
         # seed 0, replicates 0..255, K = 1600 on [0, pi/2): the first chunk
-        # of the benchmark's large-K campaign, counted before the FFT scan
-        a, b = draw_coefficient_batch(1600, "cosine", 0, range(256))
-        counts, warns = scan_count_batch(a, b, 1600, (0.0, 0.5 * np.pi))
+        # of the benchmark's large-K campaign
+        a, _ = draw_coefficient_batch(1600, "cosine", 0, range(256))
+        counts, warns = scan_count_batch(a, None, 1600, (0.0, 0.5 * np.pi))
+        return a, counts, warns
+
+    def test_pinned_k1600_counts(self, k1600_chunk):
+        # counted before the FFT scan
+        _, counts, warns = k1600_chunk
         assert int(counts.sum()) == 118438
         assert not warns.any()
         digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
         assert digest == "d7c8bb4343644bb699e3ad493cda76867f2fd4e7db753cbf9a6f521cb85203ca"
+
+    def test_row_blocks_do_not_change_counts(self, k1600_chunk):
+        # 37 rows from the middle of the chunk: not a multiple of the FFT,
+        # classification or expansion row blocks, nor aligned with them
+        a, counts, warns = k1600_chunk
+        sub_counts, sub_warns = scan_count_batch(a[101:138], None, 1600, (0.0, 0.5 * np.pi))
+        assert np.array_equal(sub_counts, counts[101:138])
+        assert np.array_equal(sub_warns, warns[101:138])
+
+    def test_k1600_row_against_colleague_matrix(self):
+        # cos(n t) = T_n(cos t), so the roots in x = cos t of the Chebyshev
+        # series [0, a_1, ..., a_K] that are real and lie in (0, 1] are the
+        # zeros on [0, pi/2); an oracle at the campaign degree K = 1600
+        K = 1600
+        a, _ = draw_coefficient_batch(K, "cosine", 1, range(1))
+        counts, warns = scan_count_batch(a, None, K, (0.0, 0.5 * np.pi))
+        x = np.polynomial.chebyshev.chebroots(np.r_[0.0, a[0]])
+        real = x[np.abs(x.imag) < 1e-7].real
+        assert not warns.any()
+        assert counts[0] == np.count_nonzero((real > 0.0) & (real <= 1.0))
+
+
+class TestRealMoments:
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    def test_moments_match_mpmath(self, ensemble):
+        # Taylor moments about K = 1600 lattice points t = j * step against a
+        # 40-digit sum with exact phases 2 pi (n j mod N) / N.  Column k is
+        # sum_n g_k(n) * (C, -S, -C, S)[k mod 4] with g_k(n) = (n step)^k / k!,
+        # C = a cos + b sin and S = a sin - b cos.  The bound allows each
+        # term a rounding error of 2 eps times its size and its phase n t
+        mpmath = pytest.importorskip("mpmath")
+        K, cols = 1600, (0, 1, 2, 17)
+        N = 2 * 16 * K
+        step = 2.0 * np.pi / N
+        j = np.array([1, 4321, 12799, 25599])
+        a, b = draw_coefficient_batch(K, ensemble, 3, range(1))
+        mom = _expansions(a, b, _freqs(K, False), np.zeros(j.size, dtype=int), j * step, step)
+        n = np.arange(1, K + 1)
+        size = np.abs(a[0]) + (0.0 if b is None else np.abs(b[0]))
+        with mpmath.workdps(40):
+            h = 2 * mpmath.pi / N
+            g = {k: [(m * h) ** k / mpmath.factorial(k) for m in range(1, K + 1)] for k in cols}
+            coef = [(mpmath.mpf(float(x)), 0 if b is None else mpmath.mpf(float(y)))
+                    for x, y in zip(a[0], a[0] if b is None else b[0])]
+            for p, jp in enumerate(j):
+                phase = [2 * mpmath.pi * ((m * int(jp)) % N) / N for m in range(1, K + 1)]
+                cs = [(mpmath.cos(x), mpmath.sin(x)) for x in phase]
+                C = [an * c + bn * sn for (an, bn), (c, sn) in zip(coef, cs)]
+                S = [an * sn - bn * c for (an, bn), (c, sn) in zip(coef, cs)]
+                for k in cols:
+                    sign, term = ((1, C), (-1, S), (-1, C), (1, S))[k % 4]
+                    want = sign * mpmath.fsum(x * y for x, y in zip(g[k], term))
+                    gk = (n * step) ** k / math.factorial(k)
+                    bound = 2 * np.finfo(float).eps * np.sum(gk * size * (1.0 + n * j[p] * step))
+                    assert abs(mom[p, k] - float(want)) <= bound, (k, int(jp))
