@@ -29,11 +29,18 @@ _Z_995 = 2.575829303548901  # 99% two-sided normal quantile
 
 
 def worker_count() -> int:
-    env = os.environ.get("TRIGZERO_THREADS", "0")
+    """Campaign threads: TRIGZERO_THREADS if positive, else automatic.
+
+    0, blank or unset means automatic; anything but a non-negative integer
+    is a UsageError.
+    """
+    env = os.environ.get("TRIGZERO_THREADS", "").strip() or "0"
     try:
         n = int(env)
     except ValueError:
-        n = 0
+        n = -1
+    if n < 0:
+        raise UsageError(f"TRIGZERO_THREADS must be a non-negative integer, got {env!r}")
     if n > 0:
         return n
     return min(os.cpu_count() or 1, 8)

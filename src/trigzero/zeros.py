@@ -2,20 +2,25 @@
 
 The scan method samples each replicate on the lattice t_j = j * period / N,
 with N = 2 * oversample * K points per period, fine relative to the 2K root
-bound.  One FFT of a replicate's coefficients gives all its lattice values
-(a real FFT for the cosine ensemble); an interval end off the lattice is
-added as a grid point and summed directly.  A grid short enough that
-direct sums cost less than the FFT (P points with P * K < N log2 N) is
-summed directly throughout.  Sign changes between neighbouring grid points
-are counted, and suspects classified, in blocks of rows sized to stay in
-cache.
+bound.  One single-precision FFT of a replicate's coefficients gives all
+its lattice values (a real FFT for the cosine ensemble, complex64 for the
+stationary one), each within beta = eps_32 * log2(N) * sum_n (|a_n| + |b_n|)
+of the exact sum.  Every lattice value smaller than beta is re-valued by a
+float64 direct sum, so the sign of every grid value is the sign of its
+float64 sum.  An interval end off the lattice is added as a grid point and
+summed directly.  A grid short enough that direct sums cost less than the
+FFT (P points with P * K < N log2 N) is summed directly throughout, with
+beta = 0.  Sign changes between neighbouring grid points are counted, and
+suspects classified, in blocks of rows sized to stay in cache.
 
 Same-sign triples whose parabola fit dips toward zero flag the two cells
-around them, which are re-scanned at 4x density.  There the path comes from
-a Taylor expansion about each lattice point, exact to rounding within a
-lattice step.  Its moments are real: two real matrix products per block of
-points, over phases exp(i n t) built from two tables of about sqrt(K)
-columns per point.  A sign-preserving extremum found
+around them, which are re-scanned at 4x density.  The tests are widened by
+beta so that every triple the float64 values would flag is flagged; an
+extra flagged cell costs only work, as the re-scan is exact.  There the
+path comes from a Taylor expansion about each lattice point, exact to
+rounding within a lattice step.  Its moments are real: two real matrix
+products per block of points, over phases exp(i n t) built from two tables
+of about sqrt(K) columns per point.  A sign-preserving extremum found
 there is located by bisection on the derivative, all extrema of the batch
 in lockstep.  If the extremum value is indistinguishable from zero, its cell
 is returned in ``ZeroCountResult.warnings`` as a tangency bracket and adds
@@ -56,9 +61,16 @@ _BISECT_WIDTH = 1e-12
 _SUSPECT_FRACTION = 0.25
 _TANGENCY_REL_TOL = 1e-10
 
-# complex entries held at once by the FFT blocks and the Taylor expansions;
-# bounds their scratch memory
+# entries held at once by the classification blocks, the direct sums and
+# the Taylor expansions; bounds their scratch memory
 _BLOCK_ENTRIES = 1 << 16
+# bytes of the single-precision FFT input buffer, filled in blocks of rows
+# that are a multiple of 4: at K = 1600, blocks of 4 or 8 rows transformed
+# in about half the time of blocks of 1, 2, 5, 6 or 10 rows; at K = 100,
+# 160-row blocks (2 MB) were slower than 40 or 80 rows
+_FFT_BYTES = 1 << 20
+# unit roundoff of the lattice FFT, which runs in float32 (see _fft_bound)
+_FFT_EPS = float(np.finfo(np.float32).eps)
 # an interval end within this many lattice steps of a lattice point is
 # treated as that point
 _LATTICE_TOL = 1e-9
@@ -83,13 +95,15 @@ def _freqs(K: int, rescaled: bool) -> np.ndarray:
 
 
 def _lattice_values(a, b, N, j):
-    """Values of every row of (a, b) at the lattice points j * period / N.
+    """Float32 FFT values of every row of (a, b) at lattice points j * period / N.
 
     Each row is one FFT of length N with coefficient n at input index n, so
     output j is sum_n (a_n + i b_n) exp(-2 pi i n j / N), whose real part is
     the value.  The cosine ensemble is even in t, so it uses a real FFT and
-    folds j > N/2 onto N - j.  Blocks of rows go through one zero-padded
-    input buffer, filled in place.
+    folds j > N/2 onto N - j.  The transforms run in float32 (complex64 for
+    the stationary ensemble); each value is off by at most the row's
+    ``_fft_bound``.  Blocks of rows go through one zero-padded input buffer,
+    filled in place, and are cast to float64 as they are copied out.
     """
     from scipy import fft  # deferred: commands that scan nothing never load scipy
 
@@ -97,34 +111,52 @@ def _lattice_values(a, b, N, j):
     B, K = a.shape
     if b is None:
         j = np.minimum(j, N - j)
-        transform, width = fft.rfft, N // 2 + 1
+        transform, dtype = fft.rfft, np.float32
     else:
-        transform, width = fft.fft, N
+        transform, dtype = fft.fft, np.complex64
     # one ascending run (every interval inside [0, pi] on the cosine
     # ensemble) is copied as a slice; folded or wrapped indices are gathered
     run = bool(np.all(np.diff(j) == 1))
     cols = slice(j[0], j[0] + j.size)
-    rows = max(1, min(B, _BLOCK_ENTRIES // width))
-    x = np.zeros((rows, N), dtype=float if b is None else complex)
+    groups = _FFT_BYTES // (4 * N * np.dtype(dtype).itemsize)
+    rows = max(1, min(B, 4 * max(1, groups)))  # whole groups of 4 rows
+    x = np.zeros((rows, N), dtype=dtype)
     vals = np.empty((B, j.size))
     for s in range(0, B, rows):
         xs = x[: min(rows, B - s)]
         xs[:, 1 : K + 1] = a[s : s + rows]
         if b is not None:
-            xs[:, 1 : K + 1] += 1j * b[s : s + rows]
+            xs.imag[:, 1 : K + 1] = b[s : s + rows]
         out = transform(xs).real
         vals[s : s + rows] = out[:, cols] if run else np.take(out, j, axis=1)
     return vals
 
 
-def _scan_grid(a, b, freqs, N, step, lo, hi):
-    """Scan grid on [lo, hi] and every row's values there, shape (B, P).
+def _fft_bound(a, b, N):
+    """Each row's bound on the error of its ``_lattice_values``.
 
-    Interior points are the lattice points j * step strictly inside; the
-    ends are exactly lo and hi.  A grid with P * K < N log2 N (short
-    intervals) is valued by direct sums, which then cost less than one FFT
-    per row; otherwise values come from the lattice, and an end off it is
-    summed directly.
+    A float32 FFT of length N is accurate to _FFT_EPS * log2(N) times the
+    1-norm of its input (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sec. 24.1); rounding the coefficients to
+    float32 adds at most half that.
+    """
+    norm = np.abs(a).sum(axis=1)
+    if b is not None:
+        norm += np.abs(b).sum(axis=1)
+    return _FFT_EPS * math.log2(N) * norm
+
+
+def _scan_grid(a, b, freqs, N, step, lo, hi):
+    """Scan grid on [lo, hi], every row's values there, and their error bounds.
+
+    Returns pts (P,), vals (B, P) and err (B,): each value is within err of
+    the float64 sum, and its sign is the sign of that sum.  Interior points
+    are the lattice points j * step strictly inside; the ends are exactly lo
+    and hi.  A grid with P * K < N log2 N (short intervals) is valued by
+    direct sums (err = 0), which then cost less than one FFT per row;
+    otherwise values come from the float32 lattice, every value smaller than
+    its row's bound is re-valued by a float64 direct sum (the column 0 of
+    ``_expansions``), and an end off the lattice is summed directly.
     """
     x = np.array([lo, hi]) / step
     near = np.rint(x)
@@ -136,12 +168,21 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
     pts = j * step
     pts[0], pts[-1] = lo, hi
     if j.size * freqs.size < N * math.log2(N):
-        return pts, _eval_at(a, b, freqs, pts)
+        return pts, _eval_at(a, b, freqs, pts), np.zeros(a.shape[0])
     vals = _lattice_values(a, b, N, j)
-    ends = np.array([0, j.size - 1])[direct]
+    err = _fft_bound(a, b, N)
+    B, P = vals.shape
+    rows = max(1, _BLOCK_ENTRIES // P)
+    small = [np.empty(0, dtype=np.intp)] + [
+        s * P + np.flatnonzero(np.abs(vals[s : s + rows]) < err[s : s + rows, None])
+        for s in range(0, B, rows)
+    ]
+    r, i = np.divmod(np.concatenate(small), P)
+    vals[r, i] = _expansions(a, b, freqs, r, pts[i], step)[:, 0]
+    ends = np.array([0, P - 1])[direct]
     if ends.size:
         vals[:, ends] = _eval_at(a, b, freqs, pts[ends])
-    return pts, vals
+    return pts, vals, err
 
 
 def _eval_at(a, b, freqs, pts):
@@ -236,34 +277,59 @@ def _bisect(mom, t0, step, lo, hi, lo_pos):
     return 0.5 * (lo + hi)
 
 
-def _suspicious_triples(vals, r, i, scale):
+def _suspicious_triples(vals, r, i, scale, err):
     """(row, index) pairs of interior grid points hiding a possible root pair.
 
     Candidates are the triples (i, i+1, i+2) of row ``r`` whose values share
     one sign and whose |v| is least at the middle.  Each is fitted with a
-    parabola; the fit's extremum value crossing zero, or landing within a
-    quarter of the discrete curvature scale of it, flags the neighborhood
-    of the middle point for refinement.
+    parabola: d1 = (v2 - v0) / 2, d2 = v2 - 2 v1 + v0, and the extremum
+    value est = v1 - d1^2 / (2 d2).  With |d2| > 0 and |d1| <= 1.5 |d2|
+    (``ok``), est crossing zero or landing within a margin of a quarter of
+    |d2| (plus 1e-13 of the row scale) of it flags the neighborhood of the
+    middle point for refinement; with s = sign(v1) != 0 that is
+    s * est <= margin, and v1 = 0 is always flagged.
+
+    Each value may be off by up to e = ``err[r]`` (with a sign that is
+    right), and the test flags every triple that some values within e of
+    the given ones would flag.  Such values move |d1| by at most e, d2 by at
+    most 4 e, |v1| by at most e and the row scale by at most e, so ``ok``
+    may hold if |d1| - e <= 1.5 (|d2| + 4 e), the margin is at most
+    0.25 (|d2| + 4 e) + 1e-13 (scale + e), and s * est is at least
+    ``least``: with |d2| > 4 e, d2 keeps its sign and s * est is
+    |v1| - d1^2 / (2 |d2|) when d2 has the sign of v1, else
+    |v1| + d1^2 / (2 |d2|), each bounded by the extreme d1 and d2; with
+    |d2| <= 4 e, d2 may take either sign, but ``ok`` caps d1^2 / (2 |d2|)
+    at 1.125 |d2|.  With e = 0 the test is the plain one.
     """
     v0, v1, v2 = vals[r, i], vals[r, i + 1], vals[r, i + 2]
-    d1 = 0.5 * (v2 - v0)
+    e = err[r]
+    d1 = np.abs(0.5 * (v2 - v0))
     d2 = v2 - 2.0 * v1 + v0
+    d1_lo, d1_hi = np.maximum(d1 - e, 0.0), d1 + e
+    d2_lo, d2_hi = np.abs(d2) - 4.0 * e, np.abs(d2) + 4.0 * e
+    ok = (d2_hi > 0) & (d1_lo <= 1.5 * d2_hi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        est = v1 - d1 * d1 / (2.0 * d2)
-    margin = _SUSPECT_FRACTION * np.abs(d2) + 1e-13 * scale[r]
-    ok = (np.abs(d2) > 0) & (np.abs(d1) <= 1.5 * np.abs(d2))
-    hit = ok & ((np.sign(est) != np.sign(v1)) | (np.abs(est) <= margin))
+        shift = np.where(
+            np.sign(d2) == np.sign(v1), d1_hi * d1_hi / (2.0 * d2_lo), -d1_lo * d1_lo / (2.0 * d2_hi)
+        )
+    least = np.abs(v1) - e - np.where(d2_lo > 0, shift, 1.125 * d2_hi)
+    margin = _SUSPECT_FRACTION * d2_hi + 1e-13 * (scale[r] + e)
+    hit = ok & ((v1 == 0) | (least <= margin))
     return r[hit], i[hit] + 1
 
 
-def _classify(vals, locate):
+def _classify(vals, err, locate):
     """Sign changes, scales and suspects of grid values ``vals``, shape (B, P).
 
+    Each row's values may be off by its ``err`` (see ``_scan_grid``).
     Returns each row's sign-change count and largest |value|, the (row,
     index) pairs of suspicious triples and, with ``locate``, the (row,
-    index) pairs of the left points of sign changes (else None).  Rows go
-    in blocks of _BLOCK_ENTRIES // P so that a block's temporaries stay in
-    cache; positions are gathered as flat indices.
+    index) pairs of the left points of sign changes (else None).  A middle
+    point is a candidate when its |v| exceeds neither neighbour's by more
+    than 2 err, so that every triple the exact values would make a
+    candidate is one.  Rows go in blocks of _BLOCK_ENTRIES // P so that a
+    block's temporaries stay in cache; positions are gathered as flat
+    indices.
     """
     B, P = vals.shape
     counts = np.empty(B, dtype=np.int64)
@@ -278,7 +344,7 @@ def _classify(vals, locate):
         sgn = v > 0
         same = sgn[:, :-1] == sgn[:, 1:]
         counts[s : s + rows] = (P - 1) - np.count_nonzero(same, axis=1)
-        a1 = absv[:, 1:-1]
+        a1 = absv[:, 1:-1] - 2.0 * err[s : s + rows, None]
         cand = a1 <= absv[:, :-2]
         cand &= a1 <= absv[:, 2:]
         cand &= same[:, :-1]
@@ -287,7 +353,7 @@ def _classify(vals, locate):
         if locate:
             changes.append(s * (P - 1) + np.flatnonzero(~same))
     r, i = np.divmod(np.concatenate(cands), max(P - 2, 1))
-    s_rows, s_idx = _suspicious_triples(vals, r, i, scale)
+    s_rows, s_idx = _suspicious_triples(vals, r, i, scale, err)
     changes = np.divmod(np.concatenate(changes), P - 1) if locate else None
     return counts, scale, s_rows, s_idx, changes
 
@@ -305,9 +371,9 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     freqs = _freqs(K, rescaled)
     N = 2 * oversample * K
     step = 2.0 * np.pi * (K if rescaled else 1.0) / N
-    pts, vals = _scan_grid(a, b, freqs, N, step, lo, hi)
+    pts, vals, err = _scan_grid(a, b, freqs, N, step, lo, hi)
     B, P = vals.shape
-    counts, scale, s_rows, s_idx, changes = _classify(vals, locate)
+    counts, scale, s_rows, s_idx, changes = _classify(vals, err, locate)
 
     # Refinement: the grid cells on either side of a suspect, keyed
     # row * P + left point, are re-scanned at 4x density.  Both ends of such

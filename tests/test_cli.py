@@ -79,6 +79,15 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", "--reps", "10", "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("threads", ["abc", "-2", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, runner, tmp_path, monkeypatch, threads):
+        # 0 or unset means automatic; any other value must be a positive integer
+        monkeypatch.setenv("TRIGZERO_THREADS", threads)
+        res = runner.invoke(main, ["simulate", "--K", "5", "--reps", "10", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "TRIGZERO_THREADS" in res.output
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("degree", ["0", "-3"])
     def test_degree_below_one_is_usage_error(self, runner, tmp_path, degree):
         res = runner.invoke(

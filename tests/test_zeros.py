@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from trigzero import zeros
 from trigzero.errors import UsageError
 from trigzero.sampling import (
     CoefficientVector,
@@ -16,6 +17,7 @@ from trigzero.sampling import (
 )
 from trigzero.zeros import (
     _STACK_ENTRIES,
+    _classify,
     _eigen_roots,
     _expansions,
     _freqs,
@@ -304,13 +306,15 @@ class TestLatticeGrid:
     @pytest.mark.parametrize("rescaled", [False, True])
     @pytest.mark.parametrize("name", sorted(_INTERVALS))
     def test_fft_values_match_direct_sums(self, K, ensemble, rescaled, name):
+        # the lattice runs in float32: its values are held to the stated
+        # rounding bound beta, and grid values summed in float64 to 1e-11
         oversample = 16
         lo, hi = (x * K if rescaled else x for x in _INTERVALS[name])
         a, b = draw_coefficient_batch(K, ensemble, 11, range(3))
         freqs = _freqs(K, rescaled)
         N = 2 * oversample * K
         step = 2.0 * np.pi * (K if rescaled else 1.0) / N
-        pts, vals = _scan_grid(a, b, freqs, N, step, lo, hi)
+        pts, vals, err = _scan_grid(a, b, freqs, N, step, lo, hi)
         # the grid is lo, the lattice points strictly inside, and hi
         assert pts[0] == lo and pts[-1] == hi
         j = np.rint(pts[1:-1] / step)
@@ -318,20 +322,37 @@ class TestLatticeGrid:
         assert np.all(np.diff(j) == 1)
         assert pts[1] - lo <= step * (1 + 1e-9) and hi - pts[-2] <= step * (1 + 1e-9)
         # compare on at most ~2000 evenly spread points, ends included: the
-        # grid's values (summed directly on short grids), and the FFT
-        # lattice values of the interior points whichever route the grid took
+        # grid's values, and the FFT lattice values of the kept points on
+        # the lattice whichever route the grid took
         keep = np.unique(np.r_[np.arange(0, pts.size, max(1, pts.size // 2000)), pts.size - 1])
-        inner = keep[(keep > 0) & (keep < pts.size - 1)]
         want = _direct_values(a, b, freqs, pts[keep])
         row_max = np.max(np.abs(want), axis=1, keepdims=True)
-        lattice = _lattice_values(a, b, N, j.astype(np.int64))
-        for got, ref in ((vals[:, keep], want), (lattice[:, inner - 1], want[:, np.isin(keep, inner)])):
-            assert np.all(np.abs(got - ref) <= 1e-11 * row_max)
-            # signs agree wherever the path is not zero to rounding (K = 1
-            # vanishes exactly at pi/2 and 3pi/2, lattice points)
-            clear = np.abs(ref) > 1e-14 * row_max
-            assert np.array_equal((got > 0)[clear], (ref > 0)[clear])
-
+        jk = np.rint(pts[keep] / step)
+        on = np.abs(pts[keep] / step - jk) <= 1e-9
+        lattice = _lattice_values(a, b, N, jk[on].astype(np.int64))
+        # the stated bound of the float32 lattice: eps_32 * log2 N * sum_n (|a_n| + |b_n|)
+        norm = np.abs(a).sum(axis=1) + (0.0 if b is None else np.abs(b).sum(axis=1))
+        beta = (np.finfo(np.float32).eps * np.log2(N) * norm)[:, None]
+        ref = want[:, on]
+        assert np.all(np.abs(lattice - ref) <= beta)
+        clear = np.abs(ref) > beta
+        assert np.array_equal((lattice > 0)[clear], (ref > 0)[clear])
+        # grid values: lattice values on an FFT grid where |lattice| >= beta,
+        # held to beta with signs exact outside it; direct sums elsewhere
+        # (short grids, ends off the lattice, re-valued lattice points),
+        # held to 1e-11 of the row's largest value, with signs agreeing
+        # wherever the path is not zero to rounding (K = 1 vanishes exactly
+        # at pi/2 and 3pi/2, lattice points)
+        fft = np.zeros(want.shape, dtype=bool)
+        if err.any():
+            assert np.allclose(err, beta[:, 0], rtol=1e-12, atol=0.0)
+            fft[:, on] = np.abs(lattice) >= beta
+        else:
+            assert j.size * K < N * np.log2(N)
+        got = vals[:, keep]
+        assert np.all(np.abs(got - want) <= np.where(fft, beta, 1e-11 * row_max))
+        clear = np.abs(want) > np.where(fft, beta, 1e-14 * row_max)
+        assert np.array_equal((got > 0)[clear], (want > 0)[clear])
 
     @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
     def test_gathered_values_equal_sliced_values(self, ensemble):
@@ -466,3 +487,169 @@ class TestRealMoments:
                     gk = (n * step) ** k / math.factorial(k)
                     bound = 2 * np.finfo(float).eps * np.sum(gk * size * (1.0 + n * j[p] * step))
                     assert abs(mom[p, k] - float(want)) <= bound, (k, int(jp))
+
+
+def _lattice_values_f64(a, b, N, j):
+    """Reference: the lattice values by double-precision FFTs.
+
+    Each row is one FFT of length N with coefficient n at input index n, so
+    output j is sum_n (a_n + i b_n) exp(-2 pi i n j / N), whose real part is
+    the value; the cosine ensemble uses a real FFT and folds j > N/2 onto
+    N - j.
+    """
+    from scipy import fft
+
+    j = np.mod(j, N)
+    B, K = a.shape
+    if b is None:
+        j = np.minimum(j, N - j)
+        transform, width = fft.rfft, N // 2 + 1
+    else:
+        transform, width = fft.fft, N
+    run = bool(np.all(np.diff(j) == 1))
+    cols = slice(j[0], j[0] + j.size)
+    rows = max(1, min(B, (1 << 16) // width))
+    x = np.zeros((rows, N), dtype=float if b is None else complex)
+    vals = np.empty((B, j.size))
+    for s in range(0, B, rows):
+        xs = x[: min(rows, B - s)]
+        xs[:, 1 : K + 1] = a[s : s + rows]
+        if b is not None:
+            xs[:, 1 : K + 1] += 1j * b[s : s + rows]
+        out = transform(xs).real
+        vals[s : s + rows] = out[:, cols] if run else np.take(out, j, axis=1)
+    return vals
+
+
+@pytest.fixture
+def float64_scan(monkeypatch):
+    """Run a scan on the double-precision lattice with a zero rounding bound.
+
+    With the bound at zero nothing is re-valued and the classification is
+    the plain one: the scan as it was before the lattice went to float32.
+    """
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(zeros, "_lattice_values", _lattice_values_f64)
+            m.setattr(zeros, "_FFT_EPS", 0.0)
+            return fn(*args)
+
+    return run
+
+
+def _k1600_rows(ensemble, rows):
+    return draw_coefficient_batch(1600, ensemble, 0, range(rows))
+
+
+class TestMixedPrecision:
+    """The float32 lattice gives the counts and warnings of the float64 one."""
+
+    # (K, ensemble, seed, rows, interval, locate)
+    CASES = [
+        *[(100, "cosine", seed, 128, (0.0, np.pi), False) for seed in (0, 1, 2)],
+        (1600, "cosine", 0, 64, (0.0, 0.5 * np.pi), False),
+        (40, "cosine", 4, 64, (0.3, 2.9), True),
+        (40, "stationary", 4, 64, (0.3, 2.9), True),
+    ]
+
+    @pytest.mark.parametrize("K, ensemble, seed, rows, interval, locate", CASES)
+    def test_counts_match_float64_lattice(self, float64_scan, K, ensemble, seed, rows, interval, locate):
+        a, b = draw_coefficient_batch(K, ensemble, seed, range(rows))
+        args = (a, b, K, *interval, 16, False, locate)
+        counts, tangencies, roots = _scan_batch(*args)
+        ref_counts, ref_tangencies, ref_roots = float64_scan(_scan_batch, *args)
+        assert np.array_equal(counts, ref_counts)
+        for got, want in zip(tangencies, ref_tangencies):
+            assert np.array_equal(got, want)
+        if locate:
+            for got, want in zip(roots, ref_roots):
+                assert got.size == want.size
+                assert np.all(np.abs(got - want) <= 1e-12)
+        # the suspects of the float64 grid are all suspects of the mixed one
+        freqs, N = _freqs(K, False), 32 * K
+        grid = (a, b, freqs, N, 2.0 * np.pi / N, *interval)
+        _, vals, err = _scan_grid(*grid)
+        _, ref_vals, ref_err = float64_scan(_scan_grid, *grid)
+        assert err.any() and not ref_err.any()
+        mixed = _classify(vals, err, False)
+        ref = _classify(ref_vals, ref_err, False)
+        assert np.array_equal(mixed[0], ref[0])
+        P = vals.shape[1]
+        assert np.all(np.isin(ref[2] * P + ref[3], mixed[2] * P + mixed[3]))
+
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    def test_lattice_error_far_below_bound(self, ensemble):
+        # the stated bound is loose: about 1% of it is reached at K = 1600
+        K, N = 1600, 32 * 1600
+        a, b = _k1600_rows(ensemble, 8)
+        j = np.arange(N // 2 + 1 if b is None else N)
+        got = _lattice_values(a, b, N, j)
+        want = _lattice_values_f64(a, b, N, j)
+        beta = zeros._fft_bound(a, b, N)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 0.1 * beta)
+
+    # cos t, which vanishes at the lattice point pi/2, and two touch points
+    # of TestTangency within 0.13 steps of a lattice point, with their
+    # perturbed pairs; padded with zero coefficients to K = 64 so that the
+    # grid comes from the lattice
+    @pytest.mark.parametrize(
+        "tstar, delta", [(None, 0.0)] + [(t, d) for t in (1.0, 15.1 * np.pi / 48) for d in (0.0, 1e-6)]
+    )
+    def test_near_zero_values_resummed(self, float64_scan, tstar, delta):
+        K, N = 64, 2 * 16 * 64
+        step = 2.0 * np.pi / N
+        if tstar is None:
+            head = np.r_[1.0, 0.0, 0.0]
+        else:
+            head = TestTangency()._tangent_vector(tstar)[0].a - np.r_[delta / np.cos(tstar), 0.0, 0.0]
+        a = np.zeros((1, K))
+        a[0, :3] = head
+        freqs = _freqs(K, False)
+        pts, vals, err = _scan_grid(a, None, freqs, N, step, 0.0, np.pi)
+        raw = _lattice_values(a, None, N, np.arange(pts.size))
+        small = np.flatnonzero(np.abs(raw[0]) < err[0])
+        assert small.size
+        resummed = zeros._expansions(a, None, freqs, np.zeros(small.size, dtype=int), pts[small], step)
+        assert np.array_equal(vals[0, small], resummed[:, 0])
+        cv = _vector(K, a[0])
+        res = count_zeros_scan(cv, (0.0, np.pi))
+        ref = float64_scan(count_zeros_scan, cv, (0.0, np.pi))
+        assert res.count == ref.count == res.roots.size
+        assert res.warnings == ref.warnings
+        assert np.all(np.abs(res.roots - ref.roots) <= 1e-12)
+        if tstar is None:
+            assert res.count == 1 and abs(res.roots[0] - 0.5 * np.pi) < 1e-12
+        elif delta == 0.0:
+            assert len(res.warnings) == 1
+        else:
+            assert res.count == count_zeros_eigen(cv, (0.0, np.pi)).count
+
+
+class TestClassifyBound:
+    """Values off by at most err keep every suspect of the exact values."""
+
+    # rows of exact values whose triple at index 1..3 sits on the edge of a
+    # test: a near tie of |v| between the middle point and a neighbour, an
+    # extremum estimate at its margin, and second differences within 4 err
+    # of zero; values below err are re-valued in float64 by the scan, so
+    # only the others are perturbed
+    ERR = 1e-3
+    ROWS = [
+        [9.0, 5.0, 0.5, 0.5 + 0.5e-3, 5.0, 9.0],
+        [9.0, 1.5, 0.5, 1.5, 9.0, 9.0],
+        [9.0, 3e-4 + 1.5e-3, 3e-4, 3e-4 + 1.5e-3, 9.0, 9.0],
+        [-9.0, -2e-4 - 1.5e-3, -2e-4, -2e-4 - 1e-3, -9.0, -9.0],
+    ]
+
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_suspects_survive_every_perturbation(self, row):
+        exact = np.array([self.ROWS[row]])
+        _, _, rows, idx, _ = _classify(exact, np.zeros(1), False)
+        assert idx.size  # each edge case is a suspect of the exact values
+        e = np.full(1, self.ERR)
+        for shift in np.array(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 3)).reshape(3, -1).T:
+            vals = exact.copy()
+            vals[0, 1:4] += np.where(np.abs(exact[0, 1:4]) >= self.ERR, 0.999 * self.ERR * shift, 0.0)
+            _, _, r, i, _ = _classify(vals, e, False)
+            assert set(zip(rows, idx)) <= set(zip(r, i)), shift
