@@ -66,8 +66,8 @@ _TANGENCY_REL_TOL = 1e-10
 _BLOCK_ENTRIES = 1 << 16
 # bytes of the single-precision FFT input buffer, filled in blocks of rows
 # that are a multiple of 4: at K = 1600, blocks of 4 or 8 rows transformed
-# in about half the time of blocks of 1, 2, 5, 6 or 10 rows; at K = 100,
-# 160-row blocks (2 MB) were slower than 40 or 80 rows
+# in about half the time of blocks of 1, 2, 5, 6 or 10 rows, while whole
+# scans at K = 100 and 1600 took the same time with buffers of 0.5 to 4 MB
 _FFT_BYTES = 1 << 20
 # unit roundoff of the lattice FFT, which runs in float32 (see _fft_bound)
 _FFT_EPS = float(np.finfo(np.float32).eps)
