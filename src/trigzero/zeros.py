@@ -69,7 +69,7 @@ _BLOCK_ENTRIES = 1 << 16
 # in about half the time of blocks of 1, 2, 5, 6 or 10 rows, while whole
 # scans at K = 100 and 1600 took the same time with buffers of 0.5 to 4 MB
 _FFT_BYTES = 1 << 20
-# unit roundoff of the lattice FFT, which runs in float32 (see _fft_bound)
+# machine epsilon of the lattice FFT, which runs in float32 (see _scan_grid)
 _FFT_EPS = float(np.finfo(np.float32).eps)
 # an interval end within this many lattice steps of a lattice point is
 # treated as that point
@@ -101,9 +101,9 @@ def _lattice_values(a, b, N, j):
     output j is sum_n (a_n + i b_n) exp(-2 pi i n j / N), whose real part is
     the value.  The cosine ensemble is even in t, so it uses a real FFT and
     folds j > N/2 onto N - j.  The transforms run in float32 (complex64 for
-    the stationary ensemble); each value is off by at most the row's
-    ``_fft_bound``.  Blocks of rows go through one zero-padded input buffer,
-    filled in place, and are cast to float64 as they are copied out.
+    the stationary ensemble), within the bound stated in ``_scan_grid``.
+    Blocks of rows go through one zero-padded input buffer, filled in
+    place, and are cast to float64 as they are copied out.
     """
     from scipy import fft  # deferred: commands that scan nothing never load scipy
 
@@ -132,20 +132,6 @@ def _lattice_values(a, b, N, j):
     return vals
 
 
-def _fft_bound(a, b, N):
-    """Each row's bound on the error of its ``_lattice_values``.
-
-    A float32 FFT of length N is accurate to _FFT_EPS * log2(N) times the
-    1-norm of its input (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, sec. 24.1); rounding the coefficients to
-    float32 adds at most half that.
-    """
-    norm = np.abs(a).sum(axis=1)
-    if b is not None:
-        norm += np.abs(b).sum(axis=1)
-    return _FFT_EPS * math.log2(N) * norm
-
-
 def _scan_grid(a, b, freqs, N, step, lo, hi):
     """Scan grid on [lo, hi], every row's values there, and their error bounds.
 
@@ -157,6 +143,12 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
     otherwise values come from the float32 lattice, every value smaller than
     its row's bound is re-valued by a float64 direct sum (the column 0 of
     ``_expansions``), and an end off the lattice is summed directly.
+
+    The bound is err = eps_32 * log2(N) * sum_n (|a_n| + |b_n|): a float32
+    FFT of length N is accurate to eps_32 * log2(N) times the 1-norm of its
+    input (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, sec. 24.1), and rounding the coefficients to float32 adds at most
+    half that.
     """
     x = np.array([lo, hi]) / step
     near = np.rint(x)
@@ -170,7 +162,10 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
     if j.size * freqs.size < N * math.log2(N):
         return pts, _eval_at(a, b, freqs, pts), np.zeros(a.shape[0])
     vals = _lattice_values(a, b, N, j)
-    err = _fft_bound(a, b, N)
+    err = np.abs(a).sum(axis=1)
+    if b is not None:
+        err += np.abs(b).sum(axis=1)
+    err *= _FFT_EPS * math.log2(N)
     B, P = vals.shape
     rows = max(1, _BLOCK_ENTRIES // P)
     small = [np.empty(0, dtype=np.intp)] + [

@@ -288,6 +288,12 @@ _INTERVALS = {
 }
 
 
+def _beta(a, b, N):
+    """The stated bound of the float32 lattice: eps_32 * log2 N * sum_n (|a_n| + |b_n|)."""
+    norm = np.abs(a).sum(axis=1) + (0.0 if b is None else np.abs(b).sum(axis=1))
+    return np.finfo(np.float32).eps * np.log2(N) * norm
+
+
 def _direct_values(a, b, freqs, pts, block=2000):
     """Reference: the trigonometric sums at ``pts``, one block of points at a time."""
     out = []
@@ -330,9 +336,7 @@ class TestLatticeGrid:
         jk = np.rint(pts[keep] / step)
         on = np.abs(pts[keep] / step - jk) <= 1e-9
         lattice = _lattice_values(a, b, N, jk[on].astype(np.int64))
-        # the stated bound of the float32 lattice: eps_32 * log2 N * sum_n (|a_n| + |b_n|)
-        norm = np.abs(a).sum(axis=1) + (0.0 if b is None else np.abs(b).sum(axis=1))
-        beta = (np.finfo(np.float32).eps * np.log2(N) * norm)[:, None]
+        beta = _beta(a, b, N)[:, None]
         ref = want[:, on]
         assert np.all(np.abs(lattice - ref) <= beta)
         clear = np.abs(ref) > beta
@@ -538,10 +542,6 @@ def float64_scan(monkeypatch):
     return run
 
 
-def _k1600_rows(ensemble, rows):
-    return draw_coefficient_batch(1600, ensemble, 0, range(rows))
-
-
 class TestMixedPrecision:
     """The float32 lattice gives the counts and warnings of the float64 one."""
 
@@ -582,12 +582,11 @@ class TestMixedPrecision:
     def test_lattice_error_far_below_bound(self, ensemble):
         # the stated bound is loose: about 1% of it is reached at K = 1600
         K, N = 1600, 32 * 1600
-        a, b = _k1600_rows(ensemble, 8)
+        a, b = draw_coefficient_batch(K, ensemble, 0, range(8))
         j = np.arange(N // 2 + 1 if b is None else N)
         got = _lattice_values(a, b, N, j)
         want = _lattice_values_f64(a, b, N, j)
-        beta = zeros._fft_bound(a, b, N)
-        assert np.all(np.max(np.abs(got - want), axis=1) <= 0.1 * beta)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 0.1 * _beta(a, b, N))
 
     # cos t, which vanishes at the lattice point pi/2, and two touch points
     # of TestTangency within 0.13 steps of a lattice point, with their
