@@ -35,15 +35,10 @@ def worker_count() -> int:
     is a UsageError.
     """
     env = os.environ.get("TRIGZERO_THREADS", "").strip() or "0"
-    try:
-        n = int(env)
-    except ValueError:
-        n = -1
-    if n < 0:
+    if not env.isdecimal():
         raise UsageError(f"TRIGZERO_THREADS must be a non-negative integer, got {env!r}")
-    if n > 0:
-        return n
-    return min(os.cpu_count() or 1, 8)
+    n = int(env)
+    return n if n > 0 else min(os.cpu_count() or 1, 8)
 
 
 @dataclass(frozen=True)
