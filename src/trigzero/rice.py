@@ -17,16 +17,25 @@ Second factorial moment: E[N(N-1)] over a window is the double integral of
 with the conditioned pair handled by explicit 2x2 Gaussian regression and the
 conditional absolute moment E|UV| in closed form (``conditional_abs_moment``).
 
-The integrand has a removable singularity on the diagonal t = s and vanishes
-linearly there, so the lag u = t - s is integrated from 0 with the same
-Gauss-Legendre rule: its nodes never land on u = 0, and at the smallest
-16-node lag node (u ~ 0.008 on a half-period panel) the float64 integrand
-still agrees with a 40-digit evaluation to about 1e-5 relative.
+The second moment's rule is a tensor product over the triangle s < t.  The
+window is tiled into m equal panels of width h at most a half period, each
+with Gauss-Legendre nodes at offsets rel.  A pair of panels i < j takes the
+product rule, so its lags depend only on panel indices and node pairs:
+t - s = (j - i) h + rel_l - rel_k and t + s = 2 w0 + (i + j) h + rel_k + rel_l.
+The lag kernel is therefore evaluated once per table, not four times per
+point: one table for t - s over the offsets d = j - i, one for t + s per
+parity of i + j, and the node factors at 2 * node; each offset d is then one
+integrand call over the m - d panel pairs.  A diagonal panel is the triangle
+u = t - s in [0, h], s in [a_i, b_i - u], with the same pattern in every
+panel.  The integrand has a removable singularity on t = s and vanishes
+linearly there: no node lands on it, and at the smallest 16-node lag node
+(u ~ 0.008 on a half-period panel) the float64 integrand still agrees with a
+40-digit evaluation to about 1e-5 relative.
 
-Both use one Gauss-Legendre panel rule: half-period panels of 16 nodes, whole
-arrays of panels per integrand call, and the 16-vs-8-node gap as the error
-estimate.  The mean halves the panels whose gap is large, in rounds.  Every
-weighted sum is a numpy reduction, not a BLAS dot product, so the results do
+Both moments use half-period panels of 16 nodes with the gap to the 8-node
+rule as the error estimate, and whole arrays of panels per integrand call.
+The mean halves the panels whose gap is large, in rounds.  Every weighted sum
+is a numpy reduction or math.fsum, not a BLAS dot product, so the results do
 not depend on the BLAS thread count.
 """
 
@@ -198,41 +207,35 @@ def conditional_abs_moment(sigma_u, sigma_v, rho):
 _MIN_DET = 1e-12
 
 
-def _pair_intensity(K, s, t):
-    """Second-moment Rice integrand at (s, t), vectorized.
+def _node_factors(K, x):
+    """V, V'/V and v^2 of the standardized process at the points x/2, from the lag x = 2t."""
+    c, c1, c2 = c_k_derivs(K, x)
+    return np.sqrt(0.5 * (1.0 + c)), c1 / (1.0 + c), _deriv_var(c, c1, c2, K)
 
-    Builds the standardized correlation surface and its needed partials from
-    four lag evaluations, conditions the derivative pair on vanishing values
-    through explicit 2x2 solves, and multiplies the conditional absolute
-    moment by the joint density at (0, 0).
+
+def _pair_core(minus, plus, fs, ft):
+    """Second-moment integrand from (c, c', c'') at the lags t - s and t + s and the node factors of s and t.
+
+    Builds the standardized correlation surface and its needed partials,
+    conditions the derivative pair on vanishing values through explicit 2x2
+    solves, and multiplies the conditional absolute moment by the joint
+    density at (0, 0).  All arguments broadcast against each other.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ct, c1t, c2t = c_k_derivs(K, t - s)
-    cs_, c1s_, c2s_ = c_k_derivs(K, t + s)
-    cds, c1ds, c2ds = c_k_derivs(K, 2.0 * s)
-    cdt, c1dt, c2dt = c_k_derivs(K, 2.0 * t)
+    ct, c1t, c2t = minus
+    cs_, c1s_, c2s_ = plus
+    Vs, Ps, vs2 = fs
+    Vt, Pt, vt2 = ft
 
     r = 0.5 * (ct + cs_)
     r_s = 0.5 * (c1s_ - c1t)
     r_t = 0.5 * (c1t + c1s_)
     r_st = 0.5 * (c2s_ - c2t)
 
-    ds = 1.0 + cds
-    dt_ = 1.0 + cdt
-    Vs = np.sqrt(0.5 * ds)
-    Vt = np.sqrt(0.5 * dt_)
-    Vps = c1ds / (2.0 * Vs)
-    Vpt = c1dt / (2.0 * Vt)
-
     denom = Vs * Vt
     rho = r / denom
-    g_s = (r_s - r * Vps / Vs) / denom
-    g_t = (r_t - r * Vpt / Vt) / denom
-    r11 = (r_st - r_t * Vps / Vs - r_s * Vpt / Vt + r * Vps * Vpt / denom) / denom
-
-    vs2 = _deriv_var(cds, c1ds, c2ds, K)
-    vt2 = _deriv_var(cdt, c1dt, c2dt, K)
+    g_s = (r_s - r * Ps) / denom
+    g_t = (r_t - r * Pt) / denom
+    r11 = (r_st - r_t * Ps - r_s * Pt + r * Ps * Pt) / denom
 
     det = np.maximum(1.0 - rho * rho, _MIN_DET)
     sU2 = np.maximum(vs2 - g_s * g_s / det, 0.0)
@@ -246,20 +249,56 @@ def _pair_intensity(K, s, t):
     return conditional_abs_moment(sU, sV, rho_c) / (2.0 * np.pi * np.sqrt(det))
 
 
-def _pair_integral(K, w0, w1, n_nodes):
-    """2 * int_{u=0}^{L} int_{s=w0}^{w1-u} F(s, s+u) ds du.
+def _pair_intensity(K, s, t):
+    """Second-moment Rice integrand at (s, t), vectorized: four lag evaluations per point."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return _pair_core(
+        c_k_derivs(K, t - s), c_k_derivs(K, t + s), _node_factors(K, 2.0 * s), _node_factors(K, 2.0 * t)
+    )
 
-    One integrand call per u panel covers the s-tilings of all its u nodes.
+
+def _pair_integral(K, w0, w1, n_nodes):
+    """2 * int_{w0 <= s < t <= w1} F(s, t) on the tensor-product panel grid.
+
+    [w0, w1] is tiled into m equal panels of width h with nodes w0 + i h + rel_k.
+    A pair of panels i < j = i + d takes the product rule; its lags are
+    t - s = d h + rel_l - rel_k and t + s = 2 w0 + (i + j) h + rel_k + rel_l.
     """
-    u_nodes, u_weights, _ = _gl_panels(0.0, w1 - w0, n_nodes)
-    total = 0.0
-    for u, wu in zip(u_nodes.reshape(-1, n_nodes), u_weights.reshape(-1, n_nodes)):
-        s, ws, owner = _gl_panels(w0, w1 - u, n_nodes)
-        s = s.reshape(owner.size, n_nodes)
-        weights = ws.reshape(s.shape) * wu[owner, None]
-        f = _pair_intensity(K, s.ravel(), (s + u[owner, None]).ravel())
-        total += float((weights.ravel() * f).sum())
-    return 2.0 * total
+    m = max(math.ceil((w1 - w0) / _PANEL), 1)
+    h = (w1 - w0) / m
+    x, gw = _gl(n_nodes)
+    rel = 0.5 * h + 0.5 * h * x  # the nodes of _gl_panels(0, h, n_nodes)
+    w = 0.5 * h * gw
+    base = 2.0 * w0 + h * np.arange(2 * m - 1)  # 2 w0 + p h, p = 0 .. 2m - 2
+    fac = _node_factors(K, base[::2, None] + 2.0 * rel)  # at 2 * node, per panel and node
+    minus = c_k_derivs(K, h * np.arange(1, m)[:, None, None] + (rel - rel[:, None]))
+    # t + s at p = i + j = 1 .. 2m - 3; offset d reads p = d, d + 2, ..., so one
+    # table per parity of p keeps every kernel call within one offset's size
+    plus = [c_k_derivs(K, base[p0:-1:2, None, None] + (rel + rel[:, None])) for p0 in (2, 1)]
+    weights = w[:, None] * w
+    sums = []
+    for d in range(1, m):
+        rows = slice((d - 1) // 2, (d - 1) // 2 + m - d)
+        f = _pair_core(
+            [a[d - 1] for a in minus],
+            [a[rows] for a in plus[d % 2]],
+            [a[: m - d, :, None] for a in fac],
+            [a[d:, None, :] for a in fac],
+        )
+        sums.append((f * weights).sum())
+    # the diagonal panels: lag u = rel_k from 0 and s over [a_i, b_i - u],
+    # the same pattern in every panel
+    s_rel = 0.5 * (h - rel)[:, None] * (1.0 + x)
+    two_a = base[::2, None, None]
+    f = _pair_core(
+        [a[:, None] for a in c_k_derivs(K, rel)],
+        c_k_derivs(K, two_a + (2.0 * s_rel + rel[:, None])),
+        _node_factors(K, two_a + 2.0 * s_rel),
+        _node_factors(K, two_a + 2.0 * (s_rel + rel[:, None])),
+    )
+    sums.append((f * (w * 0.5 * (h - rel))[:, None] * gw).sum())
+    return 2.0 * math.fsum(sums)
 
 
 def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 16) -> RiceResult:
@@ -267,10 +306,12 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
 
     The window defaults to the alpha-trimmed axis; explicit intervals must
     stay strictly inside (0, K*pi), where the standardized derivative is
-    nondegenerate.
+    nondegenerate.  The error estimate is the gap to the rule of nodes // 2.
     """
     if K < 2:
         raise UsageError("second moment needs K >= 2")
+    if nodes < 2:
+        raise UsageError("second moment needs nodes >= 2")
     if interval is None:
         interval = window_bounds(K, alpha)
     w0, w1 = float(interval[0]), float(interval[1])
@@ -279,7 +320,7 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
     if w1 - w0 <= 0.01:
         raise UsageError("interval must be longer than 0.01")
     value = _pair_integral(K, w0, w1, nodes)
-    err = abs(value - _pair_integral(K, w0, w1, max(nodes // 2, 4)))
+    err = abs(value - _pair_integral(K, w0, w1, nodes // 2))
     if not np.isfinite(value):
         raise NumericError("second-moment integrand produced non-finite values")
     return RiceResult(value, (w0, w1), err, K)

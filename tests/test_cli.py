@@ -4,11 +4,16 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import trigzero
 from trigzero.cli import main, parse_interval
 from trigzero.errors import UsageError
 
@@ -121,6 +126,22 @@ class TestRice:
         window = runner.invoke(main, ["rice", "--K", "10", "--moment", "2", "--interval", "window"])
         assert default.exit_code == 0, default.output
         assert default.output == window.output
+
+    def test_second_moment_bytes_do_not_depend_on_blas_threads(self):
+        # fresh interpreters: the BLAS thread count is read when numpy loads
+        src = str(Path(trigzero.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = subprocess.run(
+                [sys.executable, "-c", "from trigzero.cli import main; main()", "rice", "--K", "10", "--moment", "2"],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["value"] > 0.0
 
     def test_unsupported_moment(self, runner):
         res = runner.invoke(main, ["rice", "--K", "10", "--moment", "3", "--interval", "0:pi"])

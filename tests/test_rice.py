@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import ragged_pair_integral
 
 from trigzero import rice
 from trigzero.errors import UsageError
@@ -290,6 +291,51 @@ class TestSecondMoment:
                 euv = 2 / mp.pi * (mp.sqrt(su2 * sv2 - c12 * c12) + c12 * mp.asin(c12 / mp.sqrt(su2 * sv2)))
                 want = euv / (2 * mp.pi * mp.sqrt(det))
                 assert abs(fi / want - 1) < 1e-4, (si, fi, want)
+
+    def test_small_node_counts(self):
+        # the estimate compares nodes with nodes // 2, never a rule with itself
+        exact = rice_second_moment(10).value
+        res = rice_second_moment(10, nodes=4)
+        assert 0.0 < abs(res.value - exact) <= res.quadrature_error_estimate
+        for nodes in (1, 0, -3):
+            with pytest.raises(UsageError):
+                rice_second_moment(10, nodes=nodes)
+
+    @pytest.mark.parametrize(
+        "K, interval",
+        [
+            (4, None),
+            (10, None),
+            (30, (6.0 * np.pi, 22.5 * np.pi)),
+            (10, (2.0, 3.0)),  # one panel: the diagonal triangle alone
+            (20, (0.05, 20.0 * np.pi - 0.05)),  # folded lags below _SMALL_LAG at both ends
+        ],
+    )
+    def test_panel_grid_matches_ragged_rule(self, K, interval):
+        res = rice_second_moment(K, interval=interval)
+        w0, w1 = res.interval
+        ref = ragged_pair_integral(K, w0, w1, 16)
+        ref_err = abs(ref - ragged_pair_integral(K, w0, w1, 8))
+        assert abs(res.value - ref) <= res.quadrature_error_estimate + ref_err
+
+    def test_lag_work_smallest_lag_and_call_size(self, monkeypatch):
+        sizes, smallest = [], []
+        inner = rice.c_k_derivs
+
+        def spy(K, tau):
+            tau = np.asarray(tau)
+            sizes.append(tau.size)
+            smallest.append(tau.min(initial=np.inf))
+            return inner(K, tau)
+
+        monkeypatch.setattr(rice, "c_k_derivs", spy)
+        w0, w1 = 6.0 * np.pi, 22.5 * np.pi
+        rice_second_moment(30, interval=(w0, w1))
+        m = 33  # half-period panels of [w0, w1]
+        assert sum(sizes) <= 100_000  # four lags per point would be 718,080
+        # the smallest of all lags passed bounds the t - s lags from below
+        assert min(smallest) >= _gl_panels(0.0, w1 - w0, 16)[0][0]
+        assert max(sizes) <= m * 16 * 16
 
     def test_positive_and_bounded(self):
         res = rice_second_moment(10)
