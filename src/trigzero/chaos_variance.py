@@ -167,7 +167,7 @@ def _grid_sums(orders, n_nodes, tail):
     Returns, per order in ``orders``, weights @ G_q and the mean of
     G_q tau^2 over the last decade, tau >= tail / 10.
     """
-    nodes, weights, _ = _gl_panels(0.0, tail, n_nodes)
+    nodes, weights = _gl_panels(0.0, tail, n_nodes)
     fit_from = tail / 10.0
     body = dict.fromkeys(orders, 0.0)
     fit = dict.fromkeys(orders, 0.0)

@@ -38,8 +38,6 @@ _EXIT_IO = 4
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
@@ -70,13 +68,28 @@ def parse_interval(text: str) -> IntervalSpec:
 
 
 def _interval_text(spec: IntervalSpec) -> str:
+    """Text that parse_interval turns back into the same floats: the short pi form where it does."""
     if spec.kind == "window":
         return "window"
-    return f"{spec.lo / math.pi:g}pi:{spec.hi / math.pi:g}pi"
+
+    def token(x):
+        short = f"{x / math.pi:g}pi"
+        return short if _parse_pi_token(short) == x else repr(float(x))
+
+    return f"{token(spec.lo)}:{token(spec.hi)}"
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _dump_json(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(_finite(obj), indent=2, sort_keys=True)
     if path is None:
         click.echo(text)
     else:
@@ -192,7 +205,10 @@ def config_from_manifest(doc) -> ExperimentConfig:
 def simulate(k_values, reps, seed, interval_text, alpha, ensemble, config_path, outdir):
     """Run a zero-count campaign; write records CSV, summary and manifest."""
     if config_path is not None:
-        base = config_from_manifest(json.loads(Path(config_path).read_text(encoding="utf-8")))
+        try:
+            base = config_from_manifest(json.loads(Path(config_path).read_text(encoding="utf-8")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"malformed manifest {config_path}: {type(exc).__name__}: {exc}") from None
     elif k_values:
         base = ExperimentConfig(K_list=tuple(k_values))
     else:
@@ -220,16 +236,13 @@ def _mean_original_axis(K, lo, hi):
     Intervals reaching past pi are folded through the cosine symmetry
     t <-> 2*pi - t, under which the zero set is invariant.
     """
-    value = 0.0
-    err = 0.0
-    if lo < math.pi:
-        res = rice_mean(K, interval=(lo * K, min(hi, math.pi) * K))
-        value += res.value
-        err += res.quadrature_error_estimate
-    if hi > math.pi:
-        res = rice_mean(K, interval=((2.0 * math.pi - hi) * K, min(2.0 * math.pi - lo, math.pi) * K))
-        value += res.value
-        err += res.quadrature_error_estimate
+    value = err = 0.0
+    # the part on [0, pi] and the mirror of the part past pi; either may be empty
+    for a, b in ((lo, min(hi, math.pi)), (2.0 * math.pi - hi, min(2.0 * math.pi - lo, math.pi))):
+        if a < b:
+            res = rice_mean(K, interval=(a * K, b * K))
+            value += res.value
+            err += res.quadrature_error_estimate
     return value, err
 
 

@@ -54,16 +54,7 @@ def _as_array(x):
 
 def sinc(x):
     """sin(x)/x with the removable singularity handled by series expansion."""
-    a, scalar = _as_array(x)
-    a = np.atleast_1d(a)
-    small = np.abs(a) < _SINC_TAYLOR_CUT
-    out = np.empty_like(a)
-    xl = a[~small]
-    out[~small] = np.sin(xl) / xl
-    xs = a[small]
-    x2 = xs * xs
-    out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    return float(out[0]) if scalar else out
+    return sinc_derivs(x)[0]
 
 
 def sinc_derivs(x):
@@ -272,14 +263,12 @@ def kernel_bounds_check(K, tau_grid) -> BoundsReport:
     if np.any(tau <= 0.0) or np.any(tau > K * np.pi + 1e-12):
         raise UsageError("tau grid must lie in (0, K*pi]")
     c, c1, _ = c_k_derivs(K, tau)
-    b0 = np.pi / tau
-    b1 = np.pi / tau + np.pi ** 2 / (2.0 * tau * tau)
-    bad0 = np.abs(c) > b0
-    bad1 = np.abs(c1) > b1
-    if np.any(bad0):
-        i = int(np.argmax(bad0))
-        return BoundsReport(K, tau.size, False, (float(tau[i]), "value", float(abs(c[i])), float(b0[i])))
-    if np.any(bad1):
-        i = int(np.argmax(bad1))
-        return BoundsReport(K, tau.size, False, (float(tau[i]), "derivative", float(abs(c1[i])), float(b1[i])))
+    for which, size, bound in (
+        ("value", np.abs(c), np.pi / tau),
+        ("derivative", np.abs(c1), np.pi / tau + np.pi ** 2 / (2.0 * tau * tau)),
+    ):
+        bad = size > bound
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            return BoundsReport(K, tau.size, False, (float(tau[i]), which, float(size[i]), float(bound[i])))
     return BoundsReport(K, tau.size, True, None)

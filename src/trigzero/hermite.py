@@ -122,9 +122,7 @@ def _mehler_terms(orders):
     for m1 in range(max(0, n3 - n2), min(n1, n3) + 1):
         m2 = n1 - m1
         m3 = n3 - m1
-        m4 = n2 - m3
-        if m4 < 0:
-            continue
+        m4 = n2 - m3  # >= 0, since m1 >= n3 - n2
         w = (
             math.factorial(n1) * math.factorial(n2) * math.factorial(n3) * math.factorial(n4)
         ) // (

@@ -90,36 +90,23 @@ def wilkins_mean(K: int) -> float:
 
 def zero_intensity(K: int, t):
     """Rice intensity v(t)/pi of the zero set on the rescaled axis."""
-    t = np.asarray(t, dtype=float)
-    c, c1, c2 = c_k_derivs(K, 2.0 * t)
-    return np.sqrt(np.maximum(_deriv_var(c, c1, c2, K), 0.0)) / np.pi
+    v2 = _node_factors(K, 2.0 * np.asarray(t, dtype=float))[2]
+    return np.sqrt(np.maximum(v2, 0.0)) / np.pi
 
 
 def _panel_edges(lo, hi):
-    """Ends a, b of the half-period panels tiling [lo, hi_i] per entry of ``hi``, and their entries.
-
-    The edges are those of np.linspace(lo, hi_i, m_i + 1): k * step + lo, the
-    last one exactly hi_i.
-    """
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    m = np.maximum(np.ceil((hi - lo) / _PANEL).astype(np.int64), 1)
-    owner = np.repeat(np.arange(hi.size), m)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(m) - m, m)
-    step = ((hi - lo) / m)[owner]
-    b = np.where(k + 1 == m[owner], hi[owner], (k + 1) * step + lo)
-    return k * step + lo, b, owner
+    """Ends a, b of the half-period panels tiling [lo, hi]: the edges of np.linspace."""
+    edges = np.linspace(lo, hi, max(math.ceil((hi - lo) / _PANEL), 1) + 1)
+    return edges[:-1], edges[1:]
 
 
 def _gl_panels(lo, hi, n_nodes):
-    """GL nodes and weights tiling [lo, hi] in half-period panels, and each panel's entry of hi.
-
-    ``hi`` may be an array of upper ends; their tilings are concatenated in order.
-    """
+    """GL nodes and weights tiling [lo, hi] in half-period panels of n_nodes each."""
     x, w = _gl(n_nodes)
-    a, b, owner = _panel_edges(lo, hi)
+    a, b = _panel_edges(lo, hi)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel(), owner
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def _panel_sums(f, a, b):
@@ -145,7 +132,7 @@ def _adaptive_gl(f, lo, hi, rel_tol=1e-8):
     most rel_tol * |total|, when no panel qualifies, or at ``_MAX_PANELS``.
     Sums are numpy reductions and math.fsum, so no BLAS thread count moves them.
     """
-    a, b, _ = _panel_edges(lo, hi)
+    a, b = _panel_edges(lo, hi)
     v, e = _panel_sums(f, a, b)
     while True:
         total, err = math.fsum(v), math.fsum(e)

@@ -14,8 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 import trigzero
-from trigzero.cli import main, parse_interval
+from trigzero.cli import _interval_text, main, parse_interval
 from trigzero.errors import UsageError
+from trigzero.rice import rice_mean
 
 
 @pytest.fixture()
@@ -37,6 +38,17 @@ class TestIntervalParsing:
         for text in ("pi", "1:0", "0:7", "a:b"):
             with pytest.raises(UsageError):
                 parse_interval(text)
+
+    @pytest.mark.parametrize("text", ["0.3:5.9", "1:2", "0.123456789:1", "0:pi", "0.5pi:pi"])
+    def test_manifest_text_parses_back_to_the_same_floats(self, text):
+        spec = parse_interval(text)
+        again = parse_interval(_interval_text(spec))
+        assert (again.lo, again.hi) == (spec.lo, spec.hi)
+
+    def test_manifest_text_keeps_the_short_pi_form(self):
+        assert _interval_text(parse_interval("0:pi")) == "0pi:1pi"
+        assert _interval_text(parse_interval("0:0.5pi")) == "0pi:0.5pi"
+        assert _interval_text(parse_interval("0.3:5.9")) == "0.3:5.9"
 
 
 class TestSimulate:
@@ -79,6 +91,38 @@ class TestSimulate:
         )
         assert res.exit_code == 0, res.output
         assert (first / "records.csv").read_bytes() == (again / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "not json",
+            json.dumps({"config": {"K": [5], "reps": "many", "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
+        ],
+        ids=["empty", "not-json", "reps-not-a-number"],
+    )
+    def test_malformed_manifest_is_usage_error(self, runner, tmp_path, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["simulate", "--config", str(manifest), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "malformed manifest" in res.output
+        assert not out.exists()
+
+    def test_undefined_moments_are_json_null(self, runner, tmp_path):
+        # K = 1 counts are constant: the variance's standard error is undefined
+        res = runner.invoke(main, ["simulate", "--K", "1", "--reps", "10", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"), parse_constant=reject)
+        row = doc["per_K"][0]
+        assert row["se_var"] is None
+        assert row["ci99_var_per_kpi"] == [None, None]
+        assert row["mean"] == 1.0
 
     def test_missing_degree_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["simulate", "--reps", "10", "--out", str(tmp_path / "x")])
@@ -143,6 +187,16 @@ class TestRice:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["value"] > 0.0
 
+    def test_window_mean(self, runner):
+        args = ["rice", "--K", "400", "--moment", "1", "--interval", "window", "--alpha", "0.3"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        want = rice_mean(400, alpha=0.3)
+        assert doc["value"] == want.value
+        assert doc["error_estimate"] == want.quadrature_error_estimate
+        assert doc["interval_rescaled"] == list(want.interval)
+
     def test_unsupported_moment(self, runner):
         res = runner.invoke(main, ["rice", "--K", "10", "--moment", "3", "--interval", "0:pi"])
         assert res.exit_code == 2
@@ -191,6 +245,13 @@ class TestClt:
             main, ["clt", "--K", "0", "--reps", "600", "--out", str(tmp_path / "x")]
         )
         assert res.exit_code == 2, res.output
+
+    def test_degenerate_degree_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "x"
+        res = runner.invoke(main, ["clt", "--K", "1", "--reps", "500", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "degenerate" in res.output
+        assert not out.exists()
 
     def test_too_few_reps(self, runner, tmp_path):
         res = runner.invoke(
@@ -254,7 +315,7 @@ class TestOutputBytes:
         assert _digests(tmp_path) == {
             "records.csv": "746fe8c3760d99806b56f51e587b5bcc60a3e785ce3d84df016f9678700ac722",
             "summary.json": "1c550dc7dadd144bfc3deb762798d7fd1c45b7502f901f4022103faef570d43f",
-            "manifest.json": "8804c7a2bf3e9b26b128313f76a5244837bf351e4d02892fa623ebf5d703f1f0",
+            "manifest.json": "38d8a7470187aee2f60eff1c31167c3d9101db3465274f4c6c3dbb183e096aec",
         }
 
     def test_clt(self, runner, tmp_path):

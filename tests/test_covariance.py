@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trigzero import covariance
 from trigzero.covariance import (
     _SMALL_LAG,
     Kernel,
@@ -171,6 +172,34 @@ class TestBounds:
     def test_log_grid_k500(self):
         rep = kernel_bounds_check(500, np.geomspace(0.01, 500 * np.pi, 600))
         assert rep.passed, rep.violation
+
+    @pytest.mark.parametrize(
+        "value_from, deriv_from, which, tau",
+        [
+            (4.0, None, "value", 4.0),
+            (None, 4.0, "derivative", 4.0),
+            (8.0, 2.0, "value", 8.0),  # the value inequality is reported first
+        ],
+    )
+    def test_reports_first_violation(self, monkeypatch, value_from, deriv_from, which, tau):
+        # shift c (or c') by 10 at every lag from value_from (deriv_from) on
+        real = covariance.c_k_derivs
+
+        def shifted(K, lags):
+            parts = list(real(K, lags))
+            for i, start in enumerate((value_from, deriv_from)):
+                if start is not None:
+                    parts[i] = parts[i] + np.where(lags >= start, 10.0, 0.0)
+            return tuple(parts)
+
+        monkeypatch.setattr(covariance, "c_k_derivs", shifted)
+        rep = kernel_bounds_check(10, [1.0, 2.0, 4.0, 8.0])
+        i = 0 if which == "value" else 1
+        bound = np.pi / tau + (np.pi ** 2 / (2.0 * tau * tau) if i else 0.0)
+        assert (rep.passed, rep.checked) == (False, 4)
+        assert rep.violation[:2] == (tau, which)
+        assert rep.violation[2] == pytest.approx(abs(real(10, tau)[i] + 10.0), rel=1e-14)
+        assert rep.violation[3] == pytest.approx(bound, rel=1e-15)
 
     def test_out_of_domain(self):
         with pytest.raises(UsageError):

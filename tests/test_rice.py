@@ -117,21 +117,9 @@ class TestPanelRule:
         assert max(sizes) <= _BLOCK * 24
         assert sum(sizes) == 6000 * 24
 
-    def test_ragged_panels_match_scalar_tilings(self):
-        lo, his = 0.3, np.array([0.31, 2.0, np.pi, 40.0, 17.0 * np.pi / 2.0])
-        nodes, weights, owner = _gl_panels(lo, his, 16)
-        assert np.all(np.diff(owner) >= 0)
-        per_node = np.repeat(owner, 16)
-        for i, hi in enumerate(his):
-            want_nodes, want_weights, want_owner = _gl_panels(lo, hi, 16)
-            assert np.array_equal(nodes[per_node == i], want_nodes)
-            assert np.array_equal(weights[per_node == i], want_weights)
-            assert np.all(want_owner == 0)
-            assert weights[per_node == i].sum() == pytest.approx(hi - lo, rel=1e-14)
-
     def test_scalar_tiling_matches_linspace(self):
         lo, hi = 1.1, 123.456  # where the last edge k * step + lo misses hi
-        nodes, weights, _ = _gl_panels(lo, hi, 8)
+        nodes, weights = _gl_panels(lo, hi, 8)
         x, w = np.polynomial.legendre.leggauss(8)
         edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / (0.5 * np.pi))) + 1)
         half = 0.5 * np.diff(edges)
