@@ -180,8 +180,11 @@ def _manifest_payload(cfg: ExperimentConfig):
 
 def config_from_manifest(doc) -> ExperimentConfig:
     c = doc["config"]
+    # int() would read "12" as the degrees 1 and 2, 12.5 as 12 and true as 1
+    if not (isinstance(c["K"], list) and all(type(k) is int for k in c["K"])):
+        raise TypeError(f"K must be a list of integers, not {c['K']!r}")
     return ExperimentConfig(
-        K_list=tuple(int(k) for k in c["K"]),
+        K_list=tuple(c["K"]),
         replicates=int(c["reps"]),
         interval=parse_interval(c["interval"]),
         alpha=float(c["alpha"]),

@@ -2,16 +2,21 @@
 
 The scan method samples each replicate on the lattice t_j = j * period / N,
 with N = 2 * oversample * K points per period, fine relative to the 2K root
-bound.  One single-precision FFT of a replicate's coefficients gives all
-its lattice values (a real FFT for the cosine ensemble, complex64 for the
-stationary one), each within beta = eps_32 * log2(N) * sum_n (|a_n| + |b_n|)
-of the exact sum.  Every lattice value smaller than beta is re-valued by a
-float64 direct sum, so the sign of every grid value is the sign of its
-float64 sum.  An interval end off the lattice is added as a grid point and
-summed directly.  A grid short enough that direct sums cost less than the
-FFT (P points with P * K < N log2 N) is summed directly throughout, with
-beta = 0.  Sign changes between neighbouring grid points are counted, and
-suspects classified, in blocks of rows sized to stay in cache.
+bound.  A grid of P lattice points takes one of two routes, by cost.  A
+short grid (P * K < _TABLE_CUT * N log2 N, such as K = 100 on [0, pi] or
+the window-chop tails) is one float64 matrix product of the coefficients
+with a cached table of cos(n t_j) (with sin(n t_j) below it for the
+stationary ensemble), gathered from the N roots of unity at (n j) mod N so
+that the argument reduction is exact; its values are float64 sums.  A
+longer grid comes from one single-precision FFT of each replicate's
+coefficients (a real FFT for the cosine ensemble, complex64 for the
+stationary one), each lattice value within
+beta = eps_32 * log2(N) * sum_n (|a_n| + |b_n|) of the exact sum.  Every
+lattice value smaller than beta is re-valued by a float64 direct sum, so
+the sign of every grid value is the sign of its float64 sum.  An interval
+end off the lattice is added as a grid point and summed directly.  Sign
+changes between neighbouring grid points are counted, and suspects
+classified, in blocks of rows sized to stay in cache.
 
 Same-sign triples whose parabola fit dips toward zero flag the two cells
 around them, which are re-scanned at 4x density.  The tests are widened by
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,14 +67,20 @@ _BISECT_WIDTH = 1e-12
 _SUSPECT_FRACTION = 0.25
 _TANGENCY_REL_TOL = 1e-10
 
-# entries held at once by the classification blocks, the direct sums and
-# the Taylor expansions; bounds their scratch memory
+# entries held at once by the classification blocks, the re-valuing pass
+# and the Taylor expansions; bounds their scratch memory
 _BLOCK_ENTRIES = 1 << 16
 # bytes of the single-precision FFT input buffer, filled in blocks of rows
 # that are a multiple of 4: at K = 1600, blocks of 4 or 8 rows transformed
 # in about half the time of blocks of 1, 2, 5, 6 or 10 rows, while whole
 # scans at K = 100 and 1600 took the same time with buffers of 0.5 to 4 MB
 _FFT_BYTES = 1 << 20
+# a grid of P lattice points is valued from the lattice table when
+# P * K < _TABLE_CUT * N log2 N, else by the float32 FFT: per 256-row
+# chunk, the table product was the faster route below a ratio of about 9.6
+# for the cosine ensemble and 8 for the stationary one, at K = 50 to 400
+# and 1600 (BENCH_lattice_table.json)
+_TABLE_CUT = 8.0
 # machine epsilon of the lattice FFT, which runs in float32 (see _scan_grid)
 _FFT_EPS = float(np.finfo(np.float32).eps)
 # an interval end within this many lattice steps of a lattice point is
@@ -132,23 +144,51 @@ def _lattice_values(a, b, N, j):
     return vals
 
 
+# two tables: the chunks of a campaign reuse the table of its interval, and
+# those of the window-chop check the tables of its two tails
+@lru_cache(maxsize=2)
+def _lattice_table(K, N, j0, j1, stationary):
+    """Table of cos(2 pi n j / N), rows n = 1..K, columns j = j0..j1.
+
+    These are the lattice values of cos(n t) on either axis (frequency n or
+    n / K with step 2 pi / N or 2 pi K / N).  Entries are gathered from the
+    N roots of unity at (n j) mod N, an exact integer reduction.  The
+    stationary ensemble stacks the sines below the cosines, so that one
+    product of the rows [a, b] with the table gives the values.  The cached
+    array is read-only: it is shared by every caller.
+    """
+    turn = (2.0 * np.pi / N) * np.arange(N)
+    idx = np.multiply.outer(np.arange(1, K + 1), np.arange(j0, j1 + 1))
+    np.remainder(idx, N, out=idx)
+    table = np.empty((2 * K if stationary else K, idx.shape[1]))
+    np.take(np.cos(turn), idx, out=table[:K])
+    if stationary:
+        np.take(np.sin(turn), idx, out=table[K:])
+    table.flags.writeable = False
+    return table
+
+
 def _scan_grid(a, b, freqs, N, step, lo, hi):
     """Scan grid on [lo, hi], every row's values there, and their error bounds.
 
     Returns pts (P,), vals (B, P) and err (B,): each value is within err of
     the float64 sum, and its sign is the sign of that sum.  Interior points
     are the lattice points j * step strictly inside; the ends are exactly lo
-    and hi.  A grid with P * K < N log2 N (short intervals) is valued by
-    direct sums (err = 0), which then cost less than one FFT per row;
-    otherwise values come from the float32 lattice, every value smaller than
-    its row's bound is re-valued by a float64 direct sum (the column 0 of
-    ``_expansions``), and an end off the lattice is summed directly.
+    and hi.  An end off the lattice is summed directly.  The lattice values
+    take one of two routes, whichever costs less:
 
-    The bound is err = eps_32 * log2(N) * sum_n (|a_n| + |b_n|): a float32
-    FFT of length N is accurate to eps_32 * log2(N) times the 1-norm of its
-    input (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    2002, sec. 24.1), and rounding the coefficients to float32 adds at most
-    half that.
+    - with P * K < _TABLE_CUT * N log2 N (short grids), one float64 product
+      of the rows with ``_lattice_table`` over j[0]..j[-1] (an end rounded
+      onto its inner neighbour repeats that column), and err = 0;
+    - otherwise the float32 lattice of ``_lattice_values``, with every value
+      smaller than its row's bound err re-valued by a float64 direct sum
+      (the column 0 of ``_expansions``).
+
+    The FFT bound is err = eps_32 * log2(N) * sum_n (|a_n| + |b_n|): a
+    float32 FFT of length N is accurate to eps_32 * log2(N) times the 1-norm
+    of its input (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, sec. 24.1), and rounding the coefficients to float32 adds
+    at most half that.
     """
     x = np.array([lo, hi]) / step
     near = np.rint(x)
@@ -159,21 +199,26 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
     j = np.concatenate(([near[0]], inner, [near[1]])).astype(np.int64)
     pts = j * step
     pts[0], pts[-1] = lo, hi
-    if j.size * freqs.size < N * math.log2(N):
-        return pts, _eval_at(a, b, freqs, pts), np.zeros(a.shape[0])
-    vals = _lattice_values(a, b, N, j)
-    err = np.abs(a).sum(axis=1)
-    if b is not None:
-        err += np.abs(b).sum(axis=1)
-    err *= _FFT_EPS * math.log2(N)
-    B, P = vals.shape
-    rows = max(1, _BLOCK_ENTRIES // P)
-    small = [np.empty(0, dtype=np.intp)] + [
-        s * P + np.flatnonzero(np.abs(vals[s : s + rows]) < err[s : s + rows, None])
-        for s in range(0, B, rows)
-    ]
-    r, i = np.divmod(np.concatenate(small), P)
-    vals[r, i] = _expansions(a, b, freqs, r, pts[i], step)[:, 0]
+    B, P = a.shape[0], j.size
+    if P * freqs.size < _TABLE_CUT * N * math.log2(N):
+        table = _lattice_table(freqs.size, N, int(j[0]), int(j[-1]), b is not None)
+        vals = (a if b is None else np.hstack((a, b))) @ table
+        if vals.shape[1] != P:
+            vals = vals[:, j - j[0]]
+        err = np.zeros(B)
+    else:
+        vals = _lattice_values(a, b, N, j)
+        err = np.abs(a).sum(axis=1)
+        if b is not None:
+            err += np.abs(b).sum(axis=1)
+        err *= _FFT_EPS * math.log2(N)
+        rows = max(1, _BLOCK_ENTRIES // P)
+        small = [np.empty(0, dtype=np.intp)] + [
+            s * P + np.flatnonzero(np.abs(vals[s : s + rows]) < err[s : s + rows, None])
+            for s in range(0, B, rows)
+        ]
+        r, i = np.divmod(np.concatenate(small), P)
+        vals[r, i] = _expansions(a, b, freqs, r, pts[i], step)[:, 0]
     ends = np.array([0, P - 1])[direct]
     if ends.size:
         vals[:, ends] = _eval_at(a, b, freqs, pts[ends])
@@ -181,16 +226,12 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
 
 
 def _eval_at(a, b, freqs, pts):
-    """Values at ``pts`` of every row, shape (B, len(pts)), by direct sums."""
-    out = np.empty((a.shape[0], pts.size))
-    per = max(1, _BLOCK_ENTRIES // freqs.size)
-    for s in range(0, pts.size, per):
-        ang = np.multiply.outer(pts[s : s + per], freqs)
-        v = np.cos(ang) @ a.T
-        if b is not None:
-            v += np.sin(ang) @ b.T
-        out[:, s : s + per] = v.T
-    return out
+    """Values at the (at most two) points ``pts`` of every row, by direct sums."""
+    ang = np.multiply.outer(pts, freqs)
+    v = np.cos(ang) @ a.T
+    if b is not None:
+        v += np.sin(ang) @ b.T
+    return v.T
 
 
 def _expansions(a, b, freqs, rows, t, step):

@@ -98,8 +98,10 @@ class TestSimulate:
             "{}",
             "not json",
             json.dumps({"config": {"K": [5], "reps": "many", "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
+            json.dumps({"config": {"K": "12", "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
+            json.dumps({"config": {"K": [12.5], "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
         ],
-        ids=["empty", "not-json", "reps-not-a-number"],
+        ids=["empty", "not-json", "reps-not-a-number", "K-a-string", "K-not-integers"],
     )
     def test_malformed_manifest_is_usage_error(self, runner, tmp_path, text):
         manifest = tmp_path / "manifest.json"
@@ -186,6 +188,25 @@ class TestRice:
             outputs.append(out.stdout)
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["value"] > 0.0
+
+    def test_campaign_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # K = 100 on 0:pi takes the lattice-table route, one BLAS matrix
+        # product per chunk; fresh interpreters, as above
+        src = str(Path(trigzero.__file__).resolve().parents[1])
+        records = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / threads
+            args = ["simulate", "--K", "100", "--reps", "300", "--out", str(out)]
+            res = subprocess.run(
+                [sys.executable, "-c", "from trigzero.cli import main; main()", *args],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert res.returncode == 0, res.stderr
+            records.append((out / "records.csv").read_bytes())
+        assert records[0] == records[1]
+        assert records[0].count(b"\n") == 301
 
     def test_window_mean(self, runner):
         args = ["rice", "--K", "400", "--moment", "1", "--interval", "window", "--alpha", "0.3"]

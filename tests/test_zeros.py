@@ -342,8 +342,8 @@ class TestLatticeGrid:
         clear = np.abs(ref) > beta
         assert np.array_equal((lattice > 0)[clear], (ref > 0)[clear])
         # grid values: lattice values on an FFT grid where |lattice| >= beta,
-        # held to beta with signs exact outside it; direct sums elsewhere
-        # (short grids, ends off the lattice, re-valued lattice points),
+        # held to beta with signs exact outside it; float64 sums elsewhere
+        # (table-route grids, ends off the lattice, re-valued lattice points),
         # held to 1e-11 of the row's largest value, with signs agreeing
         # wherever the path is not zero to rounding (K = 1 vanishes exactly
         # at pi/2 and 3pi/2, lattice points)
@@ -352,7 +352,7 @@ class TestLatticeGrid:
             assert np.allclose(err, beta[:, 0], rtol=1e-12, atol=0.0)
             fft[:, on] = np.abs(lattice) >= beta
         else:
-            assert j.size * K < N * np.log2(N)
+            assert j.size * K < zeros._TABLE_CUT * N * np.log2(N)
         got = vals[:, keep]
         assert np.all(np.abs(got - want) <= np.where(fft, beta, 1e-11 * row_max))
         clear = np.abs(want) > np.where(fft, beta, 1e-14 * row_max)
@@ -415,10 +415,11 @@ class TestBatchEngine:
         for r in range(reps):
             assert counts[r] == eig[r].size
 
-    @pytest.mark.parametrize("K", [30, 1600])
-    def test_empty_batch(self, K):
-        # K = 30 on [0, pi/8] is summed directly, K = 1600 goes through the FFT
-        counts, warns = scan_count_batch(np.zeros((0, K)), None, K, (0.0, np.pi / 8))
+    @pytest.mark.parametrize("K, hi", [(30, np.pi / 8), (1600, np.pi / 2)], ids=["30", "1600"])
+    def test_empty_batch(self, K, hi):
+        # K = 30 on [0, pi/8] takes the table route, K = 1600 on [0, pi/2]
+        # the FFT
+        counts, warns = scan_count_batch(np.zeros((0, K)), None, K, (0.0, hi))
         assert counts.shape == warns.shape == (0,)
 
     @pytest.fixture(scope="class")
@@ -545,6 +546,11 @@ def float64_scan(monkeypatch):
 class TestMixedPrecision:
     """The float32 lattice gives the counts and warnings of the float64 one."""
 
+    @pytest.fixture(autouse=True)
+    def fft_route(self, monkeypatch):
+        # these grids are short enough for the table route: force the FFT
+        monkeypatch.setattr(zeros, "_TABLE_CUT", 0.0)
+
     # (K, ensemble, seed, rows, interval, locate)
     CASES = [
         *[(100, "cosine", seed, 128, (0.0, np.pi), False) for seed in (0, 1, 2)],
@@ -623,6 +629,47 @@ class TestMixedPrecision:
             assert len(res.warnings) == 1
         else:
             assert res.count == count_zeros_eigen(cv, (0.0, np.pi)).count
+
+
+class TestRoutes:
+    """The table and FFT routes give the same counts, warnings and roots."""
+
+    @pytest.mark.parametrize("K, rows", [(7, 64), (40, 32), (100, 16), (250, 8)])
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    @pytest.mark.parametrize("name", ["half_period", "off_lattice", "across_pi", "full_period", "rescaled"])
+    def test_routes_agree(self, monkeypatch, K, rows, ensemble, name):
+        # "rescaled" is the half period on the rescaled axis, [0, K pi]
+        rescaled = name == "rescaled"
+        lo, hi = (0.0, K * np.pi) if rescaled else _INTERVALS[name]
+        a, b = draw_coefficient_batch(K, ensemble, 41, range(rows))
+        freqs, N = _freqs(K, rescaled), 32 * K
+        step = 2.0 * np.pi * (K if rescaled else 1.0) / N
+        monkeypatch.setattr(zeros, "_TABLE_CUT", np.inf)
+        counts, tangencies, roots = _scan_batch(a, b, K, lo, hi, 16, rescaled, True)
+        pts, vals, err = _scan_grid(a, b, freqs, N, step, lo, hi)
+        monkeypatch.setattr(zeros, "_TABLE_CUT", 0.0)
+        ref_counts, ref_tangencies, ref_roots = _scan_batch(a, b, K, lo, hi, 16, rescaled, True)
+        assert np.array_equal(counts, ref_counts)
+        for got, want in zip(tangencies, ref_tangencies):
+            assert np.array_equal(got, want)
+        for got, want in zip(roots, ref_roots):
+            assert got.size == want.size
+            assert np.all(np.abs(got - want) <= 1e-12)
+        assert not err.any()
+        want = _direct_values(a, b, freqs, pts)
+        assert np.all(np.abs(vals - want) <= 1e-11 * np.max(np.abs(want), axis=1, keepdims=True))
+
+    def test_tables_read_only_and_bounded(self):
+        info = zeros._lattice_table.cache_info()
+        assert info.maxsize is not None
+        tables = [zeros._lattice_table(8, 256, 0, j1, True) for j1 in range(info.maxsize + 1)]
+        assert zeros._lattice_table.cache_info().currsize == info.maxsize
+        n, j = np.arange(1, 9)[:, None], np.arange(info.maxsize + 1)
+        want = np.vstack((np.cos(2.0 * np.pi * n * j / 256), np.sin(2.0 * np.pi * n * j / 256)))
+        assert np.allclose(tables[-1], want, rtol=0.0, atol=1e-15)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
 
 class TestClassifyBound:
