@@ -200,8 +200,8 @@ def _chaos_terms(orders, tail):
     The 16-node pass gives sigma_q^2 and the tail fit; the 8-node pass gives
     the quadrature error estimate.
     """
-    if tail < 100.0:
-        raise UsageError("tail cutoff must be >= 100")
+    if not 100.0 <= tail < math.inf:  # also rejects nan
+        raise UsageError("tail cutoff must be a finite number >= 100")
     tail = float(tail)
     even = [q for q in orders if q % 2 == 0]
     if even:

@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise UsageError("empty K list")
         if min(self.K_list) < 1:
             raise UsageError("degrees must be at least 1")
+        if len(set(self.K_list)) < len(self.K_list):
+            raise UsageError("each degree may be given only once")
 
 
 class RunningMoments:

@@ -3,29 +3,26 @@
 The scan method samples each replicate on the lattice t_j = j * period / N,
 with N = 2 * oversample * K points per period, fine relative to the 2K root
 bound.  A grid of P lattice points takes one of two routes, by cost.  A
-short grid (P * K < _TABLE_CUT * N log2 N, such as K = 100 on [0, pi] or
-the window-chop tails) is one float64 matrix product of the coefficients
-with a cached table of cos(n t_j) (with sin(n t_j) below it for the
-stationary ensemble), gathered from the N roots of unity at (n j) mod N so
-that the argument reduction is exact; its values are float64 sums.  A
-longer grid comes from one single-precision FFT of each replicate's
-coefficients (a real FFT for the cosine ensemble, complex64 for the
-stationary one), each lattice value within
+short grid (such as K = 100 on [0, pi] or the window-chop tails) is one
+float64 matrix product of the coefficients with a cached table of cos(n t_j)
+(and sin(n t_j)), gathered from the N roots of unity at (n j) mod N so that
+the argument reduction is exact.  A longer grid is held in float32 from one
+single-precision FFT per replicate, each value within
 beta = eps_32 * log2(N) * sum_n (|a_n| + |b_n|) of the exact sum.  Every
-lattice value smaller than beta is re-valued by a float64 direct sum, so
-the sign of every grid value is the sign of its float64 sum.  An interval
-end off the lattice is added as a grid point and summed directly.  Sign
-changes between neighbouring grid points are counted, and suspects
-classified, in blocks of rows sized to stay in cache.
+value smaller than beta is re-valued by a float64 sum over the same roots
+of unity, rounded once to float32 with its sign kept, so the sign of every
+grid value is the sign of its float64 sum.  An interval end off the lattice
+is added as a grid point and summed directly.  Sign changes between
+neighbouring grid points are counted, and suspects classified, in blocks.
 
 Same-sign triples whose parabola fit dips toward zero flag the two cells
 around them, which are re-scanned at 4x density.  The tests are widened by
 beta so that every triple the float64 values would flag is flagged; an
 extra flagged cell costs only work, as the re-scan is exact.  There the
-path comes from a Taylor expansion about each lattice point, exact to
-rounding within a lattice step.  Its moments are real: two real matrix
-products per block of points, over phases exp(i n t) built from two tables
-of about sqrt(K) columns per point.  A sign-preserving extremum found
+path comes from a Taylor expansion about each refined cell's left point,
+exact to rounding within a lattice step.  Its moments are real: two real
+matrix products per block of points, over phases exp(i n t) built from two
+tables of about sqrt(K) columns per point.  A sign-preserving extremum found
 there is located by bisection on the derivative, all extrema of the batch
 in lockstep.  If the extremum value is indistinguishable from zero, its cell
 is returned in ``ZeroCountResult.warnings`` as a tangency bracket and adds
@@ -112,10 +109,9 @@ def _lattice_values(a, b, N, j):
     Each row is one FFT of length N with coefficient n at input index n, so
     output j is sum_n (a_n + i b_n) exp(-2 pi i n j / N), whose real part is
     the value.  The cosine ensemble is even in t, so it uses a real FFT and
-    folds j > N/2 onto N - j.  The transforms run in float32 (complex64 for
-    the stationary ensemble), within the bound stated in ``_scan_grid``.
-    Blocks of rows go through one zero-padded input buffer, filled in
-    place, and are cast to float64 as they are copied out.
+    folds j > N/2 onto N - j.  Transforms and values are float32 (complex64
+    transforms for the stationary ensemble), within the bound of ``_scan_grid``.
+    Blocks of rows go through one zero-padded input buffer, filled in place.
     """
     from scipy import fft  # deferred: commands that scan nothing never load scipy
 
@@ -133,7 +129,7 @@ def _lattice_values(a, b, N, j):
     groups = _FFT_BYTES // (4 * N * np.dtype(dtype).itemsize)
     rows = max(1, min(B, 4 * max(1, groups)))  # whole groups of 4 rows
     x = np.zeros((rows, N), dtype=dtype)
-    vals = np.empty((B, j.size))
+    vals = np.empty((B, j.size), dtype=np.float32)
     for s in range(0, B, rows):
         xs = x[: min(rows, B - s)]
         xs[:, 1 : K + 1] = a[s : s + rows]
@@ -144,6 +140,15 @@ def _lattice_values(a, b, N, j):
     return vals
 
 
+@lru_cache(maxsize=2)
+def _roots(N):
+    """Read-only cos and sin of 2 pi j / N, j = 0..N-1: the N roots of unity."""
+    turn = (2.0 * np.pi / N) * np.arange(N)
+    cos, sin = np.cos(turn), np.sin(turn)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
 # two tables: the chunks of a campaign reuse the table of its interval, and
 # those of the window-chop check the tables of its two tails
 @lru_cache(maxsize=2)
@@ -151,21 +156,39 @@ def _lattice_table(K, N, j0, j1, stationary):
     """Table of cos(2 pi n j / N), rows n = 1..K, columns j = j0..j1.
 
     These are the lattice values of cos(n t) on either axis (frequency n or
-    n / K with step 2 pi / N or 2 pi K / N).  Entries are gathered from the
-    N roots of unity at (n j) mod N, an exact integer reduction.  The
+    n / K with step 2 pi / N or 2 pi K / N).  Entries are gathered from
+    ``_roots`` at (n j) mod N, an exact integer reduction.  The
     stationary ensemble stacks the sines below the cosines, so that one
     product of the rows [a, b] with the table gives the values.  The cached
     array is read-only: it is shared by every caller.
     """
-    turn = (2.0 * np.pi / N) * np.arange(N)
+    cos, sin = _roots(N)
     idx = np.multiply.outer(np.arange(1, K + 1), np.arange(j0, j1 + 1))
     np.remainder(idx, N, out=idx)
     table = np.empty((2 * K if stationary else K, idx.shape[1]))
-    np.take(np.cos(turn), idx, out=table[:K])
+    np.take(cos, idx, out=table[:K])
     if stationary:
-        np.take(np.sin(turn), idx, out=table[K:])
+        np.take(sin, idx, out=table[K:])
     table.flags.writeable = False
     return table
+
+
+def _lattice_sums(a, b, N, rows, j):
+    """Float64 sum of row ``rows[i]`` at lattice point ``j[i]``, the same bits in any batch."""
+    cos, sin = _roots(N)
+    n = np.arange(1, a.shape[1] + 1)
+    out = np.empty(rows.size)
+    per = max(1, _BLOCK_ENTRIES // n.size)
+    for s in range(0, rows.size, per):
+        r, idx = rows[s : s + per], np.multiply.outer(j[s : s + per], n) % N
+        out[s : s + per] = (a[r] * cos[idx] + (0.0 if b is None else b[r] * sin[idx])).sum(axis=1)
+    return out
+
+
+def _to_grid(v, dtype):
+    """``v`` rounded once to ``dtype``; a nonzero value that underflows keeps its sign."""
+    out = v.astype(dtype)
+    return np.where((out == 0) & (v != 0), np.nextafter(out, np.sign(v).astype(dtype)), out)
 
 
 def _scan_grid(a, b, freqs, N, step, lo, hi):
@@ -181,14 +204,14 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
       of the rows with ``_lattice_table`` over j[0]..j[-1] (an end rounded
       onto its inner neighbour repeats that column), and err = 0;
     - otherwise the float32 lattice of ``_lattice_values``, with every value
-      smaller than its row's bound err re-valued by a float64 direct sum
-      (the column 0 of ``_expansions``).
+      below its row's bound err re-valued by ``_lattice_sums``.
 
     The FFT bound is err = eps_32 * log2(N) * sum_n (|a_n| + |b_n|): a
     float32 FFT of length N is accurate to eps_32 * log2(N) times the 1-norm
     of its input (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 2002, sec. 24.1), and rounding the coefficients to float32 adds
-    at most half that.
+    at most half that.  ``_to_grid`` stores float64 sums (re-valued points,
+    ends off the lattice) within 2^-24 * sum_n (|a_n| + |b_n|) < err.
     """
     x = np.array([lo, hi]) / step
     near = np.rint(x)
@@ -213,15 +236,15 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
             err += np.abs(b).sum(axis=1)
         err *= _FFT_EPS * math.log2(N)
         rows = max(1, _BLOCK_ENTRIES // P)
+        err32 = np.nextafter(err.astype(np.float32), np.float32(np.inf))  # >= err
         small = [np.empty(0, dtype=np.intp)] + [
-            s * P + np.flatnonzero(np.abs(vals[s : s + rows]) < err[s : s + rows, None])
+            s * P + np.flatnonzero(np.abs(vals[s : s + rows]) < err32[s : s + rows, None])
             for s in range(0, B, rows)
         ]
         r, i = np.divmod(np.concatenate(small), P)
-        vals[r, i] = _expansions(a, b, freqs, r, pts[i], step)[:, 0]
+        vals[r, i] = _to_grid(_lattice_sums(a, b, N, r, j[i]), vals.dtype)
     ends = np.array([0, P - 1])[direct]
-    if ends.size:
-        vals[:, ends] = _eval_at(a, b, freqs, pts[ends])
+    vals[:, ends] = _to_grid(_eval_at(a, b, freqs, pts[ends]), vals.dtype)
     return pts, vals, err
 
 
@@ -337,7 +360,7 @@ def _suspicious_triples(vals, r, i, scale, err):
     |d2| <= 4 e, d2 may take either sign, but ``ok`` caps d1^2 / (2 |d2|)
     at 1.125 |d2|.  With e = 0 the test is the plain one.
     """
-    v0, v1, v2 = vals[r, i], vals[r, i + 1], vals[r, i + 2]
+    v0, v1, v2 = (vals[r, i + k].astype(float) for k in range(3))
     e = err[r]
     d1 = np.abs(0.5 * (v2 - v0))
     d2 = v2 - 2.0 * v1 + v0
@@ -362,10 +385,11 @@ def _classify(vals, err, locate):
     index) pairs of suspicious triples and, with ``locate``, the (row,
     index) pairs of the left points of sign changes (else None).  A middle
     point is a candidate when its |v| exceeds neither neighbour's by more
-    than 2 err, so that every triple the exact values would make a
-    candidate is one.  Rows go in blocks of _BLOCK_ENTRIES // P so that a
-    block's temporaries stay in cache; positions are gathered as flat
-    indices.
+    than 3 err (rounded up to float32), so that every triple the float64
+    sums would make a candidate is one: 2 err for the values, err more for
+    rounding (monotone, so a float32 subtraction keeps it).  Rows go in
+    blocks of _BLOCK_ENTRIES // P so that a block's temporaries stay in
+    cache; positions are gathered as flat indices.
     """
     B, P = vals.shape
     counts = np.empty(B, dtype=np.int64)
@@ -373,6 +397,7 @@ def _classify(vals, err, locate):
     none = np.empty(0, dtype=np.intp)
     cands, changes = [none], [none]
     rows = max(1, _BLOCK_ENTRIES // P)
+    slack = np.nextafter((3.0 * err).astype(np.float32), np.float32(np.inf))
     for s in range(0, B, rows):
         v = vals[s : s + rows]
         absv = np.abs(v)
@@ -380,7 +405,7 @@ def _classify(vals, err, locate):
         sgn = v > 0
         same = sgn[:, :-1] == sgn[:, 1:]
         counts[s : s + rows] = (P - 1) - np.count_nonzero(same, axis=1)
-        a1 = absv[:, 1:-1] - 2.0 * err[s : s + rows, None]
+        a1 = absv[:, 1:-1] - slack[s : s + rows, None]
         cand = a1 <= absv[:, :-2]
         cand &= a1 <= absv[:, 2:]
         cand &= same[:, :-1]
@@ -415,30 +440,28 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     # row * P + left point, are re-scanned at 4x density.  Both ends of such
     # a cell keep their common coarse sign.  Inside, values and derivatives
     # come from the Taylor expansion about the cell's left point; the
-    # derivative at each end comes from that point's own expansion, so that
-    # neighbouring cells agree on it.
+    # derivative at the right end from the next cell's, when it is refined
+    # too (so neighbouring cells agree on it), else from the cell's own.
     cells = np.unique(np.concatenate((s_rows * P + s_idx - 1, s_rows * P + s_idx)))
-    points = np.unique(np.concatenate((cells, cells + 1)))
-    mom = _expansions(a, b, freqs, points // P, pts[points % P], step)
-    dmom = mom[:, 1:] * np.arange(1, _TAYLOR_TERMS)  # of the u-derivative
-    left = np.searchsorted(points, cells)
     rows, p = cells // P, cells % P
+    mom = _expansions(a, b, freqs, rows, pts[p], step)
+    dmom = mom[:, 1:] * np.arange(1, _TAYLOR_TERMS)  # of the u-derivative
     t = pts[p, None] + np.multiply.outer(pts[p + 1] - pts[p], np.arange(5) / 4.0)
     t[:, 4] = pts[p + 1]
-    u = (t[:, 1:4] - t[:, :1]) / step
+    u = (t[:, 1:] - t[:, :1]) / step
     sg = np.repeat(vals[rows, p][:, None] > 0, 5, axis=1)
-    sg[:, 1:4] = _taylor(mom[left], u) > 0
+    sg[:, 1:4] = _taylor(mom, u[:, :3]) > 0
     dpos = np.empty((cells.size, 5), dtype=bool)
-    dpos[:, 0] = dmom[left, 0] > 0
-    dpos[:, 1:4] = _taylor(dmom[left], u) > 0
-    dpos[:, 4] = dmom[left + 1, 0] > 0
+    dpos[:, 0] = dmom[:, 0] > 0
+    dpos[:, 1:] = _taylor(dmom, u) > 0
+    dpos[:-1, 4] = np.where(np.diff(cells) == 1, dpos[1:, 0], dpos[:-1, 4])
     flip = sg[:, :-1] != sg[:, 1:]
     np.add.at(counts, rows, flip.sum(axis=1))
 
     # sign-preserving extrema: settle each by bisection on the derivative
     ci, q = np.nonzero(~flip & (dpos[:, :-1] != dpos[:, 1:]))
-    tstar = _bisect(dmom[left[ci]], t[ci, 0], step, t[ci, q], t[ci, q + 1], dpos[ci, q])
-    vstar = _taylor(mom[left[ci]], (tstar - t[ci, 0]) / step)
+    tstar = _bisect(dmom[ci], t[ci, 0], step, t[ci, q], t[ci, q + 1], dpos[ci, q])
+    vstar = _taylor(mom[ci], (tstar - t[ci, 0]) / step)
     ext_rows = rows[ci]
     tangent = np.abs(vstar) <= _TANGENCY_REL_TOL * scale[ext_rows]
     crossed = ~tangent & ((vstar > 0) != sg[ci, q])
@@ -453,11 +476,11 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
         kr, kp = changes
         fr, fq = np.nonzero(flip)
         cr = np.flatnonzero(crossed)
-        xc, xq, xmom = ci[cr], q[cr], mom[left[ci[cr]]]
+        xc, xq, xmom = ci[cr], q[cr], mom[ci[cr]]
         coarse = _expansions(a, b, freqs, kr, pts[kp], step)
         owner = np.concatenate((kr, rows[fr], ext_rows[cr], ext_rows[cr]))
         roots = _bisect(
-            np.concatenate((coarse, mom[left[fr]], xmom, xmom)),
+            np.concatenate((coarse, mom[fr], xmom, xmom)),
             np.concatenate((pts[kp], t[fr, 0], t[xc, 0], t[xc, 0])),
             step,
             np.concatenate((pts[kp], t[fr, fq], t[xc, xq], tstar[cr])),

@@ -225,6 +225,13 @@ class TestSigmaQ:
         with pytest.raises(UsageError):
             sigma_q_squared(2, tail=50.0)
 
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tail(self, tail):
+        with pytest.raises(UsageError):
+            sigma_q_squared(2, tail=tail)
+        with pytest.raises(UsageError):
+            total_variance_constant(q_max=4, tail=tail)
+
 
 class TestSeriesTail:
     def test_hurwitz_zeta_matches_scipy(self):

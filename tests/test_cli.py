@@ -147,6 +147,21 @@ class TestSimulate:
         assert res.exit_code == 2, res.output
         assert not any(tmp_path.iterdir())
 
+    def test_repeated_degree_is_usage_error(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["simulate", "--K", "10", "--K", "10", "--reps", "10", "--out", str(tmp_path / "x")]
+        )
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"config": {"K": [10, 20, 10], "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
+            encoding="utf-8",
+        )
+        res = runner.invoke(main, ["simulate", "--config", str(manifest), "--out", str(tmp_path / "y")])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "y").exists()
+
 
 class TestRice:
     def test_full_period_mean(self, runner):
@@ -230,6 +245,12 @@ class TestChaosVar:
         res = runner.invoke(main, ["chaos-var", "--qmax", qmax])
         assert res.exit_code == 2, res.output
         assert "total" not in res.output
+
+    @pytest.mark.parametrize("tail", ["nan", "inf", "-inf"])
+    def test_non_finite_tail_is_usage_error(self, runner, tmp_path, tail):
+        res = runner.invoke(main, ["chaos-var", "--qmax", "4", "--tail", tail, "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert not any(tmp_path.iterdir())
 
     def test_small_run_shape(self, runner, tmp_path):
         res = runner.invoke(

@@ -71,7 +71,7 @@ class TestCampaign:
             run_campaign(_config(replicates=1))
         with pytest.raises(UsageError):
             run_campaign(_config(alpha=0.7, interval=IntervalSpec("window")))
-        for K_list in ((0,), (-3,), (20, 0)):
+        for K_list in ((0,), (-3,), (20, 0), (10, 10), (20, 10, 20)):
             with pytest.raises(UsageError):
                 run_campaign(_config(K_list=K_list))
 

@@ -218,6 +218,37 @@ class TestTangency:
         assert res.count == count_zeros_eigen(shifted, (0.0, np.pi)).count
 
 
+    def test_touch_where_two_suspects_tie(self, monkeypatch):
+        # a touch point near the middle of the cell between lattice points 15
+        # and 16, placed where their values tie: on the FFT route both
+        # triples around the cell are suspects within the rounding slack, so
+        # the adjacent cells 14, 15 and 16 are refined and share their inner
+        # ends
+        monkeypatch.setattr(zeros, "_TABLE_CUT", 0.0)
+        step = np.pi / 48
+        n = np.arange(1, 4)
+
+        def gap(frac):
+            a = self._tangent_vector((15 + frac) * step)[0].a
+            v15, v16 = np.cos(np.multiply.outer(np.array([15, 16]) * step, n)) @ a
+            return v15 - v16
+
+        from scipy.optimize import brentq
+
+        tstar = (15 + brentq(gap, 0.3, 0.7, xtol=1e-15)) * step
+        cv, _ = self._tangent_vector(tstar)
+        _, vals, err = _scan_grid(cv.a[None, :], None, _freqs(3, False), 96, step, 0.0, np.pi)
+        assert set(_classify(vals, err, False)[3]) == {15, 16}
+        res = count_zeros_scan(cv, (0.0, np.pi))
+        assert len(res.warnings) == 1
+        lo, hi = res.warnings[0]
+        assert lo < tstar < hi and hi - lo < step / 4 * (1 + 1e-9)
+        shifted = _vector(3, cv.a - np.r_[1e-6 / np.cos(tstar), 0.0, 0.0])
+        res = count_zeros_scan(shifted, (0.0, np.pi))
+        assert np.sum(np.abs(res.roots - tstar) < 0.05) == 2
+        assert res.count == count_zeros_eigen(shifted, (0.0, np.pi)).count
+
+
 class TestRootCount:
     """Located roots are exactly the count-mode count, one per crossing."""
 
@@ -346,15 +377,20 @@ class TestLatticeGrid:
         # (table-route grids, ends off the lattice, re-valued lattice points),
         # held to 1e-11 of the row's largest value, with signs agreeing
         # wherever the path is not zero to rounding (K = 1 vanishes exactly
-        # at pi/2 and 3pi/2, lattice points)
+        # at pi/2 and 3pi/2, lattice points).  An FFT grid is float32, so its
+        # float64 sums are also rounded once to float32
         fft = np.zeros(want.shape, dtype=bool)
+        tol = 1e-11 * row_max
         if err.any():
+            assert vals.dtype == np.float32
             assert np.allclose(err, beta[:, 0], rtol=1e-12, atol=0.0)
             fft[:, on] = np.abs(lattice) >= beta
+            tol = 2.0**-24 * np.abs(want) + 1.0001e-11 * row_max
         else:
+            assert vals.dtype == np.float64
             assert j.size * K < zeros._TABLE_CUT * N * np.log2(N)
         got = vals[:, keep]
-        assert np.all(np.abs(got - want) <= np.where(fft, beta, 1e-11 * row_max))
+        assert np.all(np.abs(got - want) <= np.where(fft, beta, tol))
         clear = np.abs(want) > np.where(fft, beta, 1e-14 * row_max)
         assert np.array_equal((got > 0)[clear], (want > 0)[clear])
 
@@ -445,6 +481,19 @@ class TestBatchEngine:
         sub_counts, sub_warns = scan_count_batch(a[101:138], None, 1600, (0.0, 0.5 * np.pi))
         assert np.array_equal(sub_counts, counts[101:138])
         assert np.array_equal(sub_warns, warns[101:138])
+
+    def test_row_blocks_do_not_change_grid_bits(self, k1600_chunk):
+        # the same 37 rows: each row's float32 FFT values, re-summed values
+        # and bound are the same bits alone as in the chunk
+        a = k1600_chunk[0]
+        N = 32 * 1600
+        grid = (_freqs(1600, False), N, 2.0 * np.pi / N, 0.0, 0.5 * np.pi)
+        _, vals, err = _scan_grid(a, None, *grid)
+        _, sub_vals, sub_err = _scan_grid(a[101:138], None, *grid)
+        assert sub_vals.dtype == np.float32
+        assert np.count_nonzero(np.abs(sub_vals) < sub_err[:, None])  # re-summed values
+        assert np.array_equal(sub_vals, vals[101:138])
+        assert np.array_equal(sub_err, err[101:138])
 
     def test_k1600_row_against_colleague_matrix(self):
         # cos(n t) = T_n(cos t), so the roots in x = cos t of the Chebyshev
@@ -584,6 +633,16 @@ class TestMixedPrecision:
         P = vals.shape[1]
         assert np.all(np.isin(ref[2] * P + ref[3], mixed[2] * P + mixed[3]))
 
+    def test_grid_storage_keeps_signs(self):
+        # float64 sums are stored in a float32 grid by one rounding; values
+        # that would underflow keep their sign as the least subnormal
+        v = np.array([1e-50, -1e-50, 3e-39, -3e-39, 0.0, 1.5, -2.5])
+        got = zeros._to_grid(v, np.float32)
+        assert got.dtype == np.float32
+        assert np.array_equal(np.sign(got), np.sign(v))
+        assert np.all(np.abs(got[:2]) == np.finfo(np.float32).smallest_subnormal)
+        assert np.array_equal(got[2:], v[2:].astype(np.float32))
+
     @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
     def test_lattice_error_far_below_bound(self, ensemble):
         # the stated bound is loose: about 1% of it is reached at K = 1600
@@ -615,8 +674,11 @@ class TestMixedPrecision:
         raw = _lattice_values(a, None, N, np.arange(pts.size))
         small = np.flatnonzero(np.abs(raw[0]) < err[0])
         assert small.size
-        resummed = zeros._expansions(a, None, freqs, np.zeros(small.size, dtype=int), pts[small], step)
-        assert np.array_equal(vals[0, small], resummed[:, 0])
+        # re-summed in float64 over the roots of unity, rounded once to float32
+        resummed = zeros._lattice_sums(a, None, N, np.zeros(small.size, dtype=int), small)
+        assert np.array_equal(vals[0, small], resummed.astype(np.float32))
+        want = _direct_values(a, None, freqs, pts)[0]
+        assert np.all(np.abs(resummed - want[small]) <= 1e-11 * np.max(np.abs(want)))
         cv = _vector(K, a[0])
         res = count_zeros_scan(cv, (0.0, np.pi))
         ref = float64_scan(count_zeros_scan, cv, (0.0, np.pi))
