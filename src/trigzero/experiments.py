@@ -67,7 +67,7 @@ class ExperimentConfig:
     alpha: float = 0.25
     seed: int = 0
     ensemble: str = "cosine"
-    oversample: int = 16
+    oversample: int = 8
 
     def validate(self):
         if self.replicates < 2:

@@ -11,24 +11,28 @@ single-precision FFT per replicate, each value within
 beta = eps_32 * log2(N) * sum_n (|a_n| + |b_n|) of the exact sum.  Every
 value smaller than beta is re-valued by a float64 sum over the same roots
 of unity, rounded once to float32 with its sign kept, so the sign of every
-grid value is the sign of its float64 sum.  An interval end off the lattice
-is added as a grid point and summed directly.  Sign changes between
-neighbouring grid points are counted, and suspects classified, in blocks.
+grid value is the sign of its float64 sum.  The grid runs one lattice point
+beyond the lattice cells that reach the interval's ends, and an end off the
+lattice is summed directly, for its sign.  Sign changes between nonzero
+values on the interval are counted, and suspects classified, in blocks.
 
-Same-sign triples whose parabola fit dips toward zero flag the two cells
-around them, which are re-scanned at 4x density.  The tests are widened by
-beta so that every triple the float64 values would flag is flagged; an
-extra flagged cell costs only work, as the re-scan is exact.  There the
-path comes from a Taylor expansion about each refined cell's left point,
-exact to rounding within a lattice step.  Its moments are real: two real
-matrix products per block of points, over phases exp(i n t) built from two
-tables of about sqrt(K) columns per point.  A sign-preserving extremum found
-there is located by bisection on the derivative, all extrema of the batch
-in lockstep.  If the extremum value is indistinguishable from zero, its cell
-is returned in ``ZeroCountResult.warnings`` as a tangency bracket and adds
-no crossings; campaigns count these brackets in the ``warnings`` column of
-``records.csv`` and leave such replicates out of their moments.  Otherwise a
-sign change at the extremum adds two crossings.  Root location, when asked
+Same-sign triples whose parabola fit dips toward zero, and a 0.0 between
+like signs, flag the two cells around them, which are re-scanned at 4x
+density (clipped to the interval).  As the grid reaches past the ends, the
+end cells are flagged like any other.  The tests are widened by beta so
+that every triple the float64 values would flag is flagged; an extra
+flagged cell costs only work, as the re-scan is exact.  There the path
+comes from one Taylor expansion per suspect, about its middle lattice
+point, exact to rounding within a lattice step of it.  Its moments are
+real: two real matrix products per block of points, over phases exp(i n t)
+built from two tables of about sqrt(K) columns per point.  A
+sign-preserving extremum found there is located by bisection on the
+derivative, all extrema of the batch in lockstep.  If the extremum value is
+indistinguishable from zero, its cell is returned in
+``ZeroCountResult.warnings`` as a tangency bracket and adds no crossings;
+campaigns count these brackets in the ``warnings`` column of
+``records.csv`` and leave such replicates out of their moments.  Otherwise
+a sign change at the extremum adds two crossings.  Root location, when asked
 for, takes one bracket per counted crossing (coarse and refined sign
 changes, and both sides of each crossed extremum) and bisects them all in
 lockstep on Taylor expansions, so the located roots are exactly as many as
@@ -64,8 +68,11 @@ _BISECT_WIDTH = 1e-12
 _SUSPECT_FRACTION = 0.25
 _TANGENCY_REL_TOL = 1e-10
 
-# entries held at once by the classification blocks, the re-valuing pass
-# and the Taylor expansions; bounds their scratch memory
+# entries held at once by the re-valuing pass and the Taylor expansions,
+# and twice that by a classification block: glibc trims the heap top once it
+# exceeds twice the largest freed mmapped chunk, here a table-route block;
+# with blocks of 1 << 16, 16 of 260 K = 100 campaign operations (20 fresh
+# interpreters, glibc 2.36) regrew about 1 MB of heap, none of 520 at 1 << 17
 _BLOCK_ENTRIES = 1 << 16
 # bytes of the single-precision FFT input buffer, filled in blocks of rows
 # that are a multiple of 4: at K = 1600, blocks of 4 or 8 rows transformed
@@ -83,9 +90,9 @@ _FFT_EPS = float(np.finfo(np.float32).eps)
 # an interval end within this many lattice steps of a lattice point is
 # treated as that point
 _LATTICE_TOL = 1e-9
-# Taylor terms kept about a lattice point: oversample >= 8 makes the
-# lattice step h satisfy freq * h <= pi/8 for every frequency, and
-# (pi/8)^18 / 18! < 1e-22, far below rounding
+# Taylor terms kept about a lattice point, used up to a step h away: the
+# floor oversample = 8 (campaigns run at it) makes freq * h <= pi/8 for
+# every frequency, and (pi/8)^18 / 18! < 1e-22, far below rounding
 _TAYLOR_TERMS = 18
 
 
@@ -122,10 +129,10 @@ def _lattice_values(a, b, N, j):
         transform, dtype = fft.rfft, np.float32
     else:
         transform, dtype = fft.fft, np.complex64
-    # one ascending run (every interval inside [0, pi] on the cosine
-    # ensemble) is copied as a slice; folded or wrapped indices are gathered
-    run = bool(np.all(np.diff(j) == 1))
-    cols = slice(j[0], j[0] + j.size)
+    # indices between the first and the last on one ascending run (every
+    # scan grid inside [0, pi] on the cosine ensemble) are copied as a slice
+    # and those two gathered; other folded or wrapped indices are gathered
+    run = j.size > 2 and bool(np.all(np.diff(j[1:-1]) == 1))
     groups = _FFT_BYTES // (4 * N * np.dtype(dtype).itemsize)
     rows = max(1, min(B, 4 * max(1, groups)))  # whole groups of 4 rows
     x = np.zeros((rows, N), dtype=dtype)
@@ -136,7 +143,11 @@ def _lattice_values(a, b, N, j):
         if b is not None:
             xs.imag[:, 1 : K + 1] = b[s : s + rows]
         out = transform(xs).real
-        vals[s : s + rows] = out[:, cols] if run else np.take(out, j, axis=1)
+        if run:
+            vals[s : s + rows, 1:-1] = out[:, j[1] : j[-2] + 1]
+            vals[s : s + rows, [0, -1]] = out[:, j[[0, -1]]]
+        else:
+            vals[s : s + rows] = np.take(out, j, axis=1)
     return vals
 
 
@@ -191,18 +202,33 @@ def _to_grid(v, dtype):
     return np.where((out == 0) & (v != 0), np.nextafter(out, np.sign(v).astype(dtype)), out)
 
 
+class _TableGrid:
+    """A table-route grid valued when sliced: ``grid[rows]`` is one product of
+    those rows with the table, so that no whole-grid array is held."""
+
+    def __init__(self, coef, table):
+        self.coef, self.table, self.shape = coef, table, (coef.shape[0], table.shape[1])
+
+    def __getitem__(self, rows):
+        return self.coef[rows] @ self.table
+
+
 def _scan_grid(a, b, freqs, N, step, lo, hi):
-    """Scan grid on [lo, hi], every row's values there, and their error bounds.
+    """Lattice grid around [lo, hi], every row's values there, their error bounds, and the ends.
 
-    Returns pts (P,), vals (B, P) and err (B,): each value is within err of
-    the float64 sum, and its sign is the sign of that sum.  Interior points
-    are the lattice points j * step strictly inside; the ends are exactly lo
-    and hi.  An end off the lattice is summed directly.  The lattice values
-    take one of two routes, whichever costs less:
+    Returns pts (P,), vals (B, P), err (B,) and edges = (cols, end_vals):
+    each value is within err of the float64 sum, and its sign is the sign
+    of that sum.  The grid is the lattice points j * step from one below
+    the last at or below lo to one above the first at or above hi, so that
+    every cell reaching into [lo, hi] is the middle one of three; pts[1]
+    and pts[-2] are exactly lo and hi where these are on the lattice.  An
+    end off it is summed directly: column cols[c] holds the lattice point
+    next to the end whose value is end_vals[:, c].  The lattice values take
+    one of two routes, whichever costs less:
 
-    - with P * K < _TABLE_CUT * N log2 N (short grids), one float64 product
-      of the rows with ``_lattice_table`` over j[0]..j[-1] (an end rounded
-      onto its inner neighbour repeats that column), and err = 0;
+    - with P * K < _TABLE_CUT * N log2 N (short grids), a ``_TableGrid`` of
+      the rows' products with ``_lattice_table`` over j[0]..j[-1], and
+      err = 0;
     - otherwise the float32 lattice of ``_lattice_values``, with every value
       below its row's bound err re-valued by ``_lattice_sums``.
 
@@ -210,42 +236,33 @@ def _scan_grid(a, b, freqs, N, step, lo, hi):
     float32 FFT of length N is accurate to eps_32 * log2(N) times the 1-norm
     of its input (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 2002, sec. 24.1), and rounding the coefficients to float32 adds
-    at most half that.  ``_to_grid`` stores float64 sums (re-valued points,
-    ends off the lattice) within 2^-24 * sum_n (|a_n| + |b_n|) < err.
+    at most half that.  ``_to_grid`` stores the float64 re-sums within
+    2^-24 * sum_n (|a_n| + |b_n|) < err.
     """
     x = np.array([lo, hi]) / step
-    near = np.rint(x)
-    direct = np.abs(x - near) > _LATTICE_TOL
-    inner = np.arange(
-        math.floor(x[0] + _LATTICE_TOL) + 1, math.ceil(x[1] - _LATTICE_TOL)
-    )
-    j = np.concatenate(([near[0]], inner, [near[1]])).astype(np.int64)
+    direct = np.abs(x - np.rint(x)) > _LATTICE_TOL
+    j = np.arange(math.floor(x[0] + _LATTICE_TOL) - 1, math.ceil(x[1] - _LATTICE_TOL) + 2)
     pts = j * step
-    pts[0], pts[-1] = lo, hi
+    pts[[1, -2]] = np.where(direct, pts[[1, -2]], [lo, hi])
     B, P = a.shape[0], j.size
+    edges = np.array([1, P - 2])[direct], _eval_at(a, b, freqs, np.array([lo, hi])[direct])
     if P * freqs.size < _TABLE_CUT * N * math.log2(N):
         table = _lattice_table(freqs.size, N, int(j[0]), int(j[-1]), b is not None)
-        vals = (a if b is None else np.hstack((a, b))) @ table
-        if vals.shape[1] != P:
-            vals = vals[:, j - j[0]]
-        err = np.zeros(B)
-    else:
-        vals = _lattice_values(a, b, N, j)
-        err = np.abs(a).sum(axis=1)
-        if b is not None:
-            err += np.abs(b).sum(axis=1)
-        err *= _FFT_EPS * math.log2(N)
-        rows = max(1, _BLOCK_ENTRIES // P)
-        err32 = np.nextafter(err.astype(np.float32), np.float32(np.inf))  # >= err
-        small = [np.empty(0, dtype=np.intp)] + [
-            s * P + np.flatnonzero(np.abs(vals[s : s + rows]) < err32[s : s + rows, None])
-            for s in range(0, B, rows)
-        ]
-        r, i = np.divmod(np.concatenate(small), P)
-        vals[r, i] = _to_grid(_lattice_sums(a, b, N, r, j[i]), vals.dtype)
-    ends = np.array([0, P - 1])[direct]
-    vals[:, ends] = _to_grid(_eval_at(a, b, freqs, pts[ends]), vals.dtype)
-    return pts, vals, err
+        return pts, _TableGrid(a if b is None else np.hstack((a, b)), table), np.zeros(B), edges
+    vals = _lattice_values(a, b, N, j)
+    err = np.abs(a).sum(axis=1)
+    if b is not None:
+        err += np.abs(b).sum(axis=1)
+    err *= _FFT_EPS * math.log2(N)
+    rows = max(1, _BLOCK_ENTRIES // P)
+    err32 = np.nextafter(err.astype(np.float32), np.float32(np.inf))  # >= err
+    small = [np.empty(0, dtype=np.intp)] + [
+        s * P + np.flatnonzero(np.abs(vals[s : s + rows]) < err32[s : s + rows, None])
+        for s in range(0, B, rows)
+    ]
+    r, i = np.divmod(np.concatenate(small), P)
+    vals[r, i] = _to_grid(_lattice_sums(a, b, N, r, j[i]), vals.dtype)
+    return pts, vals, err, edges
 
 
 def _eval_at(a, b, freqs, pts):
@@ -336,17 +353,17 @@ def _bisect(mom, t0, step, lo, hi, lo_pos):
     return 0.5 * (lo + hi)
 
 
-def _suspicious_triples(vals, r, i, scale, err):
-    """(row, index) pairs of interior grid points hiding a possible root pair.
+def _suspicious_triples(v0, v1, v2, r, scale, err):
+    """Which candidate triples (v0, v1, v2), of rows ``r``, hide a possible root pair.
 
-    Candidates are the triples (i, i+1, i+2) of row ``r`` whose values share
-    one sign and whose |v| is least at the middle.  Each is fitted with a
-    parabola: d1 = (v2 - v0) / 2, d2 = v2 - 2 v1 + v0, and the extremum
-    value est = v1 - d1^2 / (2 d2).  With |d2| > 0 and |d1| <= 1.5 |d2|
-    (``ok``), est crossing zero or landing within a margin of a quarter of
-    |d2| (plus 1e-13 of the row scale) of it flags the neighborhood of the
-    middle point for refinement; with s = sign(v1) != 0 that is
-    s * est <= margin, and v1 = 0 is always flagged.
+    Candidates have outer values of one sign and the least |v| in the
+    middle; those whose nonzero middle has the other sign are dropped here.
+    Each is fitted with a parabola: d1 = (v2 - v0) / 2, d2 = v2 - 2 v1 + v0,
+    and the extremum value est = v1 - d1^2 / (2 d2).  With |d2| > 0 and
+    |d1| <= 1.5 |d2| (``ok``), est crossing zero or landing within a margin
+    of a quarter of |d2| (plus 1e-13 of the row scale) of it flags the
+    neighborhood of the middle point for refinement; with s = sign(v1) != 0
+    that is s * est <= margin, and v1 = 0 is always flagged.
 
     Each value may be off by up to e = ``err[r]`` (with a sign that is
     right), and the test flags every triple that some values within e of
@@ -360,63 +377,78 @@ def _suspicious_triples(vals, r, i, scale, err):
     |d2| <= 4 e, d2 may take either sign, but ``ok`` caps d1^2 / (2 |d2|)
     at 1.125 |d2|.  With e = 0 the test is the plain one.
     """
-    v0, v1, v2 = (vals[r, i + k].astype(float) for k in range(3))
     e = err[r]
     d1 = np.abs(0.5 * (v2 - v0))
     d2 = v2 - 2.0 * v1 + v0
     d1_lo, d1_hi = np.maximum(d1 - e, 0.0), d1 + e
     d2_lo, d2_hi = np.abs(d2) - 4.0 * e, np.abs(d2) + 4.0 * e
-    ok = (d2_hi > 0) & (d1_lo <= 1.5 * d2_hi)
+    ok = (d2_hi > 0) & (d1_lo <= 1.5 * d2_hi) & ((v1 == 0) | ((v1 > 0) == (v0 > 0)))
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(
             np.sign(d2) == np.sign(v1), d1_hi * d1_hi / (2.0 * d2_lo), -d1_lo * d1_lo / (2.0 * d2_hi)
         )
     least = np.abs(v1) - e - np.where(d2_lo > 0, shift, 1.125 * d2_hi)
     margin = _SUSPECT_FRACTION * d2_hi + 1e-13 * (scale[r] + e)
-    hit = ok & ((v1 == 0) | (least <= margin))
-    return r[hit], i[hit] + 1
+    return ok & ((v1 == 0) | (least <= margin))
 
 
-def _classify(vals, err, locate):
-    """Sign changes, scales and suspects of grid values ``vals``, shape (B, P).
+def _classify(vals, err, locate, edges=((), None)):
+    """Sign changes, scales and suspects of a ``_scan_grid`` grid ``vals``, shape (B, P).
 
-    Each row's values may be off by its ``err`` (see ``_scan_grid``).
-    Returns each row's sign-change count and largest |value|, the (row,
-    index) pairs of suspicious triples and, with ``locate``, the (row,
-    index) pairs of the left points of sign changes (else None).  A middle
-    point is a candidate when its |v| exceeds neither neighbour's by more
-    than 3 err (rounded up to float32), so that every triple the float64
-    sums would make a candidate is one: 2 err for the values, err more for
-    rounding (monotone, so a float32 subtraction keeps it).  Rows go in
-    blocks of _BLOCK_ENTRIES // P so that a block's temporaries stay in
-    cache; positions are gathered as flat indices.
+    Each row's values may be off by its ``err``; signs at the ends off the
+    lattice come from ``edges``.  The cells from column 1 to P - 2 are
+    counted, and every column but the outer two is a triple's middle.
+    Returns each row's sign-change count and largest |value|, the suspects
+    (rows, middle indices, signs) and, with ``locate``, the sign changes
+    (rows, left indices, signs there), else None.  Signs change only
+    between nonzero values: a 0.0 between values of one sign takes theirs,
+    and its triple is a suspect, so that refinement tells a touch from a
+    crossed pair.  A middle point is a candidate when its |v| exceeds
+    neither neighbour's by more than 3 err (rounded up to float32), so that
+    every triple the float64 sums would make a candidate is one: 2 err for
+    the values, err more for rounding (monotone, so a float32 subtraction
+    keeps it).  Rows are valued and classified in blocks of
+    2 * _BLOCK_ENTRIES // P, each released before the next is valued, so
+    that no temporary outgrows the cache or the heap churns.
     """
     B, P = vals.shape
     counts = np.empty(B, dtype=np.int64)
     scale = np.empty(B)
     none = np.empty(0, dtype=np.intp)
-    cands, changes = [none], [none]
-    rows = max(1, _BLOCK_ENTRIES // P)
+    cands, changes = [(none,) * 2 + (np.empty(0),) * 3], [(none, none, none.astype(bool))]
+    rows = max(1, 2 * _BLOCK_ENTRIES // P)
     slack = np.nextafter((3.0 * err).astype(np.float32), np.float32(np.inf))
     for s in range(0, B, rows):
         v = vals[s : s + rows]
-        absv = np.abs(v)
-        np.max(absv, axis=1, out=scale[s : s + rows])
         sgn = v > 0
-        same = sgn[:, :-1] == sgn[:, 1:]
-        counts[s : s + rows] = (P - 1) - np.count_nonzero(same, axis=1)
-        a1 = absv[:, 1:-1] - slack[s : s + rows, None]
+        # a block valued for this call (the table route's) is overwritten
+        absv = np.abs(v, out=v if v.flags.owndata else None)
+        np.max(absv[:, 1:-1], axis=1, out=scale[s : s + rows])
+        a1 = absv[:, 1:-1]
+        if err.any():  # no temporary on the table route, whose err is 0
+            a1 = a1 - slack[s : s + rows, None]
         cand = a1 <= absv[:, :-2]
         cand &= a1 <= absv[:, 2:]
-        cand &= same[:, :-1]
-        cand &= same[:, 1:]
-        cands.append(s * (P - 2) + np.flatnonzero(cand))
+        cand &= sgn[:, :-2] == sgn[:, 2:]
+        r, i = np.divmod(np.flatnonzero(cand), P - 2)
+        left = r * P + i  # flat index of each triple's first point
+        flat, sflat = absv.reshape(-1), sgn.reshape(-1)
+        trip = [np.where(sflat[left + k], 1.0, -1.0) * flat[left + k] for k in range(3)]
+        zero = left[trip[1] == 0]
+        sflat[zero + 1] = sflat[zero]
+        cands.append((r + s, i + 1, *trip))
+        if len(edges[0]):
+            sgn[:, edges[0]] = edges[1][s : s + rows] > 0
+        same = sgn[:, 1:-2] == sgn[:, 2:-1]
+        counts[s : s + rows] = (P - 3) - np.count_nonzero(same, axis=1)
         if locate:
-            changes.append(s * (P - 1) + np.flatnonzero(~same))
-    r, i = np.divmod(np.concatenate(cands), max(P - 2, 1))
-    s_rows, s_idx = _suspicious_triples(vals, r, i, scale, err)
-    changes = np.divmod(np.concatenate(changes), P - 1) if locate else None
-    return counts, scale, s_rows, s_idx, changes
+            cr, ci = np.divmod(np.flatnonzero(~same), P - 3)
+            changes.append((cr + s, ci + 1, sgn[cr, ci + 1]))
+        del v, absv, a1, flat
+    r, m, v0, v1, v2 = map(np.concatenate, zip(*cands))
+    hit = _suspicious_triples(v0, v1, v2, r, scale, err)
+    changes = tuple(map(np.concatenate, zip(*changes))) if locate else None
+    return counts, scale, r[hit], m[hit], v0[hit] + v2[hit] > 0, changes
 
 
 def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
@@ -432,36 +464,43 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     freqs = _freqs(K, rescaled)
     N = 2 * oversample * K
     step = 2.0 * np.pi * (K if rescaled else 1.0) / N
-    pts, vals, err = _scan_grid(a, b, freqs, N, step, lo, hi)
+    pts, vals, err, edges = _scan_grid(a, b, freqs, N, step, lo, hi)
     B, P = vals.shape
-    counts, scale, s_rows, s_idx, changes = _classify(vals, err, locate)
+    counts, scale, s_rows, s_idx, s_pos, changes = _classify(vals, err, locate, edges)
+    cut = np.clip(pts, lo, hi)  # the cells' ends, clipped to the interval
 
-    # Refinement: the grid cells on either side of a suspect, keyed
-    # row * P + left point, are re-scanned at 4x density.  Both ends of such
-    # a cell keep their common coarse sign.  Inside, values and derivatives
-    # come from the Taylor expansion about the cell's left point; the
-    # derivative at the right end from the next cell's, when it is refined
-    # too (so neighbouring cells agree on it), else from the cell's own.
-    cells = np.unique(np.concatenate((s_rows * P + s_idx - 1, s_rows * P + s_idx)))
+    # Refinement: the cells inside [lo, hi] on either side of a suspect,
+    # keyed row * P + left point, are re-scanned at 4x density.  Their ends
+    # keep their coarse signs.  Inside, values and derivatives come from the
+    # Taylor expansion about a suspect's middle point: the cell's right end
+    # if that is one, else its left end; the derivative at its right end
+    # from the next cell's, when that is refined too (so neighbours agree).
+    key = s_rows * P + s_idx
+    cells = np.unique(np.concatenate((key - 1, key)))
+    cells = cells[(cells % P > 0) & (cells % P < P - 2)]
     rows, p = cells // P, cells % P
-    mom = _expansions(a, b, freqs, rows, pts[p], step)
+    k = np.minimum(np.searchsorted(key, cells + 1), key.size - 1)
+    k = np.where(key[k] == cells + 1, k, np.searchsorted(key, cells))
+    mom = _expansions(a, b, freqs, s_rows, pts[s_idx], step)[k]
     dmom = mom[:, 1:] * np.arange(1, _TAYLOR_TERMS)  # of the u-derivative
-    t = pts[p, None] + np.multiply.outer(pts[p + 1] - pts[p], np.arange(5) / 4.0)
-    t[:, 4] = pts[p + 1]
-    u = (t[:, 1:] - t[:, :1]) / step
-    sg = np.repeat(vals[rows, p][:, None] > 0, 5, axis=1)
-    sg[:, 1:4] = _taylor(mom, u[:, :3]) > 0
-    dpos = np.empty((cells.size, 5), dtype=bool)
-    dpos[:, 0] = dmom[:, 0] > 0
-    dpos[:, 1:] = _taylor(dmom, u) > 0
+    t0 = pts[s_idx[k]]
+    t = cut[p, None] + np.multiply.outer(cut[p + 1] - cut[p], np.arange(5) / 4.0)
+    t[:, 4] = cut[p + 1]
+    u = (t - t0[:, None]) / step
+    sg = np.repeat(s_pos[k][:, None], 5, axis=1)
+    for c, v in zip(edges[0], edges[1].T):  # an end off the lattice: its own sign
+        sg[p == c, 0] = v[rows[p == c]] > 0
+        sg[p + 1 == c, 4] = v[rows[p + 1 == c]] > 0
+    sg[:, 1:4] = _taylor(mom, u[:, 1:4]) > 0
+    dpos = _taylor(dmom, u) > 0
     dpos[:-1, 4] = np.where(np.diff(cells) == 1, dpos[1:, 0], dpos[:-1, 4])
     flip = sg[:, :-1] != sg[:, 1:]
-    np.add.at(counts, rows, flip.sum(axis=1))
+    np.add.at(counts, rows, flip.sum(axis=1) - (sg[:, 0] != sg[:, 4]))
 
     # sign-preserving extrema: settle each by bisection on the derivative
     ci, q = np.nonzero(~flip & (dpos[:, :-1] != dpos[:, 1:]))
-    tstar = _bisect(dmom[ci], t[ci, 0], step, t[ci, q], t[ci, q + 1], dpos[ci, q])
-    vstar = _taylor(mom[ci], (tstar - t[ci, 0]) / step)
+    tstar = _bisect(dmom[ci], t0[ci], step, t[ci, q], t[ci, q + 1], dpos[ci, q])
+    vstar = _taylor(mom[ci], (tstar - t0[ci]) / step)
     ext_rows = rows[ci]
     tangent = np.abs(vstar) <= _TANGENCY_REL_TOL * scale[ext_rows]
     crossed = ~tangent & ((vstar > 0) != sg[ci, q])
@@ -473,7 +512,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     if locate:
         # one bracket per crossing: coarse cells (expanded about their left
         # grid point), refined cells, and both sides of each crossed extremum
-        kr, kp = changes
+        kr, kp, kpos = (x[~np.isin(changes[0] * P + changes[1], cells)] for x in changes)
         fr, fq = np.nonzero(flip)
         cr = np.flatnonzero(crossed)
         xc, xq, xmom = ci[cr], q[cr], mom[ci[cr]]
@@ -481,11 +520,11 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
         owner = np.concatenate((kr, rows[fr], ext_rows[cr], ext_rows[cr]))
         roots = _bisect(
             np.concatenate((coarse, mom[fr], xmom, xmom)),
-            np.concatenate((pts[kp], t[fr, 0], t[xc, 0], t[xc, 0])),
+            np.concatenate((pts[kp], t0[fr], t0[xc], t0[xc])),
             step,
-            np.concatenate((pts[kp], t[fr, fq], t[xc, xq], tstar[cr])),
-            np.concatenate((pts[kp + 1], t[fr, fq + 1], tstar[cr], t[xc, xq + 1])),
-            np.concatenate((vals[kr, kp] > 0, sg[fr, fq], sg[xc, xq], vstar[cr] > 0)),
+            np.concatenate((cut[kp], t[fr, fq], t[xc, xq], tstar[cr])),
+            np.concatenate((cut[kp + 1], t[fr, fq + 1], tstar[cr], t[xc, xq + 1])),
+            np.concatenate((kpos, sg[fr, fq], sg[xc, xq], vstar[cr] > 0)),
         )
         order = np.lexsort((roots, owner))
         root_lists = np.split(roots[order], np.cumsum(np.bincount(owner, minlength=B))[:-1])

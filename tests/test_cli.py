@@ -346,7 +346,7 @@ class TestOutputBytes:
         assert _digests(tmp_path) == {
             "records.csv": "125054166650a193927f7fd8008b975ce4b70136a72d61dcf0f95dd4464ccc98",
             "summary.json": "24cf0df40a948cfe5831cdcffea9357d1e62a68b06da5388ac30c9308fd7377d",
-            "manifest.json": "b049e430c3ed08ddf497a2843108c1c860dea53d2a1e365cb130e58015ee87ae",
+            "manifest.json": "ea31677619932d2746e3efcf159ff2e44d8e17f312672f881c8bdd44302fab60",
         }
 
     def test_stationary_off_lattice(self, runner, tmp_path):
@@ -357,7 +357,7 @@ class TestOutputBytes:
         assert _digests(tmp_path) == {
             "records.csv": "746fe8c3760d99806b56f51e587b5bcc60a3e785ce3d84df016f9678700ac722",
             "summary.json": "1c550dc7dadd144bfc3deb762798d7fd1c45b7502f901f4022103faef570d43f",
-            "manifest.json": "38d8a7470187aee2f60eff1c31167c3d9101db3465274f4c6c3dbb183e096aec",
+            "manifest.json": "4815b48af3b642aae172e6ba662772d776c62fb760c72b06b1175409ead8343e",
         }
 
     def test_clt(self, runner, tmp_path):

@@ -237,7 +237,9 @@ class TestTangency:
 
         tstar = (15 + brentq(gap, 0.3, 0.7, xtol=1e-15)) * step
         cv, _ = self._tangent_vector(tstar)
-        _, vals, err = _scan_grid(cv.a[None, :], None, _freqs(3, False), 96, step, 0.0, np.pi)
+        # the grid's points from 0 to pi, so that index j is lattice point j
+        _, grid, err, _ = _scan_grid(cv.a[None, :], None, _freqs(3, False), 96, step, 0.0, np.pi)
+        vals = grid[:, 1:-1]
         assert set(_classify(vals, err, False)[3]) == {15, 16}
         res = count_zeros_scan(cv, (0.0, np.pi))
         assert len(res.warnings) == 1
@@ -247,6 +249,106 @@ class TestTangency:
         res = count_zeros_scan(shifted, (0.0, np.pi))
         assert np.sum(np.abs(res.roots - tstar) < 0.05) == 2
         assert res.count == count_zeros_eigen(shifted, (0.0, np.pi)).count
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+    def test_touch_on_an_exact_lattice_zero(self, sign):
+        # the touch point 16 pi/48 is lattice point 16 (K = 3, oversample 16)
+        # and its lattice value is exactly 0.0: no sign change is counted
+        # there, and refinement reports the touch
+        tstar = 16 * np.pi / 48
+        cv, _ = self._tangent_vector(tstar)
+        cv = _vector(3, sign * cv.a)
+        assert np.cos(np.arange(1, 4) * tstar) @ cv.a == 0.0
+        res = count_zeros_scan(cv, (0.0, np.pi))
+        assert res.count == 1 == res.roots.size
+        assert len(res.warnings) == 1
+        lo, hi = res.warnings[0]
+        assert lo <= tstar <= hi and hi - lo < np.pi / 48 / 4 * (1 + 1e-9)
+        assert not np.any(np.abs(res.roots - tstar) < 1e-6)
+
+    @pytest.mark.parametrize("K, eps", [(16, 1e-12), (32, 0.0), (64, 0.0)])
+    def test_flat_touch_on_a_shared_cell_end(self, monkeypatch, K, eps):
+        # a cosine path is even about pi; four coefficients cancel its value
+        # and second and fourth derivatives there, so that it is about
+        # c (t - pi)^6 + eps.  On the FFT route that flat run makes suspects
+        # of pi and its neighbours, so the cells on either side of pi are
+        # refined about different centres, and the derivative at pi, zero to
+        # rounding, must put the touch in exactly one of them
+        monkeypatch.setattr(zeros, "_TABLE_CUT", 0.0)
+        n = np.arange(1, 5)
+        head = np.linalg.svd(np.vstack([(-1.0) ** n * n ** (2 * k) for k in range(3)]))[2][-1]
+        head *= -np.sign(np.sum(head * (-1.0) ** n * n**6))  # f^(6)(pi) > 0
+        a = np.zeros(K)
+        a[:4] = head
+        a[0] -= eps
+        N = 32 * K
+        step = 2.0 * np.pi / N
+        pts, vals, err, _ = _scan_grid(a[None, :], None, _freqs(K, False), N, step, 0.3, 5.9)
+        mid = np.rint(pts[_classify(vals, err, False)[3]] / step) - N // 2
+        assert {-1, 0, 1} <= set(mid)
+        cv = _vector(K, a)
+        res = count_zeros_scan(cv, (0.3, 5.9))
+        assert len(res.warnings) == 1
+        lo, hi = res.warnings[0]
+        assert lo <= np.pi <= hi
+        counted = count_zeros_scan(cv, (0.3, 5.9), locate_roots=False)
+        assert res.count == res.roots.size == counted.count and len(counted.warnings) == 1
+        assert not np.any(np.abs(res.roots - np.pi) < 0.1)
+
+
+class TestEndCells:
+    """Root pairs inside an interval's first or last cell are counted."""
+
+    @pytest.mark.parametrize("oversample", [8, 16])
+    def test_pair_in_first_cell(self, oversample):
+        # its first two roots, 4.4e-4 and 1.26e-3, lie in the first cell of
+        # both lattices
+        a, b = draw_coefficient_batch(100, "stationary", 11, [9813])
+        counts, warns = scan_count_batch(a, b, 100, (0.0, np.pi), oversample=oversample)
+        assert counts[0] == 70 == _eigen_roots(a, b, 100, 0.0, np.pi)[0].size
+        assert not warns.any()
+        roots = count_zeros_scan(_vector(100, a[0], b[0]), (0.0, np.pi), oversample).roots
+        assert roots.size == 70 and roots[1] < np.pi / (8 * 100)
+
+    @pytest.mark.parametrize("oversample", [8, 16])
+    def test_pair_in_last_cell_off_the_lattice(self, oversample):
+        # the pair 1.5792/1.5830 lies just inside the end 1.58314
+        a, b = draw_coefficient_batch(30, "stationary", 5, [302])
+        interval = (0.0, 0.5 * np.pi + 0.01234)
+        counts, _ = scan_count_batch(a, b, 30, interval, oversample=oversample)
+        assert counts[0] == 13 == _eigen_roots(a, b, 30, *interval)[0].size
+        roots = count_zeros_scan(_vector(30, a[0], b[0]), interval, oversample).roots
+        assert roots.size == 13 and interval[1] - roots[-2] < 0.005
+
+    @pytest.fixture(scope="class")
+    def row47(self):
+        # row 47 of the seed-0 stationary K = 400 batch; its first two
+        # roots are 1.958e-4 and 5.738e-4
+        a, b = draw_coefficient_batch(400, "stationary", 0, [47])
+        return a[0], b[0]
+
+    @pytest.mark.parametrize("oversample", [8, 16])
+    def test_shifted_pair_in_first_cell(self, row47, oversample):
+        # the path moved left by 1.5e-4 puts that pair (gap 3.8e-4) into the
+        # first cell [0, pi / (16 * 400)] of oversample 16; the interval
+        # moved left by 1.5e-4, with ends off the lattice, puts it into the
+        # first cell of oversample 8
+        a, b = row47
+        n, s = np.arange(1, 401), 1.5e-4
+        shifted = (a * np.cos(n * s) + b * np.sin(n * s), b * np.cos(n * s) - a * np.sin(n * s))
+        for (ra, rb), interval in ((shifted, (0.0, np.pi)), ((a, b), (-s, np.pi - s))):
+            counts, warns = scan_count_batch(ra[None], rb[None], 400, interval, oversample=oversample)
+            assert counts[0] == 236 and not warns.any()
+        roots = count_zeros_scan(_vector(400, *shifted), (0.0, np.pi), oversample).roots
+        assert np.allclose(roots[:2], [1.958e-4 - s, 5.738e-4 - s], rtol=0.0, atol=1e-7)
+
+    def test_stationary_eigen_oracle_agreement(self):
+        # the K = 100 rows around index 9813 of seed 11, both lattices
+        a, b = draw_coefficient_batch(100, "stationary", 11, range(9810, 9818))
+        eig = [r.size for r in _eigen_roots(a, b, 100, 0.0, np.pi)]
+        for oversample in (8, 16):
+            counts, warns = scan_count_batch(a, b, 100, (0.0, np.pi), oversample=oversample)
+            assert counts.tolist() == eig and not warns.any()
 
 
 class TestRootCount:
@@ -351,8 +453,16 @@ class TestLatticeGrid:
         freqs = _freqs(K, rescaled)
         N = 2 * oversample * K
         step = 2.0 * np.pi * (K if rescaled else 1.0) / N
-        pts, vals, err = _scan_grid(a, b, freqs, N, step, lo, hi)
-        # the grid is lo, the lattice points strictly inside, and hi
+        pts, grid, err, (cols, end_vals) = _scan_grid(a, b, freqs, N, step, lo, hi)
+        # consecutive lattice points, the second at or below lo and the
+        # second last at or above hi (exactly lo and hi on the lattice);
+        # clipped to the interval, with the direct sums at ends off it, the
+        # grid is lo, the lattice points strictly inside, and hi
+        assert np.all(np.diff(np.rint(pts / step)) == 1)
+        assert pts[1] <= lo < pts[2] and pts[-3] < hi <= pts[-2]
+        vals = grid[:]
+        vals[:, cols] = end_vals
+        pts, vals = np.clip(pts, lo, hi)[1:-1], vals[:, 1:-1]
         assert pts[0] == lo and pts[-1] == hi
         j = np.rint(pts[1:-1] / step)
         assert np.array_equal(pts[1:-1], j * step)
@@ -488,8 +598,8 @@ class TestBatchEngine:
         a = k1600_chunk[0]
         N = 32 * 1600
         grid = (_freqs(1600, False), N, 2.0 * np.pi / N, 0.0, 0.5 * np.pi)
-        _, vals, err = _scan_grid(a, None, *grid)
-        _, sub_vals, sub_err = _scan_grid(a[101:138], None, *grid)
+        _, vals, err, _ = _scan_grid(a, None, *grid)
+        _, sub_vals, sub_err, _ = _scan_grid(a[101:138], None, *grid)
         assert sub_vals.dtype == np.float32
         assert np.count_nonzero(np.abs(sub_vals) < sub_err[:, None])  # re-summed values
         assert np.array_equal(sub_vals, vals[101:138])
@@ -624,8 +734,8 @@ class TestMixedPrecision:
         # the suspects of the float64 grid are all suspects of the mixed one
         freqs, N = _freqs(K, False), 32 * K
         grid = (a, b, freqs, N, 2.0 * np.pi / N, *interval)
-        _, vals, err = _scan_grid(*grid)
-        _, ref_vals, ref_err = float64_scan(_scan_grid, *grid)
+        _, vals, err, _ = _scan_grid(*grid)
+        _, ref_vals, ref_err, _ = float64_scan(_scan_grid, *grid)
         assert err.any() and not ref_err.any()
         mixed = _classify(vals, err, False)
         ref = _classify(ref_vals, ref_err, False)
@@ -670,7 +780,8 @@ class TestMixedPrecision:
         a = np.zeros((1, K))
         a[0, :3] = head
         freqs = _freqs(K, False)
-        pts, vals, err = _scan_grid(a, None, freqs, N, step, 0.0, np.pi)
+        pts, vals, err, _ = _scan_grid(a, None, freqs, N, step, 0.0, np.pi)
+        pts, vals = pts[1:-1], vals[:, 1:-1]  # without the outer points
         raw = _lattice_values(a, None, N, np.arange(pts.size))
         small = np.flatnonzero(np.abs(raw[0]) < err[0])
         assert small.size
@@ -708,7 +819,8 @@ class TestRoutes:
         step = 2.0 * np.pi * (K if rescaled else 1.0) / N
         monkeypatch.setattr(zeros, "_TABLE_CUT", np.inf)
         counts, tangencies, roots = _scan_batch(a, b, K, lo, hi, 16, rescaled, True)
-        pts, vals, err = _scan_grid(a, b, freqs, N, step, lo, hi)
+        pts, grid, err, _ = _scan_grid(a, b, freqs, N, step, lo, hi)
+        vals = grid[:]
         monkeypatch.setattr(zeros, "_TABLE_CUT", 0.0)
         ref_counts, ref_tangencies, ref_roots = _scan_batch(a, b, K, lo, hi, 16, rescaled, True)
         assert np.array_equal(counts, ref_counts)
@@ -753,11 +865,11 @@ class TestClassifyBound:
     @pytest.mark.parametrize("row", range(len(ROWS)))
     def test_suspects_survive_every_perturbation(self, row):
         exact = np.array([self.ROWS[row]])
-        _, _, rows, idx, _ = _classify(exact, np.zeros(1), False)
+        _, _, rows, idx, _, _ = _classify(exact, np.zeros(1), False)
         assert idx.size  # each edge case is a suspect of the exact values
         e = np.full(1, self.ERR)
         for shift in np.array(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 3)).reshape(3, -1).T:
             vals = exact.copy()
             vals[0, 1:4] += np.where(np.abs(exact[0, 1:4]) >= self.ERR, 0.999 * self.ERR * shift, 0.0)
-            _, _, r, i, _ = _classify(vals, e, False)
+            _, _, r, i, _, _ = _classify(vals, e, False)
             assert set(zip(rows, idx)) <= set(zip(r, i)), shift
