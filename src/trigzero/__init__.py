@@ -39,7 +39,6 @@ from .experiments import (
     IntervalSpec,
     KSummary,
     NormalityReport,
-    RunningMoments,
     WindowChopReport,
     clt_test,
     run_campaign,
@@ -87,8 +86,8 @@ __all__ = [
     "kernel_bounds_check", "sinc", "sinc_derivs",
     "CampaignError", "DegeneracyError", "NumericError", "UsageError",
     "CampaignResult", "ExperimentConfig", "IntervalSpec", "KSummary",
-    "NormalityReport", "RunningMoments", "WindowChopReport", "clt_test",
-    "run_campaign", "standardize_counts", "window_chop_check",
+    "NormalityReport", "WindowChopReport", "clt_test", "run_campaign",
+    "standardize_counts", "window_chop_check",
     "abs_coeff", "dirac_coeff", "dirac_coeff_normalized",
     "hermite_eval", "hermite_table", "mehler_product_expectation",
     "RiceResult", "RiceVariance", "conditional_abs_moment", "rice_mean",

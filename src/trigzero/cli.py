@@ -180,15 +180,18 @@ def _manifest_payload(cfg: ExperimentConfig):
 
 def config_from_manifest(doc) -> ExperimentConfig:
     c = doc["config"]
-    # int() would read "12" as the degrees 1 and 2, 12.5 as 12 and true as 1
+    # int() would read "12" as the degrees 1 and 2, 7.9 as 7, true as 1 and "40" as 40
     if not (isinstance(c["K"], list) and all(type(k) is int for k in c["K"])):
         raise TypeError(f"K must be a list of integers, not {c['K']!r}")
+    for key in ("reps", "seed", "oversample"):
+        if type(c.get(key, 0)) is not int:
+            raise TypeError(f"{key} must be an integer, not {c[key]!r}")
     return ExperimentConfig(
         K_list=tuple(c["K"]),
-        replicates=int(c["reps"]),
+        replicates=c["reps"],
         interval=parse_interval(c["interval"]),
         alpha=float(c["alpha"]),
-        seed=int(c["seed"]),
+        seed=c["seed"],
         # manifests written before these fields existed take the defaults
         **{k: cast(c[k]) for k, cast in (("ensemble", str), ("oversample", int)) if k in c},
     )

@@ -1,13 +1,14 @@
 """Monte Carlo campaigns over zero counts and their statistical verdicts.
 
 A campaign draws replicates, counts zeros with the scan method, and reduces
-the counts with mergeable one-pass moment accumulators.  Its result holds
-one int64 array of counts and one of tangency warnings per degree, in
-replicate order.  One engine counts every campaign and the window-chop
-check: replicates are processed in fixed-size chunks whose contents do not
-depend on the worker count, so counts and summaries are bit-identical
-however the work is scheduled.  Parallelism is capped by the
-TRIGZERO_THREADS environment variable (0 or unset means automatic).
+the counts to their moments: ``_moments`` of each chunk's warning-free
+counts, folded in replicate order by ``_merge``.  Its result holds one int64
+array of counts and one of tangency warnings per degree, in replicate order.
+One engine counts every campaign and the window-chop check: replicates are
+processed in fixed-size chunks whose contents do not depend on the worker
+count, so counts and summaries are bit-identical however the work is
+scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
+variable (0 or unset means automatic).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -82,74 +84,41 @@ class ExperimentConfig:
             raise UsageError("each degree may be given only once")
 
 
-class RunningMoments:
-    """Mergeable one-pass accumulator of count, mean and central moments 2-4."""
+def _moments(x):
+    """(n, mean, m2, m3, m4) of one batch: its size, mean and central power sums."""
+    x = np.asarray(x, dtype=float)
+    if not x.size:
+        return 0, 0.0, 0.0, 0.0, 0.0
+    mean = float(x.mean())
+    d = x - mean
+    return x.size, mean, float(np.sum(d * d)), float(np.sum(d ** 3)), float(np.sum(d ** 4))
 
-    __slots__ = ("n", "mean", "m2", "m3", "m4")
 
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.m3 = 0.0
-        self.m4 = 0.0
-
-    def push_batch(self, values):
-        other = RunningMoments()
-        x = np.asarray(values, dtype=float)
-        other.n = x.size
-        if other.n:
-            other.mean = float(x.mean())
-            d = x - other.mean
-            other.m2 = float(np.sum(d * d))
-            other.m3 = float(np.sum(d ** 3))
-            other.m4 = float(np.sum(d ** 4))
-        self.merge(other)
-
-    def merge(self, other):
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self.mean = other.n, other.mean
-            self.m2, self.m3, self.m4 = other.m2, other.m3, other.m4
-            return self
-        na, nb = self.n, other.n
-        n = na + nb
-        d = other.mean - self.mean
-        d2 = d * d
-        m2 = self.m2 + other.m2 + d2 * na * nb / n
-        m3 = (
-            self.m3
-            + other.m3
-            + d ** 3 * na * nb * (na - nb) / (n * n)
-            + 3.0 * d * (na * other.m2 - nb * self.m2) / n
-        )
-        m4 = (
-            self.m4
-            + other.m4
-            + d2 * d2 * na * nb * (na * na - na * nb + nb * nb) / (n ** 3)
-            + 6.0 * d2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * d * (na * other.m3 - nb * self.m3) / n
-        )
-        self.mean += d * nb / n
-        self.n, self.m2, self.m3, self.m4 = n, m2, m3, m4
-        return self
-
-    @property
-    def variance(self):
-        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def skewness(self):
-        if self.n < 2 or self.m2 <= 0.0:
-            return 0.0
-        return (self.m3 / self.n) / (self.m2 / self.n) ** 1.5
-
-    @property
-    def excess_kurtosis(self):
-        if self.n < 2 or self.m2 <= 0.0:
-            return 0.0
-        return (self.m4 / self.n) / (self.m2 / self.n) ** 2 - 3.0
+def _merge(p, q):
+    """``_moments`` of two batches together (Chan, Golub and LeVeque's pairwise update)."""
+    na, mean_a, m2a, m3a, m4a = p
+    nb, mean_b, m2b, m3b, m4b = q
+    if nb == 0:
+        return p
+    if na == 0:
+        return q
+    n = na + nb
+    d = mean_b - mean_a
+    d2 = d * d
+    m3 = (
+        m3a
+        + m3b
+        + d ** 3 * na * nb * (na - nb) / (n * n)
+        + 3.0 * d * (na * m2b - nb * m2a) / n
+    )
+    m4 = (
+        m4a
+        + m4b
+        + d2 * d2 * na * nb * (na * na - na * nb + nb * nb) / (n ** 3)
+        + 6.0 * d2 * (na * na * m2b + nb * nb * m2a) / (n * n)
+        + 4.0 * d * (na * m3b - nb * m3a) / n
+    )
+    return n, mean_a + d * nb / n, m2a + m2b + d2 * na * nb / n, m3, m4
 
 
 @dataclass(frozen=True)
@@ -199,17 +168,6 @@ class CampaignResult:
         return bad / total if total else 0.0
 
 
-def _se_of_variance(moments: RunningMoments) -> float:
-    # moment-based standard error of the sample variance
-    n = moments.n
-    if n < 4 or moments.m2 <= 0.0:
-        return float("inf")
-    mu4 = moments.m4 / n
-    s2 = moments.variance
-    inner = mu4 - s2 * s2 * (n - 3.0) / (n - 1.0)
-    return math.sqrt(max(inner, 0.0) / n)
-
-
 def standardize_counts(counts, K, center=None):
     """Counts centered (sample mean by default) and scaled by sqrt(pi K)."""
     x = np.asarray(counts, dtype=float)
@@ -242,28 +200,27 @@ def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=No
     if x.size < 500:
         raise UsageError("normality verdict needs at least 500 replicates")
     z = standardize_counts(x, K, center=center)
+    n, _, m2, m3, m4 = _moments(z)
     if variance_source == "empirical":
-        v = float(z.var(ddof=1))
+        v = m2 / (n - 1)
         if v <= 0.0:
             raise UsageError("sample is degenerate; no normality verdict")
     elif variance_source == "chaos_constant":
-        if chaos_value is None or chaos_value <= 0.0:
-            raise UsageError("chaos_constant source needs a positive chaos_value")
+        if chaos_value is None or not 0.0 < chaos_value < math.inf:  # also rejects nan
+            raise UsageError("chaos_constant source needs a finite positive chaos_value")
         v = float(chaos_value)
     else:
         raise UsageError(f"unknown variance source {variance_source!r}")
     scale = math.sqrt(v)
     ks = stats.kstest(z, "norm", args=(0.0, scale))
-    mom = RunningMoments()
-    mom.push_batch(z)
     return NormalityReport(
-        n=x.size,
+        n=n,
         variance_source=variance_source,
         variance_used=v,
         ks_statistic=float(ks.statistic),
         p_value=float(ks.pvalue),
-        skewness=mom.skewness,
-        excess_kurtosis=mom.excess_kurtosis,
+        skewness=(m3 / n) / (m2 / n) ** 1.5 if m2 > 0.0 else 0.0,
+        excess_kurtosis=(m4 / n) / (m2 / n) ** 2 - 3.0 if m2 > 0.0 else 0.0,
         ad_statistic=_anderson_darling(z, scale),
     )
 
@@ -323,27 +280,26 @@ def run_campaign(config: ExperimentConfig) -> CampaignResult:
         )
         counts, warns, clean = _clean_counts(chunks, K)
         excluded = int(config.replicates - clean.size)
-        moments = RunningMoments()
-        # chunk-wise accumulation in fixed chunk order
-        for c, w in chunks:
-            moments.push_batch(c[w == 0])
-        mean = moments.mean
-        var = moments.variance
+        # chunk-wise accumulation in fixed chunk order; the cap leaves n >= 2
+        n, mean, m2, _, m4 = reduce(_merge, (_moments(c[w == 0]) for c, w in chunks))
+        var = m2 / (n - 1)
         kpi = K * math.pi
-        se_var = _se_of_variance(moments)
+        se_var = float("inf")  # moment-based standard error of the sample variance
+        if n >= 4 and m2 > 0.0:
+            se_var = math.sqrt(max(m4 / n - var * var * (n - 3.0) / (n - 1.0), 0.0) / n)
         normality = None
-        if clean.size >= 500 and var > 0.0:
+        if n >= 500 and var > 0.0:
             normality = clt_test(clean, K)
         summaries.append(
             KSummary(
                 K=K,
                 n_total=config.replicates,
-                n_used=int(clean.size),
+                n_used=n,
                 n_excluded=excluded,
                 mean=mean,
                 variance=var,
                 var_per_kpi=var / kpi,
-                se_mean=math.sqrt(var / clean.size) if clean.size else float("inf"),
+                se_mean=math.sqrt(var / n),
                 se_var=se_var,
                 ci99_var_per_kpi=(
                     (var - _Z_995 * se_var) / kpi,
@@ -384,15 +340,15 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     w0, w1 = window_bounds(K, alpha)
     chunks = _count_chunks(K, "cosine", seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)], 16)
     _, _, clean = _clean_counts(chunks, K)
-    mom = RunningMoments()
-    mom.push_batch(clean)
+    n, mean, m2, _, _ = _moments(clean)
+    var = m2 / (n - 1)
     root = math.sqrt(K * math.pi)
     return WindowChopReport(
         K=K,
         alpha=alpha,
         replicates=replicates,
-        mean_complement=mom.mean,
-        var_complement=mom.variance,
-        ratio=mom.mean / root,
-        se_ratio=math.sqrt(mom.variance / clean.size) / root,
+        mean_complement=mean,
+        var_complement=var,
+        ratio=mean / root,
+        se_ratio=math.sqrt(var / n) / root,
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import exact_sigma_q_squared
 from trigzero import chaos_variance
 from trigzero.chaos_variance import (
     _lag_correlations_raw,
@@ -231,6 +232,23 @@ class TestSigmaQ:
             sigma_q_squared(2, tail=tail)
         with pytest.raises(UsageError):
             total_variance_constant(q_max=4, tail=tail)
+
+
+class TestBandLimitedOracle:
+    def test_q2_closed_form(self):
+        assert exact_sigma_q_squared(2) == pytest.approx(2.0 / (15.0 * math.pi), rel=1e-15)
+
+    def test_engine_against_exact_values(self, chaos_total):
+        for term in chaos_total.terms:
+            if term.q % 2:
+                continue
+            error = abs(term.sigma_sq - exact_sigma_q_squared(term.q))
+            if term.q == 2:
+                # the C/tau^2 tail fit leaves 2.2e-10, inside the 3.4e-6 estimate
+                assert error <= term.quadrature_error
+            else:
+                # not within the estimate: at q = 4 it is 7.9e-13 for an error of 1.5e-12
+                assert error <= 1e-11, term.q
 
 
 class TestSeriesTail:

@@ -58,7 +58,7 @@ class TestSimulate:
             main, ["simulate", "--K", "1", "--reps", "10", "--seed", "3", "--out", str(out)]
         )
         assert res.exit_code == 0, res.output
-        rows = list(csv.DictReader(open(out / "records.csv", encoding="utf-8")))
+        rows = list(csv.DictReader((out / "records.csv").read_text(encoding="utf-8").splitlines()))
         assert len(rows) == 10
         assert all(r["count"] == "1" for r in rows)
         assert rows[0]["method"] == "scan_bisect"
@@ -100,8 +100,24 @@ class TestSimulate:
             json.dumps({"config": {"K": [5], "reps": "many", "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
             json.dumps({"config": {"K": "12", "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
             json.dumps({"config": {"K": [12.5], "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
+            json.dumps({"config": {"K": [5], "reps": 10, "seed": 7.9, "interval": "0pi:1pi", "alpha": 0.25}}),
+            json.dumps({"config": {"K": [5], "reps": 10, "seed": True, "interval": "0pi:1pi", "alpha": 0.25}}),
+            json.dumps({"config": {"K": [5], "reps": "40", "seed": 1, "interval": "0pi:1pi", "alpha": 0.25}}),
+            json.dumps(
+                {"config": {"K": [5], "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": 0.25, "oversample": 8.0}}
+            ),
         ],
-        ids=["empty", "not-json", "reps-not-a-number", "K-a-string", "K-not-integers"],
+        ids=[
+            "empty",
+            "not-json",
+            "reps-not-a-number",
+            "K-a-string",
+            "K-not-integers",
+            "seed-a-float",
+            "seed-a-bool",
+            "reps-a-string",
+            "oversample-a-float",
+        ],
     )
     def test_malformed_manifest_is_usage_error(self, runner, tmp_path, text):
         manifest = tmp_path / "manifest.json"
@@ -276,7 +292,7 @@ class TestClt:
         assert res.exit_code == 0
         doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert "p_value" in doc and doc["n"] == 600
-        rows = list(csv.DictReader(open(out / "histogram.csv", encoding="utf-8")))
+        rows = list(csv.DictReader((out / "histogram.csv").read_text(encoding="utf-8").splitlines()))
         assert len(rows) == 51
         assert sum(int(r["count"]) for r in rows) == 600
         std = [float(x) for x in (out / "standardized.csv").read_text().splitlines()[1:]]

@@ -1,6 +1,7 @@
-"""Campaign mechanics: determinism, streaming moments, normality harness."""
+"""Campaign mechanics: determinism, mergeable moments, normality harness."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from trigzero.errors import CampaignError, UsageError
 from trigzero.experiments import (
     ExperimentConfig,
     IntervalSpec,
-    RunningMoments,
     clt_test,
     run_campaign,
     window_chop_check,
@@ -85,34 +85,43 @@ class TestCampaign:
         assert res.exclusion_fraction == 0.0
 
 
+def _chunk_moments(counts):
+    return [experiments._moments(counts[i : i + 256]) for i in range(0, counts.size, 256)]
+
+
 class TestStreamingMoments:
+    counts = np.random.default_rng(1).poisson(40, size=999)
+
     def test_matches_batch_recomputation(self):
-        rng = np.random.default_rng(10)
-        data = rng.normal(3.0, 2.5, size=4001)
-        acc = RunningMoments()
-        for chunk in np.array_split(data, 13):
-            acc.push_batch(chunk)
-        assert acc.n == data.size
-        assert acc.mean == pytest.approx(data.mean(), rel=1e-12)
-        assert acc.variance == pytest.approx(data.var(ddof=1), rel=1e-10)
-        d = data - data.mean()
-        skew = (d ** 3).mean() / (d ** 2).mean() ** 1.5
-        kurt = (d ** 4).mean() / (d ** 2).mean() ** 2 - 3.0
-        assert acc.skewness == pytest.approx(skew, rel=1e-9, abs=1e-12)
-        assert acc.excess_kurtosis == pytest.approx(kurt, rel=1e-9, abs=1e-12)
+        n, mean, m2, m3, m4 = experiments._moments(self.counts)
+        merged = reduce(experiments._merge, _chunk_moments(self.counts))
+        assert merged[0] == n == self.counts.size
+        assert merged[1:3] == pytest.approx((mean, m2), rel=1e-12)
+        assert merged[3] == pytest.approx(m3, rel=1e-12, abs=1e-12 * m2 ** 1.5)
+        assert merged[4] == pytest.approx(m4, rel=1e-12)
+        # clt_test reads its empirical variance from here: numpy's, bit for bit
+        assert m2 / (n - 1) == self.counts.astype(float).var(ddof=1)
+        d = self.counts - self.counts.mean()
+        assert (m3, m4) == pytest.approx((np.sum(d ** 3), np.sum(d ** 4)), rel=1e-12)
+
+    def test_merge_with_empty_batch(self):
+        empty = experiments._moments(np.array([], dtype=np.int64))
+        assert empty == (0, 0.0, 0.0, 0.0, 0.0)
+        for part in _chunk_moments(self.counts):
+            assert experiments._merge(part, empty) == part
+            assert experiments._merge(empty, part) == part
 
     def test_merge_order_independent(self):
-        rng = np.random.default_rng(1)
-        data = rng.poisson(40, size=999).astype(float)
-        a = RunningMoments()
-        a.push_batch(data)
-        b = RunningMoments()
-        for chunk in np.array_split(data, 7):
-            other = RunningMoments()
-            other.push_batch(chunk)
-            b.merge(other)
-        assert b.mean == pytest.approx(a.mean, rel=1e-13)
-        assert b.variance == pytest.approx(a.variance, rel=1e-11)
+        parts = _chunk_moments(self.counts)
+        want = reduce(experiments._merge, parts)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            order = rng.permutation(len(parts))
+            got = reduce(experiments._merge, [parts[i] for i in order])
+            assert got[0] == want[0]
+            assert got[1:3] == pytest.approx(want[1:3], rel=1e-13)
+            assert got[3] == pytest.approx(want[3], rel=1e-11, abs=1e-12 * want[2] ** 1.5)
+            assert got[4] == pytest.approx(want[4], rel=1e-11)
 
 
 class TestCltHarness:
@@ -146,6 +155,12 @@ class TestCltHarness:
             clt_test(counts, 50, variance_source="chaos_constant")
         with pytest.raises(UsageError):
             clt_test(counts, 50, variance_source="bogus")
+
+    @pytest.mark.parametrize("chaos_value", [math.nan, math.inf, 0.0, -1.0])
+    def test_chaos_value_must_be_finite_and_positive(self, chaos_value):
+        counts = 100.0 + np.random.default_rng(0).normal(size=600) * 10.0
+        with pytest.raises(UsageError):
+            clt_test(counts, 50, variance_source="chaos_constant", chaos_value=chaos_value)
 
 
 class TestWindowChop:
