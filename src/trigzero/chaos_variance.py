@@ -65,6 +65,9 @@ from .rice import _gl_panels
 _SQRT3 = np.sqrt(3.0)
 _GL_NODES = 16
 _BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at q = 20
+# q^(3/2) sigma_q^2 steps evenly up to q = 116; above it float64 rounding takes over
+# (sigma_q^2 < 0 at q = 164 with tail 1000), and q = 172 overflows a factorial
+_MAX_ORDER = 100
 
 
 def lag_correlations(tau):
@@ -152,6 +155,8 @@ def chaos_lag_correlation(q: int, tau):
     Vectorized over tau; the lag 0 value is the integrand's variance and is
     perfectly regular (the diagram sum is a polynomial in the correlations).
     """
+    if q > _MAX_ORDER:
+        raise UsageError(f"order must be at most {_MAX_ORDER}")
     tau = np.asarray(tau, dtype=float)
     flat = tau.ravel()
     out = np.empty(flat.shape)
@@ -225,8 +230,8 @@ def sigma_q_squared(q: int, tail: float = 1e4) -> ChaosTerm:
     coming from a C/tau^2 envelope fitted on the last decade before the
     cutoff.  Odd q vanish exactly.
     """
-    if q < 1:
-        raise UsageError("order must be >= 1")
+    if not 1 <= q <= _MAX_ORDER:
+        raise UsageError(f"order must lie in 1..{_MAX_ORDER}")
     return _chaos_terms([q], tail)[0]
 
 
@@ -287,8 +292,8 @@ def total_variance_constant(q_max: int = 20, tail: float = 1e4) -> VarianceConst
     per quadrature grid (even orders carry everything); the remaining series
     mass comes from the q^{-3/2} envelope.
     """
-    if q_max < 2:
-        raise UsageError("q_max must be >= 2")
+    if not 2 <= q_max <= _MAX_ORDER:
+        raise UsageError(f"q_max must lie in 2..{_MAX_ORDER}")
     terms = _chaos_terms(range(2, q_max + 1), tail)
     partial = float(sum(t.sigma_sq for t in terms))
     series_tail, c_fit = _series_tail(terms, q_max)

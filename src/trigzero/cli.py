@@ -30,7 +30,7 @@ from .experiments import (
     run_campaign,
     standardize_counts,
 )
-from .rice import rice_mean, rice_second_moment, window_bounds
+from .rice import RiceResult, rice_mean, rice_second_moment
 from .zeros import oracle_agreement
 
 _EXIT_NUMERIC = 3
@@ -142,16 +142,21 @@ def main():
     """Zero statistics of random cosine polynomials."""
 
 
+def _write_csv(path, header, lines):
+    """Write ``header`` and then ``lines``, each line already ending in a newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
 def _write_records_csv(path, result):
     """One row per replicate and degree, from the campaign's count arrays."""
     seed = result.config.seed
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("replicate,K,seed,count,method,warnings\n")
-        for K, counts, warns in zip(result.config.K_list, result.counts, result.warnings):
-            fh.writelines(
-                f"{i},{K},{seed},{c},scan_bisect,{w}\n"
-                for i, (c, w) in enumerate(zip(counts.tolist(), warns.tolist()))
-            )
+    _write_csv(path, "replicate,K,seed,count,method,warnings", (
+        f"{i},{K},{seed},{c},scan_bisect,{w}\n"
+        for K, counts, warns in zip(result.config.K_list, result.counts, result.warnings)
+        for i, (c, w) in enumerate(zip(counts.tolist(), warns.tolist()))
+    ))
 
 
 def _summary_payload(result):
@@ -183,9 +188,10 @@ def config_from_manifest(doc) -> ExperimentConfig:
     # int() would read "12" as the degrees 1 and 2, 7.9 as 7, true as 1 and "40" as 40
     if not (isinstance(c["K"], list) and all(type(k) is int for k in c["K"])):
         raise TypeError(f"K must be a list of integers, not {c['K']!r}")
-    for key in ("reps", "seed", "oversample"):
-        if type(c.get(key, 0)) is not int:
-            raise TypeError(f"{key} must be an integer, not {c[key]!r}")
+    kinds = {"reps": (int,), "seed": (int,), "oversample": (int,), "interval": (str,), "alpha": (int, float)}
+    for key, allowed in kinds.items():
+        if key in c and type(c[key]) not in allowed:  # type(), not isinstance: true is not 1
+            raise TypeError(f"{key} has the wrong type: {c[key]!r}")
     return ExperimentConfig(
         K_list=tuple(c["K"]),
         replicates=c["reps"],
@@ -237,7 +243,7 @@ def simulate(k_values, reps, seed, interval_text, alpha, ensemble, config_path, 
 
 
 def _mean_original_axis(K, lo, hi):
-    """Zero-count mean over an original-axis interval within [0, 2*pi].
+    """Zero-count mean over an original-axis interval within [0, 2*pi], on the rescaled axis.
 
     Intervals reaching past pi are folded through the cosine symmetry
     t <-> 2*pi - t, under which the zero set is invariant.
@@ -249,7 +255,7 @@ def _mean_original_axis(K, lo, hi):
             res = rice_mean(K, interval=(a * K, b * K))
             value += res.value
             err += res.quadrature_error_estimate
-    return value, err
+    return RiceResult(value, (lo * K, hi * K), err, K)
 
 
 @main.command()
@@ -266,24 +272,20 @@ def rice(k_value, moment, interval_text, alpha):
     if interval_text is None:
         interval_text = "0:pi" if moment == 1 else "window"
     spec = parse_interval(interval_text)
-    if moment == 1:
-        if spec.kind == "window":
-            res = rice_mean(k_value, alpha=alpha)
-            value, err, interval = res.value, res.quadrature_error_estimate, res.interval
-        else:
-            value, err = _mean_original_axis(k_value, spec.lo, spec.hi)
-            interval = (spec.lo * k_value, spec.hi * k_value)
-    else:
+    if moment == 2:
         interval = None if spec.kind == "window" else (spec.lo * k_value, spec.hi * k_value)
         res = rice_second_moment(k_value, alpha=alpha, interval=interval)
-        value, err, interval = res.value, res.quadrature_error_estimate, res.interval
+    elif spec.kind == "window":
+        res = rice_mean(k_value, alpha=alpha)
+    else:
+        res = _mean_original_axis(k_value, spec.lo, spec.hi)
     _dump_json(
         {
-            "K": k_value,
+            "K": res.K,
             "moment": moment,
-            "interval_rescaled": list(interval),
-            "value": value,
-            "error_estimate": err,
+            "interval_rescaled": res.interval,
+            "value": res.value,
+            "error_estimate": res.quadrature_error_estimate,
         }
     )
 
@@ -296,28 +298,14 @@ def rice(k_value, moment, interval_text, alpha):
 def chaos_var(qmax, tail, outdir):
     """Per-order variance constants and their total, as JSON (and CSV)."""
     vc = total_variance_constant(q_max=qmax, tail=tail)
-    payload = {
-        "qmax": qmax,
-        "tail": tail,
-        "terms": [
-            {
-                "q": t.q,
-                "sigma_sq": t.sigma_sq,
-                "quadrature_error": t.quadrature_error,
-            }
-            for t in vc.terms
-        ],
-        "series_tail": vc.series_tail,
-        "truncation_indicator": vc.truncation_indicator,
-        "total": vc.total,
-    }
     if outdir is not None:
         with _bundle(outdir) as path:
-            with open(path("chaos_terms.csv"), "w", encoding="utf-8", newline="") as fh:
-                fh.write("q,sigma_sq,quadrature_error\n")
-                for t in vc.terms:
-                    fh.write(f"{t.q},{_fmt(t.sigma_sq)},{_fmt(t.quadrature_error)}\n")
-    _dump_json(payload)
+            _write_csv(path("chaos_terms.csv"), "q,sigma_sq,quadrature_error", (
+                f"{t.q},{_fmt(t.sigma_sq)},{_fmt(t.quadrature_error)}\n" for t in vc.terms
+            ))
+    payload = dataclasses.asdict(vc)
+    del payload["envelope_constant"]  # the fitted tail constant; never part of the printed output
+    _dump_json(payload | {"qmax": qmax, "tail": tail})
 
 
 @main.command()
@@ -338,17 +326,13 @@ def clt(k_value, reps, seed, outdir):
     z = standardize_counts(counts, k_value)
     with _bundle(outdir) as path:
         _dump_json(dataclasses.asdict(report), path("report.json"))
-        with open(path("standardized.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write("standardized\n")
-            for val in z:
-                fh.write(_fmt(val) + "\n")
+        _write_csv(path("standardized.csv"), "standardized", (_fmt(val) + "\n" for val in z))
         edges = np.linspace(-5.0, 5.0, 52)
         clipped = np.clip(z, -5.0 + 1e-12, 5.0 - 1e-12)
         hist, _ = np.histogram(clipped, bins=edges)
-        with open(path("histogram.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write("bin_lo,bin_hi,count\n")
-            for i in range(51):
-                fh.write(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(hist[i])}\n")
+        _write_csv(path("histogram.csv"), "bin_lo,bin_hi,count", (
+            f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(hist[i])}\n" for i in range(51)
+        ))
     _dump_json(dataclasses.asdict(report))
 
 
@@ -373,22 +357,9 @@ def bounds_check(k_values, points):
     """Check the lag-covariance decay inequalities on log-spaced grids."""
     if points < 1 or min(k_values) < 1:
         raise UsageError("--K and --points must be at least 1")
-    out = []
-    ok = True
-    for K in k_values:
-        grid = np.geomspace(0.05, K * math.pi, points)
-        rep = kernel_bounds_check(K, grid)
-        ok &= rep.passed
-        out.append(
-            {
-                "K": K,
-                "checked": rep.checked,
-                "passed": rep.passed,
-                "violation": list(rep.violation) if rep.violation else None,
-            }
-        )
-    _dump_json(out)
-    if not ok:
+    reports = [kernel_bounds_check(K, np.geomspace(0.05, K * math.pi, points)) for K in k_values]
+    _dump_json([dataclasses.asdict(rep) for rep in reports])
+    if not all(rep.passed for rep in reports):
         sys.exit(_EXIT_NUMERIC)
 
 

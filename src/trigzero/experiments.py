@@ -8,7 +8,7 @@ One engine counts every campaign and the window-chop check: replicates are
 processed in fixed-size chunks whose contents do not depend on the worker
 count, so counts and summaries are bit-identical however the work is
 scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
-variable (0 or unset means automatic).
+variable (0 or unset means automatic; never more than the core count).
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ _Z_995 = 2.575829303548901  # 99% two-sided normal quantile
 def worker_count() -> int:
     """Campaign threads: TRIGZERO_THREADS if positive, else automatic.
 
-    0, blank or unset means automatic; anything but a non-negative integer
-    is a UsageError.
+    0, blank or unset means automatic; a positive value is clamped to the
+    core count; anything but a non-negative integer is a UsageError.
     """
     env = os.environ.get("TRIGZERO_THREADS", "").strip() or "0"
     if not env.isdecimal():
         raise UsageError(f"TRIGZERO_THREADS must be a non-negative integer, got {env!r}")
-    n = int(env)
-    return n if n > 0 else min(os.cpu_count() or 1, 8)
+    n, cores = int(env), os.cpu_count() or 1
+    return min(n, cores) if n > 0 else min(cores, 8)
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,19 @@ class TestSigmaQ:
         with pytest.raises(UsageError):
             sigma_q_squared(2, tail=50.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sigma_q_squared(102),
+            lambda: total_variance_constant(q_max=101),
+            lambda: chaos_lag_correlation(102, [0.0, 1.0]),
+        ],
+        ids=["sigma-102", "total-101", "lag-correlation-102"],
+    )
+    def test_orders_above_limit(self, call):
+        with pytest.raises(UsageError, match="100"):
+            call()
+
     @pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf])
     def test_non_finite_tail(self, tail):
         with pytest.raises(UsageError):

@@ -106,6 +106,9 @@ class TestSimulate:
             json.dumps(
                 {"config": {"K": [5], "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": 0.25, "oversample": 8.0}}
             ),
+            json.dumps({"config": {"K": [5], "reps": 10, "seed": 1, "interval": 5, "alpha": 0.25}}),
+            json.dumps({"config": {"K": [5], "reps": 10, "seed": 1, "interval": "0pi:1pi", "alpha": "0.25"}}),
+            json.dumps({"config": {"K": [5], "reps": 10, "seed": 1, "interval": "window", "alpha": False}}),
         ],
         ids=[
             "empty",
@@ -117,6 +120,9 @@ class TestSimulate:
             "seed-a-bool",
             "reps-a-string",
             "oversample-a-float",
+            "interval-a-number",
+            "alpha-a-string",
+            "alpha-a-bool",
         ],
     )
     def test_malformed_manifest_is_usage_error(self, runner, tmp_path, text):
@@ -262,6 +268,14 @@ class TestChaosVar:
         assert res.exit_code == 2, res.output
         assert "total" not in res.output
 
+    @pytest.mark.parametrize("qmax", ["101", "172"])
+    def test_qmax_above_limit_is_usage_error(self, runner, tmp_path, qmax):
+        # 172 used to overflow a factorial; orders above 100 are float64 noise
+        res = runner.invoke(main, ["chaos-var", "--qmax", qmax, "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "2..100" in res.output
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("tail", ["nan", "inf", "-inf"])
     def test_non_finite_tail_is_usage_error(self, runner, tmp_path, tail):
         res = runner.invoke(main, ["chaos-var", "--qmax", "4", "--tail", tail, "--out", str(tmp_path)])
@@ -352,6 +366,10 @@ def _digests(outdir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()}
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestOutputBytes:
     """SHA-256 of every file a command writes, pinned to the released bytes."""
 
@@ -387,6 +405,34 @@ class TestOutputBytes:
             "histogram.csv": "8049332b6207c460d7b3b4b732758811a00f3185904f39fd97893bf049d4ae88",
         }
 
+    def test_chaos_var(self, runner, tmp_path):
+        res = runner.invoke(main, ["chaos-var", "--qmax", "8", "--tail", "10000", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert _sha256(res.stdout) == "ade8d4da44e521dfb3983a989fda6bae1cbc7c0925265d265674603872332e74"
+        assert _digests(tmp_path) == {
+            "chaos_terms.csv": "7ae94428137d4873f1ed416e1846f3605e2d57192771965c905436eda4e6e144",
+        }
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["bounds-check"], "80af92f006a673ac33a766aa0b1764190c88b4e1b262417f2f65bb0f3f12ac06"),
+            (
+                ["rice", "--K", "50", "--moment", "1", "--interval", "0.3:5.9"],
+                "951ca36fedabfee378f9eadff6b766df272935a06e697a344d3b705220f14974",
+            ),
+            (
+                ["rice", "--K", "30", "--moment", "2", "--interval", "0.2pi:0.75pi"],
+                "e537ec8e5887adfbe9aa45cfd4ac7bcf59d7dd5c08d5c0d3eb0508f344b904a9",
+            ),
+        ],
+        ids=["bounds-check", "rice-mean-folded", "rice-second"],
+    )
+    def test_printed_json(self, runner, args, digest):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert _sha256(res.stdout) == digest
+
 
 class TestSuites:
     def test_oracle_check(self, runner):
@@ -398,6 +444,24 @@ class TestSuites:
         res = runner.invoke(main, ["bounds-check", "--K", "10", "--K", "50", "--points", "100"])
         assert res.exit_code == 0
         assert all(entry["passed"] for entry in json.loads(res.output))
+
+    def test_bounds_check_violation(self, runner, monkeypatch):
+        # c shifted by 10 from lag 4 on breaks |c| <= pi/tau; the report lists the first failure
+        from trigzero import covariance
+
+        real = covariance.c_k_derivs
+
+        def shifted(K, lags):
+            c, c1, c2 = real(K, lags)
+            return c + np.where(lags >= 4.0, 10.0, 0.0), c1, c2
+
+        monkeypatch.setattr(covariance, "c_k_derivs", shifted)
+        res = runner.invoke(main, ["bounds-check", "--K", "10", "--points", "20"])
+        assert res.exit_code == 3, res.output
+        (entry,) = json.loads(res.output)
+        assert (entry["K"], entry["checked"], entry["passed"]) == (10, 20, False)
+        assert entry["violation"][1] == "value" and entry["violation"][0] >= 4.0
+        assert len(entry["violation"]) == 4
 
     @pytest.mark.parametrize(
         "args",

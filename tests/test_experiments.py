@@ -40,6 +40,13 @@ class TestCampaign:
         assert all(c == 1 for c in res.counts[0])
         assert row.variance == 0.0
 
+    @pytest.mark.parametrize("threads, want", [("100000", 4), ("3", 3), ("0", 4)])
+    def test_worker_count_clamped_to_cores(self, monkeypatch, threads, want):
+        # asks for the count only; no thread is started
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("TRIGZERO_THREADS", threads)
+        assert experiments.worker_count() == want
+
     def test_deterministic_across_worker_counts(self, monkeypatch):
         monkeypatch.setenv("TRIGZERO_THREADS", "1")
         r1 = run_campaign(_config())
