@@ -12,14 +12,12 @@ from .chaos_variance import (
     ChaosTerm,
     VarianceConstant,
     chaos_lag_correlation,
-    lag_correlations,
     sigma_q_squared,
     total_variance_constant,
 )
 from .covariance import (
     BoundsReport,
     Kernel,
-    StandardizedKernel,
     c_k,
     c_k_dd0,
     c_k_derivs,
@@ -51,7 +49,6 @@ from .hermite import (
     dirac_coeff_normalized,
     hermite_eval,
     hermite_table,
-    mehler_product_expectation,
 )
 from .rice import (
     RiceResult,
@@ -68,7 +65,6 @@ from .sampling import (
     CoefficientVector,
     draw_coefficient_batch,
     draw_coefficients,
-    eval_path,
     sample_limit_process,
 )
 from .zeros import (
@@ -80,21 +76,21 @@ from .zeros import (
 )
 
 __all__ = [
-    "ChaosTerm", "VarianceConstant", "chaos_lag_correlation", "lag_correlations",
+    "ChaosTerm", "VarianceConstant", "chaos_lag_correlation",
     "sigma_q_squared", "total_variance_constant",
-    "BoundsReport", "Kernel", "StandardizedKernel", "c_k", "c_k_dd0", "c_k_derivs",
+    "BoundsReport", "Kernel", "c_k", "c_k_dd0", "c_k_derivs",
     "kernel_bounds_check", "sinc", "sinc_derivs",
     "CampaignError", "DegeneracyError", "NumericError", "UsageError",
     "CampaignResult", "ExperimentConfig", "IntervalSpec", "KSummary",
     "NormalityReport", "WindowChopReport", "clt_test", "run_campaign",
     "standardize_counts", "window_chop_check",
     "abs_coeff", "dirac_coeff", "dirac_coeff_normalized",
-    "hermite_eval", "hermite_table", "mehler_product_expectation",
+    "hermite_eval", "hermite_table",
     "RiceResult", "RiceVariance", "conditional_abs_moment", "rice_mean",
     "rice_second_moment", "rice_variance", "wilkins_mean", "window_bounds",
     "zero_intensity",
     "CoefficientVector", "draw_coefficient_batch", "draw_coefficients",
-    "eval_path", "sample_limit_process",
+    "sample_limit_process",
     "ZeroCountResult", "count_zeros_eigen", "count_zeros_scan", "oracle_agreement",
     "scan_count_batch",
 ]

@@ -62,32 +62,11 @@ from .hermite import (
 )
 from .rice import _gl_panels
 
-_SQRT3 = np.sqrt(3.0)
 _GL_NODES = 16
 _BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at q = 20
 # q^(3/2) sigma_q^2 steps evenly up to q = 116; above it float64 rounding takes over
 # (sigma_q^2 < 0 at q = 164 with tail 1000), and q = 172 overflows a factorial
 _MAX_ORDER = 100
-
-
-def lag_correlations(tau):
-    """Cross-correlations of (value, unit-variance derivative) at lag tau.
-
-    For the unit-variance sinc-covariance process X with derivative scaled by
-    1/sqrt(1/3):
-
-        rho_zz = sinc(tau)        rho_zw = -sqrt(3) sinc'(tau)
-        rho_wz = +sqrt(3) sinc'(tau)   rho_ww = -3 sinc''(tau)
-    """
-    t = np.asarray(tau, dtype=float)
-    if np.any(t <= 0.0):
-        raise UsageError("lag must be positive")
-    return _lag_correlations_raw(t)
-
-
-def _lag_correlations_raw(tau):
-    s0, s1, s2 = sinc_derivs(np.asarray(tau, dtype=float))
-    return s0, -_SQRT3 * s1, _SQRT3 * s1, -3.0 * s2
 
 
 def _order_pairs(q: int):
@@ -249,7 +228,6 @@ class VarianceConstant:
     terms: list
     truncation_indicator: float  # magnitude of the last computed nonzero term
     series_tail: float  # estimated mass of the orders beyond q_max
-    envelope_constant: float  # fitted C in sigma_q^2 ~ C q^{-3/2}
 
 
 _TAIL_EXPONENT = 1.5
@@ -278,11 +256,10 @@ def _series_tail(terms, q_max):
     """Estimated sum of sigma_q^2 over even q > q_max from the C q^{-3/2} law."""
     anchors = [(t.q, t.sigma_sq) for t in terms if t.sigma_sq > 0.0][-2:]
     if not anchors:
-        return 0.0, 0.0
+        return 0.0
     c_fit = float(np.mean([s * q ** _TAIL_EXPONENT for q, s in anchors]))
     m0 = q_max // 2 + 1  # next even order is 2*m0
-    tail = c_fit * 2.0 ** -_TAIL_EXPONENT * _hurwitz_zeta(_TAIL_EXPONENT, m0)
-    return tail, c_fit
+    return c_fit * 2.0 ** -_TAIL_EXPONENT * _hurwitz_zeta(_TAIL_EXPONENT, m0)
 
 
 def total_variance_constant(q_max: int = 20, tail: float = 1e4) -> VarianceConstant:
@@ -296,7 +273,7 @@ def total_variance_constant(q_max: int = 20, tail: float = 1e4) -> VarianceConst
         raise UsageError(f"q_max must lie in 2..{_MAX_ORDER}")
     terms = _chaos_terms(range(2, q_max + 1), tail)
     partial = float(sum(t.sigma_sq for t in terms))
-    series_tail, c_fit = _series_tail(terms, q_max)
+    series_tail = _series_tail(terms, q_max)
     nonzero = [abs(t.sigma_sq) for t in terms if t.sigma_sq != 0.0]
     indicator = nonzero[-1] if nonzero else 0.0
     return VarianceConstant(
@@ -304,5 +281,4 @@ def total_variance_constant(q_max: int = 20, tail: float = 1e4) -> VarianceConst
         terms=terms,
         truncation_indicator=indicator,
         series_tail=series_tail,
-        envelope_constant=c_fit,
     )

@@ -303,9 +303,7 @@ def chaos_var(qmax, tail, outdir):
             _write_csv(path("chaos_terms.csv"), "q,sigma_sq,quadrature_error", (
                 f"{t.q},{_fmt(t.sigma_sq)},{_fmt(t.quadrature_error)}\n" for t in vc.terms
             ))
-    payload = dataclasses.asdict(vc)
-    del payload["envelope_constant"]  # the fitted tail constant; never part of the printed output
-    _dump_json(payload | {"qmax": qmax, "tail": tail})
+    _dump_json(dataclasses.asdict(vc) | {"qmax": qmax, "tail": tail})
 
 
 @main.command()

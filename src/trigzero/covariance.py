@@ -20,20 +20,15 @@ the cosine-type surface (f(t-s) + f(t+s))/2 or the stationary f(t-s):
 ``Kernel(None, False)``  stationary sinc limit          sinc(t-s)
 ``Kernel()``             cosine-type limit              (sinc(t-s) + sinc(t+s)) / 2
 =======================  =============================  ===========================
-
-``StandardizedKernel`` wraps any kernel into its unit-variance version and
-exposes the standard deviation of the standardized derivative, which is pi
-times the Rice intensity of the zero set.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, UsageError
+from .errors import UsageError
 
 # Switch to Taylor series below this argument to avoid 0/0 in sinc and its
 # derivatives; 6th-order truncation keeps ~1e-12 accuracy at the boundary.
@@ -186,59 +181,10 @@ class Kernel:
         r_ss = 0.5 * (d2 + e2)
         return 0.5 * (d + e), 0.5 * (e1 - d1), 0.5 * (d1 + e1), r_ss, 0.5 * (e2 - d2), r_ss
 
-    def r(self, s, t):
-        """r(s, t) from lag values alone: a Gram matrix needs no derivatives."""
-        f = sinc if self.K is None else functools.partial(c_k, self.K)
-        t = np.asarray(t, float)
-        return 0.5 * (f(t - s) + f(t + s)) if self.cosine else f(t - s)
-
     def gram(self, grid):
         """Covariance matrix of the process sampled on ``grid``."""
         g = np.asarray(grid, dtype=float)
-        return self.r(g[:, None], g[None, :])
-
-
-class StandardizedKernel:
-    """Unit-variance normalization of a base kernel.
-
-    ``parts`` gives the correlation surface rbar(s,t) = r(s,t)/(V(s)V(t))
-    together with its first and mixed partials, and ``v(s)`` the standard
-    deviation of the standardized process's derivative.  Evaluation raises
-    DegeneracyError wherever the base standard deviation falls below ``tol``.
-    """
-
-    def __init__(self, base: Kernel, tol: float = 1e-7):
-        self.base = base
-        self.tol = float(tol)
-
-    def _v_and_slope(self, t):
-        r, r_s, r_t = self.base.partials(t, t)[:3]
-        V = np.sqrt(np.maximum(r, 0.0))
-        if np.any(V <= self.tol):
-            raise DegeneracyError(
-                f"base kernel variance below {self.tol ** 2:g} inside the domain"
-            )
-        # d/dt sqrt(r(t,t)) via the diagonal derivative of r
-        return V, (r_s + r_t) / (2.0 * V)
-
-    def parts(self, s, t):
-        """(rbar, rbar_s, rbar_t, rbar_st) at (s, t)."""
-        s = np.asarray(s, float)
-        t = np.asarray(t, float)
-        Vs, Vps = self._v_and_slope(s)
-        Vt, Vpt = self._v_and_slope(t)
-        r, r_s, r_t, _, r_st, _ = self.base.partials(s, t)
-        denom = Vs * Vt
-        return (
-            r / denom,
-            (r_s - r * Vps / Vs) / denom,
-            (r_t - r * Vpt / Vt) / denom,
-            (r_st - r_t * Vps / Vs - r_s * Vpt / Vt + r * Vps * Vpt / denom) / denom,
-        )
-
-    def v(self, s):
-        """Standard deviation of the standardized derivative at s."""
-        return np.sqrt(np.maximum(self.parts(s, s)[3], 0.0))
+        return self.partials(g[:, None], g[None, :])[0]
 
 
 @dataclass(frozen=True)

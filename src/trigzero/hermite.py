@@ -21,8 +21,7 @@ The coefficients of the chaos expansion come from two sequences:
 
 ``_mehler_terms`` enumerates the pairing diagrams of a four-fold Hermite
 product of jointly Gaussian variables; ``mehler_product_grid`` sums them over
-correlation arrays, and ``mehler_product_expectation`` is the same sum at one
-checked correlation tuple.  The chaos variance constants merge these terms
+correlation arrays.  The chaos variance constants merge these terms
 into one coefficient table per order; ``mehler_product_grid`` is the
 reference the tests check that table against.
 """
@@ -130,41 +129,6 @@ def _mehler_terms(orders):
         )
         terms.append((m1, m2, m3, m4, float(w)))
     return terms
-
-
-def correlation_gram(correlations):
-    """4x4 correlation matrix of (Z1, W1, Z2, W2) for the given cross terms."""
-    rzz, rzw, rwz, rww = (float(c) for c in correlations)
-    return np.array(
-        [
-            [1.0, 0.0, rzz, rzw],
-            [0.0, 1.0, rwz, rww],
-            [rzz, rwz, 1.0, 0.0],
-            [rzw, rww, 0.0, 1.0],
-        ]
-    )
-
-
-def mehler_product_expectation(orders, correlations) -> float:
-    """E[H_{n1}(Z1) H_{n2}(W1) H_{n3}(Z2) H_{n4}(W2)] via the diagram sum.
-
-    ``orders`` are four nonnegative integers; ``correlations`` are the four
-    cross-correlations (rho_zz, rho_zw, rho_wz, rho_ww) between the pairs,
-    each pair being internally uncorrelated standard Gaussian.  The joint
-    correlation matrix must be positive semidefinite; returns 0 whenever no
-    pairing solves the multiplicity system.
-    """
-    orders = tuple(int(n) for n in orders)
-    if len(orders) != 4 or any(n < 0 for n in orders):
-        raise UsageError("orders must be four nonnegative integers")
-    if len(correlations) != 4:
-        raise UsageError("need four cross-correlations")
-    if any(abs(c) > 1.0 + 1e-12 for c in correlations):
-        raise UsageError("correlations must lie in [-1, 1]")
-    gram = correlation_gram(correlations)
-    if np.linalg.eigvalsh(gram)[0] < -1e-9:
-        raise UsageError("correlation matrix is not positive semidefinite")
-    return float(mehler_product_grid(orders, *map(float, correlations)))
 
 
 def mehler_product_grid(orders, rzz, rzw, rwz, rww):

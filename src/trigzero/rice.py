@@ -236,15 +236,6 @@ def _pair_core(minus, plus, fs, ft):
     return conditional_abs_moment(sU, sV, rho_c) / (2.0 * np.pi * np.sqrt(det))
 
 
-def _pair_intensity(K, s, t):
-    """Second-moment Rice integrand at (s, t), vectorized: four lag evaluations per point."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return _pair_core(
-        c_k_derivs(K, t - s), c_k_derivs(K, t + s), _node_factors(K, 2.0 * s), _node_factors(K, 2.0 * t)
-    )
-
-
 def _pair_integral(K, w0, w1, n_nodes):
     """2 * int_{w0 <= s < t <= w1} F(s, t) on the tensor-product panel grid.
 

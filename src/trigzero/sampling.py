@@ -1,5 +1,5 @@
-"""Replicate sampling: deterministic coefficient draws, path evaluation and
-Gaussian-process draws on a grid.
+"""Replicate sampling: deterministic coefficient draws and Gaussian-process
+draws on a grid.
 
 Randomness is counter-based: every replicate owns a Philox stream keyed by
 (experiment seed, replicate index, stream purpose), so draws are reproducible
@@ -25,8 +25,6 @@ import numpy as np
 from .covariance import Kernel
 from .errors import DegeneracyError, UsageError
 
-_MASK64 = (1 << 64) - 1
-
 PURPOSE_COEFFS = 0
 PURPOSE_GRID = 1
 
@@ -44,11 +42,15 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
     One Philox generator serves the whole call.  For each row it is re-keyed
     to (seed, index << 8 | purpose) with counter 0 and an empty buffer,
     which is exactly the state of a fresh ``Philox(key=...)``.  The generator
-    is local, so concurrent calls share nothing.
+    is local, so concurrent calls share nothing.  The seed must be an
+    integer that fits the 64-bit key word as it is: no two seeds may key
+    the same streams.
     """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 64):
+        raise UsageError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     from scipy.special import ndtri  # deferred: commands that draw nothing never load scipy
 
-    gen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     state = gen.state  # counter 0, empty buffer
     key = state["state"]["key"]
     raw = np.empty((len(indices), n), dtype=np.uint64)
@@ -56,7 +58,7 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
         index = int(index)
         if index < 0 or index >= (1 << 56):
             raise UsageError("replicate index out of the 56-bit key range")
-        key[1] = ((index << 8) | purpose) & _MASK64
+        key[1] = (index << 8) | purpose
         gen.state = state
         raw[i] = gen.random_raw(n)
     # top 53 bits, centered: u in (0, 1) strictly, so ndtri stays finite
@@ -100,33 +102,6 @@ def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:
     if ensemble == "stationary":
         return rows[:, :K], rows[:, K:]
     return rows, None
-
-
-def eval_path(coeffs: CoefficientVector, t, rescaled: bool = True):
-    """Evaluate a replicate's path and derivative at ``t``.
-
-    Rescaled axis: K^{-1/2} sum a_n cos(n t / K) (+ sine part), frequencies
-    n/K; original axis: frequencies n on [0, 2*pi).
-    """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    pts = np.atleast_1d(t)
-    K = coeffs.K
-    freqs = np.arange(1, K + 1, dtype=float)
-    if rescaled:
-        freqs = freqs / K
-    ang = np.multiply.outer(pts, freqs)
-    cos_m = np.cos(ang)
-    sin_m = np.sin(ang)
-    scale = 1.0 / np.sqrt(K)
-    val = scale * (cos_m @ coeffs.a)
-    der = -scale * (sin_m * freqs) @ coeffs.a
-    if coeffs.b is not None:
-        val = val + scale * (sin_m @ coeffs.b)
-        der = der + scale * ((cos_m * freqs) @ coeffs.b)
-    if scalar:
-        return float(val[0]), float(der[0])
-    return val, der
 
 
 def sample_limit_process(kernel: Kernel, grid, seed: int, indices) -> np.ndarray:

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from reference import exact_sigma_q_squared
+from reference import _lag_correlations_raw, exact_sigma_q_squared, lag_correlations
 from trigzero import chaos_variance
 from trigzero.chaos_variance import (
-    _lag_correlations_raw,
     _order_pairs,
     chaos_lag_correlation,
-    lag_correlations,
     sigma_q_squared,
     total_variance_constant,
 )
@@ -283,8 +281,11 @@ class TestSeriesTail:
     def test_tail_is_the_zeta_envelope(self, chaos_total):
         from scipy.special import zeta
 
+        # C of sigma_q^2 ~ C q^(-3/2) from the last two nonzero orders;
         # orders 22, 24, ... are 2 * (11, 12, ...)
-        tail = chaos_total.envelope_constant * 2.0**-1.5 * float(zeta(1.5, 11))
+        anchors = [t for t in chaos_total.terms if t.sigma_sq != 0.0][-2:]
+        envelope = float(np.mean([t.sigma_sq * t.q**1.5 for t in anchors]))
+        tail = envelope * 2.0**-1.5 * float(zeta(1.5, 11))
         assert abs(chaos_total.series_tail - tail) <= 1e-15 * tail
         partial = sum(t.sigma_sq for t in chaos_total.terms)
         assert chaos_total.total == partial + chaos_total.series_tail

@@ -169,6 +169,14 @@ class TestSimulate:
         assert res.exit_code == 2, res.output
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_key_word_is_usage_error(self, runner, tmp_path, seed):
+        # -3 and 2**64 - 3 would otherwise key the same streams
+        res = runner.invoke(main, ["simulate", "--K", "5", "--reps", "10", "--seed", seed, "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert "seed" in res.output
+        assert not (tmp_path / "x").exists()
+
     def test_repeated_degree_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(
             main, ["simulate", "--K", "10", "--K", "10", "--reps", "10", "--out", str(tmp_path / "x")]

