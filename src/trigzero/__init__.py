@@ -17,7 +17,6 @@ from .chaos_variance import (
 )
 from .covariance import (
     BoundsReport,
-    Kernel,
     c_k,
     c_k_dd0,
     c_k_derivs,
@@ -27,7 +26,6 @@ from .covariance import (
 )
 from .errors import (
     CampaignError,
-    DegeneracyError,
     NumericError,
     UsageError,
 )
@@ -47,8 +45,6 @@ from .hermite import (
     abs_coeff,
     dirac_coeff,
     dirac_coeff_normalized,
-    hermite_eval,
-    hermite_table,
 )
 from .rice import (
     RiceResult,
@@ -65,7 +61,6 @@ from .sampling import (
     CoefficientVector,
     draw_coefficient_batch,
     draw_coefficients,
-    sample_limit_process,
 )
 from .zeros import (
     ZeroCountResult,
@@ -78,19 +73,17 @@ from .zeros import (
 __all__ = [
     "ChaosTerm", "VarianceConstant", "chaos_lag_correlation",
     "sigma_q_squared", "total_variance_constant",
-    "BoundsReport", "Kernel", "c_k", "c_k_dd0", "c_k_derivs",
+    "BoundsReport", "c_k", "c_k_dd0", "c_k_derivs",
     "kernel_bounds_check", "sinc", "sinc_derivs",
-    "CampaignError", "DegeneracyError", "NumericError", "UsageError",
+    "CampaignError", "NumericError", "UsageError",
     "CampaignResult", "ExperimentConfig", "IntervalSpec", "KSummary",
     "NormalityReport", "WindowChopReport", "clt_test", "run_campaign",
     "standardize_counts", "window_chop_check",
     "abs_coeff", "dirac_coeff", "dirac_coeff_normalized",
-    "hermite_eval", "hermite_table",
     "RiceResult", "RiceVariance", "conditional_abs_moment", "rice_mean",
     "rice_second_moment", "rice_variance", "wilkins_mean", "window_bounds",
     "zero_intensity",
     "CoefficientVector", "draw_coefficient_batch", "draw_coefficients",
-    "sample_limit_process",
     "ZeroCountResult", "count_zeros_eigen", "count_zeros_scan", "oracle_agreement",
     "scan_count_batch",
 ]

@@ -67,6 +67,8 @@ _BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at
 # q^(3/2) sigma_q^2 steps evenly up to q = 116; above it float64 rounding takes over
 # (sigma_q^2 < 0 at q = 164 with tail 1000), and q = 172 overflows a factorial
 _MAX_ORDER = 100
+# the lag grid, and with it time and memory, grows linearly with the tail
+_MAX_TAIL = 1e6
 
 
 def _order_pairs(q: int):
@@ -184,8 +186,8 @@ def _chaos_terms(orders, tail):
     The 16-node pass gives sigma_q^2 and the tail fit; the 8-node pass gives
     the quadrature error estimate.
     """
-    if not 100.0 <= tail < math.inf:  # also rejects nan
-        raise UsageError("tail cutoff must be a finite number >= 100")
+    if not 100.0 <= tail <= _MAX_TAIL:  # also rejects nan
+        raise UsageError(f"tail cutoff must be a number in [100, {_MAX_TAIL:g}]")
     tail = float(tail)
     even = [q for q in orders if q % 2 == 0]
     if even:

@@ -35,6 +35,8 @@ from .zeros import oracle_agreement
 
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
+# bounds-check holds a few float64 arrays of this length per degree
+_MAX_POINTS = 10 ** 6
 
 
 def _fmt(x) -> str:
@@ -355,6 +357,8 @@ def bounds_check(k_values, points):
     """Check the lag-covariance decay inequalities on log-spaced grids."""
     if points < 1 or min(k_values) < 1:
         raise UsageError("--K and --points must be at least 1")
+    if points > _MAX_POINTS:
+        raise UsageError(f"--points must be at most {_MAX_POINTS}")
     reports = [kernel_bounds_check(K, np.geomspace(0.05, K * math.pi, points)) for K in k_values]
     _dump_json([dataclasses.asdict(rep) for rep in reports])
     if not all(rep.passed for rep in reports):

@@ -11,15 +11,9 @@ taken with its first two derivatives:
   below _SMALL_LAG = 2,
 * ``sinc(x) = sin(x)/x`` -- its pointwise limit as K grows.
 
-``Kernel(K, cosine)`` composes f = c_k(K, .), or f = sinc for K = None, as
-the cosine-type surface (f(t-s) + f(t+s))/2 or the stationary f(t-s):
-
-=======================  =============================  ===========================
-``Kernel(K)``            cosine ensemble, degree K      (c_k(t-s) + c_k(t+s)) / 2
-``Kernel(K, False)``     stationary ensemble, degree K  c_k(t-s)
-``Kernel(None, False)``  stationary sinc limit          sinc(t-s)
-``Kernel()``             cosine-type limit              (sinc(t-s) + sinc(t+s)) / 2
-=======================  =============================  ===========================
+The stationary ensemble's covariance surface is c_k(t-s) itself; the
+cosine ensemble's, (c_k(t-s) + c_k(t+s))/2, is assembled where it is used,
+in ``rice._pair_core``.
 """
 
 from __future__ import annotations
@@ -153,38 +147,6 @@ def _deriv_var(c, c1, c2, K):
     """v(t)^2 = [c'' - c''(0) - c'^2/(1+c)] / (1+c), from (c, c', c'') at lag 2t."""
     denom = 1.0 + c
     return (c2 - c_k_dd0(K) - c1 * c1 / denom) / denom
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Covariance surface built from one lag function and its derivatives.
-
-    The lag function f is ``c_k(K, .)`` for a degree K, or ``sinc`` for
-    K = None.  The surface is (f(t-s) + f(t+s))/2 when ``cosine`` is set and
-    f(t-s) otherwise.  Vectorized over (s, t) arrays on the rescaled axis;
-    instances are immutable and all evaluations are pure.
-    """
-
-    K: int | None = None
-    cosine: bool = True
-
-    def _lag(self, tau):
-        return sinc_derivs(tau) if self.K is None else c_k_derivs(self.K, tau)
-
-    def partials(self, s, t):
-        """(r, r_s, r_t, r_ss, r_st, r_tt) at (s, t); r_tt equals r_ss."""
-        t = np.asarray(t, float)
-        d, d1, d2 = self._lag(t - s)
-        if not self.cosine:
-            return d, -d1, d1, d2, -d2, d2
-        e, e1, e2 = self._lag(t + s)
-        r_ss = 0.5 * (d2 + e2)
-        return 0.5 * (d + e), 0.5 * (e1 - d1), 0.5 * (d1 + e1), r_ss, 0.5 * (e2 - d2), r_ss
-
-    def gram(self, grid):
-        """Covariance matrix of the process sampled on ``grid``."""
-        g = np.asarray(grid, dtype=float)
-        return self.partials(g[:, None], g[None, :])[0]
 
 
 @dataclass(frozen=True)

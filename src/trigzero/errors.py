@@ -9,10 +9,6 @@ class NumericError(RuntimeError):
     """A numerical routine failed to reach its accuracy or stability target."""
 
 
-class DegeneracyError(NumericError):
-    """A covariance became (numerically) singular where positivity was required."""
-
-
 class CampaignError(RuntimeError):
     """A Monte Carlo campaign produced too many unusable replicates."""
 

@@ -5,8 +5,8 @@ The polynomials follow the probabilists' convention
     H_0 = 1,  H_1 = x,  H_{q+1}(x) = x H_q(x) - q H_{q-1}(x),
 
 orthogonal for the standard Gaussian weight with ||H_q||^2 = q!.
-``hermite_table(q, x)`` runs that recurrence once and returns H_0 .. H_q;
-``hermite_eval(q, x)`` is its last row.
+The chaos variance constants need only the expansion coefficients and
+pairing diagrams below, never a pointwise value of H_q.
 
 The coefficients of the chaos expansion come from two sequences:
 
@@ -35,31 +35,6 @@ import numpy as np
 from .errors import UsageError
 
 _TWO_PI = 2.0 * math.pi
-
-
-def hermite_table(q: int, x):
-    """Stack of H_0(x) .. H_q(x), shape (q+1,) + x.shape.
-
-    The three-term recurrence runs in floating point rather than through
-    stored monomial coefficients, which avoids catastrophic cancellation at
-    moderately high order.
-    """
-    if q < 0:
-        raise UsageError(f"order {q} must be >= 0")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((q + 1,) + x.shape)
-    out[0] = 1.0
-    if q >= 1:
-        out[1] = x
-    for k in range(1, q):
-        out[k + 1] = x * out[k] - k * out[k - 1]
-    return out
-
-
-def hermite_eval(q: int, x):
-    """Value of H_q at x: row q of ``hermite_table``, a float for scalar x."""
-    row = hermite_table(q, x)[q]
-    return float(row) if row.ndim == 0 else row
 
 
 def _double_factorial_odd(m: int) -> float:

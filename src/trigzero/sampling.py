@@ -1,5 +1,4 @@
-"""Replicate sampling: deterministic coefficient draws and Gaussian-process
-draws on a grid.
+"""Replicate sampling: deterministic coefficient draws.
 
 Randomness is counter-based: every replicate owns a Philox stream keyed by
 (experiment seed, replicate index, stream purpose), so draws are reproducible
@@ -10,10 +9,6 @@ of replicates is drawn by one generator, re-keyed per replicate, and a
 stream never depends on the batch it is drawn in.  The inverse CDF is
 ``scipy.special.ndtri``, imported on the first draw rather than with the
 module, so commands that draw nothing never load scipy.
-
-``sample_limit_process`` draws a batch of paths of any ``Kernel`` on one
-grid: one Gram matrix and one Cholesky factor per call, applied to the
-PURPOSE_GRID streams of the requested replicate indices.
 """
 
 from __future__ import annotations
@@ -22,18 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Kernel
-from .errors import DegeneracyError, UsageError
+from .errors import UsageError
 
 PURPOSE_COEFFS = 0
-PURPOSE_GRID = 1
 
 _ENSEMBLES = ("cosine", "stationary")
-
-# Dense-factorization cost grows cubically; larger grids must be windowed.
-MAX_GRID = 4096
-
-_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
@@ -102,32 +90,3 @@ def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:
     if ensemble == "stationary":
         return rows[:, :K], rows[:, K:]
     return rows, None
-
-
-def sample_limit_process(kernel: Kernel, grid, seed: int, indices) -> np.ndarray:
-    """Multivariate-normal draws of ``kernel`` restricted to ``grid``.
-
-    Returns shape (len(indices), grid.size); row i is the Cholesky factor
-    of the Gram matrix applied to the normals of stream ``indices[i]``
-    (purpose PURPOSE_GRID).  The factorization runs once per call, with a
-    diagonal jitter ladder 0 -> 1e-12 -> 1e-10 -> 1e-8; exhausting the
-    ladder raises DegeneracyError.
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise UsageError("grid must be a nonempty 1-D array")
-    if g.size > MAX_GRID:
-        raise UsageError(f"grid larger than {MAX_GRID}; window the request")
-    if g.size > 1 and not np.all(np.diff(g) > 0.0):
-        raise UsageError("grid must be strictly increasing")
-    gram = kernel.gram(g)
-    chol = None
-    for jit in _JITTERS:
-        try:
-            chol = np.linalg.cholesky(gram + jit * np.eye(g.size))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if chol is None:
-        raise DegeneracyError("Gram matrix not factorizable within the jitter ladder")
-    return _normal_rows(seed, indices, PURPOSE_GRID, g.size) @ chol.T

@@ -1,19 +1,56 @@
 """Independent references for the tests: routes the package does not ship."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from trigzero.chaos_variance import _order_table
-from trigzero.covariance import Kernel, c_k_derivs, sinc_derivs
-from trigzero.errors import DegeneracyError, UsageError
+from trigzero.covariance import c_k_derivs, sinc_derivs
+from trigzero.errors import NumericError, UsageError
 from trigzero.hermite import mehler_product_grid
 from trigzero.rice import _gl_panels, _node_factors, _pair_core
 from trigzero.sampling import CoefficientVector
 
 _SQRT3 = np.sqrt(3.0)
+
+
+class DegeneracyError(NumericError):
+    """A covariance became (numerically) singular where positivity was required."""
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """Covariance surface built from one lag function and its derivatives.
+
+    The lag function f is ``c_k(K, .)`` for a degree K, or ``sinc`` for
+    K = None.  The surface is (f(t-s) + f(t+s))/2 when ``cosine`` is set and
+    f(t-s) otherwise.  Vectorized over (s, t) arrays on the rescaled axis;
+    instances are immutable and all evaluations are pure.
+    """
+
+    K: int | None = None
+    cosine: bool = True
+
+    def _lag(self, tau):
+        return sinc_derivs(tau) if self.K is None else c_k_derivs(self.K, tau)
+
+    def partials(self, s, t):
+        """(r, r_s, r_t, r_ss, r_st, r_tt) at (s, t); r_tt equals r_ss."""
+        t = np.asarray(t, float)
+        d, d1, d2 = self._lag(t - s)
+        if not self.cosine:
+            return d, -d1, d1, d2, -d2, d2
+        e, e1, e2 = self._lag(t + s)
+        r_ss = 0.5 * (d2 + e2)
+        return 0.5 * (d + e), 0.5 * (e1 - d1), 0.5 * (d1 + e1), r_ss, 0.5 * (e2 - d2), r_ss
+
+    def gram(self, grid):
+        """Covariance matrix of the process sampled on ``grid``."""
+        g = np.asarray(grid, dtype=float)
+        return self.partials(g[:, None], g[None, :])[0]
 
 
 class StandardizedKernel:
@@ -57,6 +94,31 @@ class StandardizedKernel:
     def v(self, s):
         """Standard deviation of the standardized derivative at s."""
         return np.sqrt(np.maximum(self.parts(s, s)[3], 0.0))
+
+
+def hermite_table(q: int, x):
+    """Stack of H_0(x) .. H_q(x), shape (q+1,) + x.shape.
+
+    The three-term recurrence runs in floating point rather than through
+    stored monomial coefficients, which avoids catastrophic cancellation at
+    moderately high order.
+    """
+    if q < 0:
+        raise UsageError(f"order {q} must be >= 0")
+    x = np.asarray(x, dtype=float)
+    out = np.empty((q + 1,) + x.shape)
+    out[0] = 1.0
+    if q >= 1:
+        out[1] = x
+    for k in range(1, q):
+        out[k + 1] = x * out[k] - k * out[k - 1]
+    return out
+
+
+def hermite_eval(q: int, x):
+    """Value of H_q at x: row q of ``hermite_table``, a float for scalar x."""
+    row = hermite_table(q, x)[q]
+    return float(row) if row.ndim == 0 else row
 
 
 def correlation_gram(correlations):

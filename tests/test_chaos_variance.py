@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import _lag_correlations_raw, exact_sigma_q_squared, lag_correlations
+from reference import _lag_correlations_raw, exact_sigma_q_squared, hermite_eval, lag_correlations
 from trigzero import chaos_variance
 from trigzero.chaos_variance import (
     _order_pairs,
@@ -16,7 +16,7 @@ from trigzero.chaos_variance import (
 from trigzero.covariance import sinc_derivs
 from trigzero.errors import UsageError
 from trigzero.experiments import ExperimentConfig, IntervalSpec, run_campaign
-from trigzero.hermite import hermite_eval, mehler_product_grid
+from trigzero.hermite import mehler_product_grid
 
 # sigma_q^2 of total_variance_constant(20, 1e4) as the pairs x pairs diagram
 # sum computed them, one whole-grid dot product per order
@@ -237,7 +237,7 @@ class TestSigmaQ:
         with pytest.raises(UsageError, match="100"):
             call()
 
-    @pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf, 1e300, 1.5e6])
     def test_non_finite_tail(self, tail):
         with pytest.raises(UsageError):
             sigma_q_squared(2, tail=tail)

@@ -284,7 +284,7 @@ class TestChaosVar:
         assert "2..100" in res.output
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("tail", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("tail", ["nan", "inf", "-inf", "1e300", "1.5e6"])
     def test_non_finite_tail_is_usage_error(self, runner, tmp_path, tail):
         res = runner.invoke(main, ["chaos-var", "--qmax", "4", "--tail", tail, "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
@@ -480,6 +480,7 @@ class TestSuites:
             ["oracle-check", "--reps", "-5"],
             ["oracle-check", "--K", "0"],
             ["oracle-check", "--K", "300", "--reps", "1"],
+            ["bounds-check", "--points", "1000000000000000"],
         ],
     )
     def test_rejects_empty_requests(self, runner, args):

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from reference import StandardizedKernel
+from reference import DegeneracyError, Kernel, StandardizedKernel
 from trigzero import covariance
 from trigzero.covariance import (
     _SMALL_LAG,
-    Kernel,
     c_k,
     c_k_dd0,
     c_k_derivs,
@@ -15,7 +14,7 @@ from trigzero.covariance import (
     sinc,
     sinc_derivs,
 )
-from trigzero.errors import DegeneracyError, UsageError
+from trigzero.errors import UsageError
 from trigzero.rice import zero_intensity
 
 ALL_KERNELS = [

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import mehler_product_expectation
+from reference import hermite_eval, hermite_table, mehler_product_expectation
 from trigzero.errors import UsageError
 from trigzero.hermite import (
     abs_coeff,
     dirac_coeff,
     dirac_coeff_normalized,
-    hermite_eval,
-    hermite_table,
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)

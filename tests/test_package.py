@@ -1,5 +1,6 @@
 """Package namespace: the public names exported by ``trigzero``."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -17,6 +18,31 @@ def test_all_names_resolve_and_none_is_a_module():
     assert len(set(trigzero.__all__)) == len(trigzero.__all__)
     for name in trigzero.__all__:
         assert not isinstance(getattr(trigzero, name), types.ModuleType), name
+
+
+def _unused_imports(path):
+    """Module-level import names that ``path`` never loads, as "file:line name"."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    if path.name == "__init__.py":
+        loaded |= set(trigzero.__all__)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    # the project runs no linter, and moving code tends to leave an import behind
+    files = sorted(Path(trigzero.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert not unused, unused
 
 
 _STARTUP_PROBE = """

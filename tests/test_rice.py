@@ -187,8 +187,7 @@ class TestSecondMoment:
     def _conditional_covariance_via_kernel(self, K, s, t):
         # independent assembly of the conditioned derivative-pair covariance
         # through the standardized-kernel object
-        from reference import StandardizedKernel
-        from trigzero.covariance import Kernel
+        from reference import Kernel, StandardizedKernel
 
         sk = StandardizedKernel(Kernel(K))
         rho, gs, gt, r11 = sk.parts(s, t)

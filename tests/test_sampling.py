@@ -1,4 +1,4 @@
-"""Deterministic draws, path evaluation and limit-process sampling."""
+"""Deterministic draws and path evaluation."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from reference import eval_path
-from trigzero.covariance import Kernel
-from trigzero.errors import DegeneracyError, UsageError
+from reference import Kernel, eval_path
+from trigzero.errors import UsageError
 from trigzero.sampling import (
     CoefficientVector,
     draw_coefficient_batch,
     draw_coefficients,
     PURPOSE_COEFFS,
-    PURPOSE_GRID,
-    sample_limit_process,
 )
 
 
@@ -90,8 +87,6 @@ class TestDrawPath:
     def test_index_outside_key_range(self, index):
         with pytest.raises(UsageError):
             draw_coefficient_batch(4, "cosine", 0, [0, index])
-        with pytest.raises(UsageError):
-            sample_limit_process(Kernel(), [0.0, 1.0], 0, [index])
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5])
     def test_seed_outside_key_word(self, seed):
@@ -172,49 +167,3 @@ class TestEvalPath:
             want = kern.partials(s, t)[0]
             se = (vs * vt).std(axis=0, ddof=1) / np.sqrt(reps)
             assert np.all(np.abs(emp - want) < 4.0 * se)
-
-
-class TestLimitProcess:
-    def test_deterministic(self):
-        kern = Kernel()
-        grid = np.linspace(0.0, 10.0, 64)
-        p1 = sample_limit_process(kern, grid, 5, range(3))
-        p2 = sample_limit_process(kern, grid, 5, range(3))
-        assert p1.shape == (3, 64)
-        assert np.array_equal(p1, p2)
-
-    def test_rows_are_the_grid_streams(self):
-        # row i is the Cholesky factor applied to stream indices[i]
-        kern = Kernel(None, cosine=False)
-        grid = np.array([0.0, 0.9, 2.2, 4.0, 7.3])
-        indices = [11, 0, 7, 3, 250]
-        chol = np.linalg.cholesky(kern.gram(grid))
-        z = np.stack([_reference_normals(13, i, PURPOSE_GRID, grid.size) for i in indices])
-        assert np.array_equal(sample_limit_process(kern, grid, 13, indices), z @ chol.T)
-
-    def test_single_point_variance(self):
-        # r(0,0) = 1: scalar draws are standard normal
-        vals = sample_limit_process(Kernel(), [0.0], 42, range(10 ** 5))[:, 0]
-        assert abs(vals.var() - 1.0) < 0.02
-
-    def test_empirical_covariance_on_grid(self):
-        kern = Kernel(None, cosine=False)
-        grid = np.array([0.0, 0.9, 2.2, 4.0, 7.3])
-        draws = sample_limit_process(kern, grid, 7, range(10 ** 4))
-        emp = (draws.T @ draws) / draws.shape[0]
-        assert np.max(np.abs(emp - kern.gram(grid))) < 0.05
-
-    def test_grid_validation(self):
-        kern = Kernel()
-        with pytest.raises(UsageError):
-            sample_limit_process(kern, np.zeros(5000), 0, [0])
-        with pytest.raises(UsageError):
-            sample_limit_process(kern, [1.0, 0.5], 0, [0])
-
-    def test_degenerate_gram_raises(self):
-        class BadKernel(Kernel):
-            def gram(self, grid):
-                return np.full((len(grid), len(grid)), -1.0)
-
-        with pytest.raises(DegeneracyError):
-            sample_limit_process(BadKernel(), [0.0, 1.0], 0, [0])
