@@ -26,9 +26,12 @@ comes from one Taylor expansion per suspect, about its middle lattice
 point, exact to rounding within a lattice step of it.  Its moments are
 real: two real matrix products per block of points, over phases exp(i n t)
 built from two tables of about sqrt(K) columns per point.  A
-sign-preserving extremum found there is located by bisection on the
-derivative, all extrema of the batch in lockstep.  If the extremum value is
-indistinguishable from zero, its cell is returned in
+sign-preserving extremum found there is bracketed by bisection on the
+derivative, all extrema of the batch in lockstep, and valued at the
+bracket's midpoint: to 1e-12 when roots are located, and for a count to
+1e-3 lattice steps, going on to 1e-12 only where that value lies within a
+curvature bound of zero or of the tangency tolerance (see ``_scan_batch``).
+If the extremum value is indistinguishable from zero, its cell is returned in
 ``ZeroCountResult.warnings`` as a tangency bracket and adds no crossings;
 campaigns count these brackets in the ``warnings`` column of
 ``records.csv`` and leave such replicates out of their moments.  Otherwise
@@ -63,6 +66,7 @@ _DEDUPE_TOL = 1e-9
 # matrix entries per eigvals call: 8 companion matrices at K = 256
 _STACK_ENTRIES = 1 << 21
 _BISECT_WIDTH = 1e-12
+_SETTLE_WIDTH = 1e-3  # lattice steps: count mode's first extremum bracket
 # fraction of the discrete curvature scale below which a parabola extremum
 # estimate counts as a possible hidden root pair
 _SUSPECT_FRACTION = 0.25
@@ -325,26 +329,28 @@ def _taylor(mom, u):
     return acc
 
 
-def _bisect(mom, t0, step, lo, hi, lo_pos):
+def _bisect(mom, t0, step, lo, hi, lo_pos, width):
     """Sign changes in brackets [lo_i, hi_i], all brackets in lockstep.
 
     ``mom[i]`` is the Taylor expansion about ``t0[i]``, within a lattice
     step of the bracket, of the function that changes sign across it (the
     path or its derivative); ``lo_pos[i]`` is its sign at ``lo_i``.  Each
-    bracket halves until narrower than the bisection width, or stops where
-    the function at its midpoint is exactly zero.
+    bracket halves until narrower than ``width``, or stops where the
+    function at its midpoint is exactly zero or where the midpoint rounds to
+    one of its ends (|t| >= 8192, where one ulp exceeds 1e-12).  A narrower
+    ``width`` continues the same halvings; returns the midpoints.
     """
     lo = lo.copy()
     hi = hi.copy()
     live = np.ones(lo.size, dtype=bool)
     for _ in range(80):
-        live &= hi - lo >= _BISECT_WIDTH
+        live &= hi - lo >= width
         k = np.flatnonzero(live)
         if not k.size:
             break
         mid = 0.5 * (lo[k] + hi[k])
         fm = _taylor(mom[k], (mid - t0[k]) / step)
-        flat = fm == 0.0
+        flat = (fm == 0.0) | (mid == lo[k]) | (mid == hi[k])
         live[k[flat]] = False
         k, mid, fm = k[~flat], mid[~flat], fm[~flat]
         right = (fm > 0) == lo_pos[k]
@@ -497,12 +503,27 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     flip = sg[:, :-1] != sg[:, 1:]
     np.add.at(counts, rows, flip.sum(axis=1) - (sg[:, 0] != sg[:, 4]))
 
-    # sign-preserving extrema: settle each by bisection on the derivative
+    # sign-preserving extrema: bisect the derivative and value the path at
+    # the midpoint, to _BISECT_WIDTH for root location (crossed extrema end
+    # root brackets).  A count stops at _SETTLE_WIDTH steps unless the value
+    # lies within a slack of 0 or of the tangency tolerance: further halvings
+    # of w steps move it by at most M w^2 / 2, M = sum_k k (k - 1) |m_k| >=
+    # |f''(u)| on |u| <= 1, and each Horner sum rounds by <= 34 eps sum |m_k|.
     ci, q = np.nonzero(~flip & (dpos[:, :-1] != dpos[:, 1:]))
-    tstar = _bisect(dmom[ci], t0[ci], step, t[ci, q], t[ci, q + 1], dpos[ci, q])
-    vstar = _taylor(mom[ci], (tstar - t0[ci]) / step)
     ext_rows = rows[ci]
-    tangent = np.abs(vstar) <= _TANGENCY_REL_TOL * scale[ext_rows]
+    tol = _TANGENCY_REL_TOL * scale[ext_rows]
+    tstar, vstar, todo = np.empty(ci.size), np.empty(ci.size), np.arange(ci.size)
+    curv = np.arange(_TAYLOR_TERMS) * np.arange(-1, _TAYLOR_TERMS - 1)
+    for width in (_BISECT_WIDTH,) if locate else (_SETTLE_WIDTH * step, _BISECT_WIDTH):
+        if not todo.size:
+            break
+        e, eq = ci[todo], q[todo]
+        tstar[todo] = _bisect(dmom[e], t0[e], step, t[e, eq], t[e, eq + 1], dpos[e, eq], width)
+        vstar[todo] = _taylor(mom[e], (tstar[todo] - t0[e]) / step)
+        m, av = np.abs(mom[e]), np.abs(vstar[todo])
+        slack = 0.5 * (width / step) ** 2 * (m @ curv) + 72 * np.finfo(float).eps * m.sum(axis=1)
+        todo = todo[np.minimum(av, np.abs(av - tol[todo])) <= slack]
+    tangent = np.abs(vstar) <= tol
     crossed = ~tangent & ((vstar > 0) != sg[ci, q])
     np.add.at(counts, ext_rows[crossed], 2)
     tc, tq = ci[tangent], q[tangent]
@@ -525,6 +546,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
             np.concatenate((cut[kp], t[fr, fq], t[xc, xq], tstar[cr])),
             np.concatenate((cut[kp + 1], t[fr, fq + 1], tstar[cr], t[xc, xq + 1])),
             np.concatenate((kpos, sg[fr, fq], sg[xc, xq], vstar[cr] > 0)),
+            _BISECT_WIDTH,
         )
         order = np.lexsort((roots, owner))
         root_lists = np.split(roots[order], np.cumsum(np.bincount(owner, minlength=B))[:-1])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import corpus
 from reference import eval_path
 from trigzero import zeros
 from trigzero.errors import UsageError
@@ -16,7 +17,10 @@ from trigzero.sampling import (
     draw_coefficients,
 )
 from trigzero.zeros import (
+    _BISECT_WIDTH,
+    _SETTLE_WIDTH,
     _STACK_ENTRIES,
+    _bisect,
     _classify,
     _eigen_roots,
     _expansions,
@@ -294,6 +298,88 @@ class TestTangency:
         counted = count_zeros_scan(cv, (0.3, 5.9), locate_roots=False)
         assert res.count == res.roots.size == counted.count and len(counted.warnings) == 1
         assert not np.any(np.abs(res.roots - np.pi) < 0.1)
+
+
+class TestTwoStageVerdicts:
+    """Count mode settles an extremum at _SETTLE_WIDTH steps unless its value
+    lies within the curvature slack of 0 or of the tangency tolerance."""
+
+    STEP = np.pi / 48  # K = 3, oversample 16
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        calls = []
+
+        def spy(mom, t0, step, lo, hi, lo_pos, width):
+            calls.append((width / step, lo.size))
+            return _bisect(mom, t0, step, lo, hi, lo_pos, width)
+
+        monkeypatch.setattr(zeros, "_bisect", spy)
+        return calls
+
+    def test_crossed_extremum_settled_at_stage_one(self, widths):
+        cv, tstar = TestTangency()._tangent_vector()
+        shifted = _vector(3, cv.a - np.r_[1e-6 / np.cos(tstar), 0.0, 0.0])
+        counts, warns = scan_count_batch(shifted.a[None], None, 3, (0.0, np.pi))
+        assert widths == [(pytest.approx(_SETTLE_WIDTH), 1)]
+        assert counts[0] == count_zeros_eigen(shifted, (0.0, np.pi)).count and not warns.any()
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["inside", "outside"])
+    def test_touch_near_the_tolerance_goes_to_stage_two(self, widths, factor):
+        # the touch lowered to factor times the tangency tolerance: a warning
+        # inside it, a crossed pair outside, and either way within the slack
+        cv, tstar = TestTangency()._tangent_vector()
+        n = np.arange(1, 4)
+        scale = np.max(np.abs(np.cos(np.multiply.outer(np.arange(49) * self.STEP, n)) @ cv.a))
+        delta = factor * zeros._TANGENCY_REL_TOL * scale / np.cos(tstar)
+        low = _vector(3, cv.a - np.r_[delta, 0.0, 0.0])
+        counted = count_zeros_scan(low, (0.0, np.pi), locate_roots=False)
+        assert widths == [(pytest.approx(_SETTLE_WIDTH), 1), (pytest.approx(_BISECT_WIDTH / self.STEP), 1)]
+        located = count_zeros_scan(low, (0.0, np.pi))
+        assert counted.count == located.count == located.roots.size
+        assert counted.warnings == located.warnings
+        assert len(located.warnings) == (factor < 1.0)
+
+    @pytest.mark.parametrize("K", [3, 16, 32, 64])
+    def test_count_mode_matches_locate_mode(self, monkeypatch, K):
+        # every TestTangency vector, and the perturbed pairs of its touches
+        if K == 3:
+            rows, interval = corpus._touch_rows(), (0.0, np.pi)
+        else:
+            monkeypatch.setattr(zeros, "_TABLE_CUT", 0.0)
+            rows, interval = corpus._flat_rows(K, (1e-12, 0.0)), (0.3, 5.9)
+        for oversample in (8, 16):
+            for a in rows:
+                counted = count_zeros_scan(_vector(K, a), interval, oversample, locate_roots=False)
+                located = count_zeros_scan(_vector(K, a), interval, oversample)
+                assert counted.count == located.count
+                assert counted.warnings == located.warnings
+
+    @pytest.mark.parametrize("t0", [1.0, 5000.0, 9000.0, 20000.0])
+    def test_bisect_stops_when_the_midpoint_rounds_to_an_end(self, monkeypatch, t0):
+        # a linear function with its root a third of a step left of t0: past
+        # t = 8192 one ulp exceeds the width, and the bracket stops at one ulp
+        calls, taylor = [], zeros._taylor
+
+        def count(mom, u):
+            calls.append(1)
+            return taylor(mom, u)
+
+        monkeypatch.setattr(zeros, "_taylor", count)
+        mom = np.zeros((1, zeros._TAYLOR_TERMS))
+        mom[0, :2] = 1.0 / 3.0, 1.0
+        t = np.array([t0])
+        root = _bisect(mom, t, 1.0, t - 0.5, t + 0.25, np.array([False]), _BISECT_WIDTH)
+        assert len(calls) <= math.ceil(math.log2(0.75 / _BISECT_WIDTH))  # 80 without the stop
+        assert abs(root[0] - (t0 - 1.0 / 3.0)) <= max(_BISECT_WIDTH, 2.0 * np.spacing(t0))
+
+
+class TestCorpus:
+    """The Tier-1 part of the counts-unchanged corpus in corpus.py."""
+
+    @pytest.mark.parametrize("name", corpus.SUBSET)
+    def test_digests_unchanged(self, name):
+        assert corpus.digest(corpus.CONFIGS[name]) == corpus.pinned()[name]
 
 
 class TestEndCells:
