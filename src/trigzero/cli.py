@@ -31,7 +31,7 @@ from .experiments import (
     standardize_counts,
 )
 from .rice import RiceResult, rice_mean, rice_second_moment
-from .zeros import oracle_agreement
+from .zeros import OVERSAMPLE, oracle_agreement
 
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
@@ -180,7 +180,7 @@ def _manifest_payload(cfg: ExperimentConfig):
             "interval": _interval_text(cfg.interval),
             "alpha": cfg.alpha,
             "ensemble": cfg.ensemble,
-            "oversample": cfg.oversample,
+            "oversample": OVERSAMPLE,
         },
     }
 
@@ -194,14 +194,16 @@ def config_from_manifest(doc) -> ExperimentConfig:
     for key, allowed in kinds.items():
         if key in c and type(c[key]) not in allowed:  # type(), not isinstance: true is not 1
             raise TypeError(f"{key} has the wrong type: {c[key]!r}")
+    if c.get("oversample", OVERSAMPLE) != OVERSAMPLE:  # every count scans at the one density
+        raise ValueError(f"oversample must be {OVERSAMPLE}, not {c['oversample']!r}")
     return ExperimentConfig(
         K_list=tuple(c["K"]),
         replicates=c["reps"],
         interval=parse_interval(c["interval"]),
         alpha=float(c["alpha"]),
         seed=c["seed"],
-        # manifests written before these fields existed take the defaults
-        **{k: cast(c[k]) for k, cast in (("ensemble", str), ("oversample", int)) if k in c},
+        # manifests written before the ensemble field existed take its default
+        **({"ensemble": str(c["ensemble"])} if "ensemble" in c else {}),
     )
 
 

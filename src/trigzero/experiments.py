@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import CampaignError, UsageError
 from .rice import window_bounds
-from .sampling import draw_coefficient_batch
-from .zeros import scan_count_batch
+from .sampling import REPLICATE_LIMIT, draw_coefficient_batch
+from .zeros import OVERSAMPLE, scan_count_batch
 
 _CHUNK = 256
 _Z_995 = 2.575829303548901  # 99% two-sided normal quantile
@@ -69,11 +69,12 @@ class ExperimentConfig:
     alpha: float = 0.25
     seed: int = 0
     ensemble: str = "cosine"
-    oversample: int = 8
 
     def validate(self):
         if self.replicates < 2:
             raise UsageError("need at least 2 replicates")
+        if self.replicates > REPLICATE_LIMIT:
+            raise UsageError("replicates beyond the 56-bit replicate index range")
         if not (0.0 < self.alpha < 0.5):
             raise UsageError("alpha must lie in (0, 1/2)")
         if not self.K_list:
@@ -225,7 +226,7 @@ def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=No
     )
 
 
-def _count_chunks(K, ensemble, seed, replicates, intervals, oversample):
+def _count_chunks(K, ensemble, seed, replicates, intervals):
     """Counts and warning counts of every replicate, summed over ``intervals``.
 
     Replicates go in chunks of ``_CHUNK``; returns one (counts, warnings)
@@ -238,7 +239,7 @@ def _count_chunks(K, ensemble, seed, replicates, intervals, oversample):
         a, b = draw_coefficient_batch(K, ensemble, seed, range(start, stop))
         counts = warns = 0
         for bounds in intervals:
-            c, w = scan_count_batch(a, b, K, bounds, oversample=oversample, rescaled=False)
+            c, w = scan_count_batch(a, b, K, bounds, oversample=OVERSAMPLE, rescaled=False)
             counts, warns = counts + c, warns + w
         return counts, warns
 
@@ -270,14 +271,8 @@ def run_campaign(config: ExperimentConfig) -> CampaignResult:
     config.validate()
     summaries, all_counts, all_warnings = [], [], []
     for K in config.K_list:
-        chunks = _count_chunks(
-            K,
-            config.ensemble,
-            config.seed,
-            config.replicates,
-            [config.interval.bounds_original(K, config.alpha)],
-            config.oversample,
-        )
+        bounds = config.interval.bounds_original(K, config.alpha)
+        chunks = _count_chunks(K, config.ensemble, config.seed, config.replicates, [bounds])
         counts, warns, clean = _clean_counts(chunks, K)
         excluded = int(config.replicates - clean.size)
         # chunk-wise accumulation in fixed chunk order; the cap leaves n >= 2
@@ -328,8 +323,9 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     """Monte Carlo moments of the zero count on the window's complement.
 
     Counts zeros of cosine-ensemble replicates on [0, edge] and
-    [K*pi - edge, K*pi] (rescaled axis, oversample 16) and reports the mean
-    divided by sqrt(K pi); the ratio shrinks as K grows.  Replicates with a
+    [K*pi - edge, K*pi] on the rescaled axis (scanned on the original axis
+    at OVERSAMPLE, like every count) and reports the mean divided by
+    sqrt(K pi); the ratio shrinks as K grows.  Replicates with a
     tangency warning on either side are left out of the moments, and more
     than 0.1% of them raises CampaignError, as in a campaign.
     """
@@ -337,8 +333,10 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
         raise UsageError(f"degree K must be >= 1, got {K}")
     if replicates < 2:
         raise UsageError("need at least 2 replicates")
+    if replicates > REPLICATE_LIMIT:
+        raise UsageError("replicates beyond the 56-bit replicate index range")
     w0, w1 = window_bounds(K, alpha)
-    chunks = _count_chunks(K, "cosine", seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)], 16)
+    chunks = _count_chunks(K, "cosine", seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)])
     _, _, clean = _clean_counts(chunks, K)
     n, mean, m2, _, _ = _moments(clean)
     var = m2 / (n - 1)

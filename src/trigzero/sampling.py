@@ -20,6 +20,8 @@ import numpy as np
 from .errors import UsageError
 
 PURPOSE_COEFFS = 0
+# replicate indices lie in [0, REPLICATE_LIMIT): the key word's top 56 bits
+REPLICATE_LIMIT = 1 << 56
 
 _ENSEMBLES = ("cosine", "stationary")
 
@@ -44,7 +46,7 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
     raw = np.empty((len(indices), n), dtype=np.uint64)
     for i, index in enumerate(indices):
         index = int(index)
-        if index < 0 or index >= (1 << 56):
+        if index < 0 or index >= REPLICATE_LIMIT:
             raise UsageError("replicate index out of the 56-bit key range")
         key[1] = (index << 8) | purpose
         gen.state = state

@@ -1,7 +1,7 @@
 """Zero counting for polynomial replicates: grid scan and eigenvalue oracle.
 
 The scan method samples each replicate on the lattice t_j = j * period / N,
-with N = 2 * oversample * K points per period, fine relative to the 2K root
+with N = 2 * OVERSAMPLE * K points per period, fine relative to the 2K root
 bound.  A grid of P lattice points takes one of two routes, by cost.  A
 short grid (such as K = 100 on [0, pi] or the window-chop tails) is one
 float64 matrix product of the coefficients with a cached table of cos(n t_j)
@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
-from .sampling import CoefficientVector
+from .sampling import REPLICATE_LIMIT, CoefficientVector
 
 _EIGEN_MAX_K = 256
 _CIRCLE_TOL = 1e-8
@@ -94,9 +94,11 @@ _FFT_EPS = float(np.finfo(np.float32).eps)
 # an interval end within this many lattice steps of a lattice point is
 # treated as that point
 _LATTICE_TOL = 1e-9
+# lattice points per period over 2K: the density every count scans at, and the floor
+OVERSAMPLE = 8
 # Taylor terms kept about a lattice point, used up to a step h away: the
-# floor oversample = 8 (campaigns run at it) makes freq * h <= pi/8 for
-# every frequency, and (pi/8)^18 / 18! < 1e-22, far below rounding
+# floor OVERSAMPLE makes freq * h <= pi/8 for every frequency, and
+# (pi/8)^18 / 18! < 1e-22, far below rounding
 _TAYLOR_TERMS = 18
 
 
@@ -463,8 +465,8 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     ``tangencies`` is (rows, lo, hi): one entry per tangency bracket
     [lo, hi] of row ``rows[i]``.
     """
-    if oversample < 8:
-        raise UsageError("oversample must be >= 8")
+    if oversample < OVERSAMPLE:
+        raise UsageError(f"oversample must be >= {OVERSAMPLE}")
     if hi <= lo:
         raise UsageError("empty interval")
     freqs = _freqs(K, rescaled)
@@ -556,7 +558,7 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
 def count_zeros_scan(
     coeffs: CoefficientVector,
     interval,
-    oversample: int = 16,
+    oversample: int = OVERSAMPLE,
     rescaled: bool = False,
     locate_roots: bool = True,
 ) -> ZeroCountResult:
@@ -570,7 +572,7 @@ def count_zeros_scan(
     return ZeroCountResult(count=int(counts[0]), roots=roots[0], warnings=list(zip(t_lo, t_hi)))
 
 
-def scan_count_batch(a, b, K, interval, oversample=16, rescaled=False):
+def scan_count_batch(a, b, K, interval, oversample=OVERSAMPLE, rescaled=False):
     """Counts and tangency-warning counts for a batch of replicates."""
     lo, hi = float(interval[0]), float(interval[1])
     counts, (t_rows, _, _), _ = _scan_batch(a, b, K, lo, hi, oversample, rescaled, False)
@@ -631,16 +633,19 @@ def count_zeros_eigen(coeffs: CoefficientVector, interval) -> ZeroCountResult:
 def oracle_agreement(K_list, reps, seed):
     """Cross-validate scan counts and root locations against the eigen oracle.
 
-    Compares ``reps`` cosine replicates per degree on [0, pi).  Returns a
-    report dict with any count mismatches and the worst root-location gap
-    seen across all replicates.  An empty request (no degree, or reps < 1)
-    raises UsageError rather than passing vacuously.
+    Compares ``reps`` cosine replicates per degree on [0, pi), scanned at
+    OVERSAMPLE like every count.  Returns a report dict with any count
+    mismatches and the worst root-location gap seen across all replicates.
+    An empty request (no degree, or reps < 1) raises UsageError rather than
+    passing vacuously.
     """
     from .sampling import draw_coefficient_batch
 
     K_list = list(K_list)
     if reps < 1 or not K_list:
         raise UsageError("oracle agreement needs reps >= 1 and at least one degree")
+    if reps > REPLICATE_LIMIT:
+        raise UsageError("reps beyond the 56-bit replicate index range")
     if not all(1 <= K <= _EIGEN_MAX_K for K in K_list):
         raise UsageError(f"oracle degrees must lie in 1..{_EIGEN_MAX_K}")
     mismatches = []
@@ -651,7 +656,7 @@ def oracle_agreement(K_list, reps, seed):
             idx = range(start, min(start + rows, reps))
             a, _ = draw_coefficient_batch(K, "cosine", seed, idx)
             eig = _eigen_roots(a, None, K, 0.0, np.pi)
-            _, _, scan = _scan_batch(a, None, K, 0.0, np.pi, 16, rescaled=False, locate=True)
+            _, _, scan = _scan_batch(a, None, K, 0.0, np.pi, OVERSAMPLE, rescaled=False, locate=True)
             for i, s, e in zip(idx, scan, eig):
                 if s.size != e.size:
                     mismatches.append({"K": K, "index": i, "scan": s.size, "eigen": e.size})

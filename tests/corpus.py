@@ -3,10 +3,13 @@
 Each configuration scans fixed replicates with ``zeros._scan_batch``,
 either in count mode (what every campaign chunk runs) or with root
 location, and digests what the scan returns: the counts, the tangency rows
-and brackets, and the roots where they are located.  ``corpus.json``
-beside this file holds those digests, each configuration's per-row counts
-and totals, as computed at the commit that last pinned them.  A change to
-the scan that is meant to keep its outputs keeps every digest.
+and brackets, and the roots where they are located.  One configuration
+instead counts its rows through ``run_campaign`` and digests the counts and
+warnings of the result.  ``corpus.json`` beside this file holds those
+digests, each configuration's totals and, except for the stationary chunks
+and the campaign, its per-row counts, as computed at the commit that last
+pinned them.  A change to the scan that is meant to keep its outputs keeps
+every digest.
 
     python tests/corpus.py --check   # every configuration
     python tests/corpus.py --write   # pin this commit's outputs
@@ -23,21 +26,32 @@ The configurations:
   (236); K = 40 cosine seed 2 row 170 on (0.3, 2.9) and the rescaled
   (12, 116) (23); K = 1600 stationary seed 3 row 1001 on [0, pi/2] (476);
   the touch points of ``TestTangency`` in ``test_zeros.py`` with their
-  perturbed pairs, on either grid route, and its flat touch at pi.
+  perturbed pairs, on either grid route, and its flat touch at pi;
+- the stationary rows that first showed oversample 8 counts as oversample 16
+  does, in 256-row chunks at both: K = 100 seed 11 rows 0-40959 on [0, pi],
+  K = 400 seed 0 rows 0-4095 on [0, pi] and K = 1600 seed 3 rows 0-1023 on
+  [0, pi/2]; each chunk's counts must also be the same at 8 and at 16;
+- a campaign of K = 100 stationary, seed 7, 2048 replicates on [0, pi], at
+  TRIGZERO_THREADS 1 and 2, whose counts and warnings must also agree.
 
 ``--check`` exits 1 on any change and prints each changed row with the
 oracle's count: the eigen oracle for K <= 256, else the colleague matrix of
-the Chebyshev series for a cosine row inside [0, pi], else none.
-``test_zeros.py::TestCorpus`` checks ``SUBSET`` in Tier-1.
+the Chebyshev series for a cosine row inside [0, pi], else none.  Where the
+per-row counts are not pinned, it rescans the rows and prints each one whose
+count differs from its partner configuration's (the other density or thread
+count) or from the oracle's.  ``test_zeros.py::TestCorpus`` checks
+``SUBSET`` in Tier-1.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":  # the package beside this directory
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -46,6 +60,7 @@ import numpy as np  # noqa: E402
 
 from trigzero import zeros  # noqa: E402
 from trigzero.errors import UsageError  # noqa: E402
+from trigzero.experiments import ExperimentConfig, IntervalSpec, run_campaign  # noqa: E402
 from trigzero.sampling import CoefficientVector, draw_coefficient_batch  # noqa: E402
 
 PINNED = Path(__file__).with_name("corpus.json")
@@ -54,6 +69,9 @@ SHIFT = 1.5e-4  # of row 47's path or interval
 # TestTangency's touch points: t = 1 and one in each quarter of the cell
 # between lattice points 15 and 16 of K = 3, oversample 16 (step pi / 48)
 TOUCHES = [1.0] + [(15 + f) * PI / 48 for f in (0.1, 0.35, 0.6, 0.85)]
+# stationary rows scanned in chunks at both densities: K, seed, rows, interval
+STATIONARY = ((100, 11, 40960, (0.0, PI)), (400, 0, 4096, (0.0, PI)), (1600, 3, 1024, (0.0, PI / 2)))
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,8 @@ class Config:
     locate: bool = False
     shift: float = 0.0  # the path moved left by this much
     fft: bool = False  # every grid through the float32 FFT route
+    threads: int = 0  # if set, rows 0.. counted by run_campaign at this TRIGZERO_THREADS
+    pin_rows: bool = True  # pin the per-row counts
 
     def coefficients(self):
         if self.ensemble == "touch":
@@ -129,8 +149,8 @@ def _configs():
     for seed in (0, 1, 2):
         for ens in ("cosine", "stationary"):
             for K, iv in campaigns:
-                for os in (16, 8):
-                    out[f"K{K}_{ens}_s{seed}_os{os}"] = Config(K, ens, seed, range(64), iv, os)
+                for density in (16, 8):
+                    out[f"K{K}_{ens}_s{seed}_os{density}"] = Config(K, ens, seed, range(64), iv, density)
             out[f"K1600_{ens}_s{seed}_chunk"] = Config(1600, ens, seed, range(256), (0.0, PI / 2))
             for suffix, iv in (("", (0.3, 2.9)), ("_rescaled", (12.0, 116.0))):
                 out[f"K40_{ens}_s{seed}_locate{suffix}"] = Config(
@@ -149,13 +169,32 @@ def _configs():
     for K in (16, 32, 64):
         hard[f"flat_K{K}"] = Config(K, "flat", 0, (1e-12, 0.0), (0.3, 5.9), fft=True)
     for name, cfg in hard.items():
-        for os in (16, 8):
+        for density in (16, 8):
             for suffix in ("", "_locate"):
-                out[f"{name}_os{os}{suffix}"] = replace(cfg, oversample=os, locate=bool(suffix))
+                out[f"{name}_os{density}{suffix}"] = replace(cfg, oversample=density, locate=bool(suffix))
+    for K, seed, n, iv in STATIONARY:
+        for start in range(0, n, CHUNK):
+            rows = range(start, start + CHUNK)
+            for density in (8, 16):
+                out[f"K{K}_stationary_s{seed}_rows{start}_os{density}"] = Config(
+                    K, "stationary", seed, rows, iv, density, pin_rows=False
+                )
+    for threads in (1, 2):
+        out[f"K100_stationary_s7_campaign_threads{threads}"] = Config(
+            100, "stationary", 7, range(2048), (0.0, PI), 8, threads=threads, pin_rows=False
+        )
     return out
 
 
 CONFIGS = _configs()
+# pairs of configurations whose digests must agree, and the digests compared:
+# each chunk's counts at oversample 8 and 16, and the campaign's counts and
+# warnings at 1 and 2 threads
+PAIRS = [(name, name[:-1] + "16", ("counts",)) for name in CONFIGS if "_rows" in name and name.endswith("_os8")]
+PAIRS.append(
+    ("K100_stationary_s7_campaign_threads1", "K100_stationary_s7_campaign_threads2", ("counts", "tangencies"))
+)
+PARTNER = {**{p: q for p, q, _ in PAIRS}, **{q: p for p, q, _ in PAIRS}}
 # run by test_zeros.py::TestCorpus; TestEndCells already pins rows 9813 and 47
 SUBSET = (
     "K100_cosine_s0_os8",
@@ -172,7 +211,20 @@ SUBSET = (
     "touch_fft_os16_locate",
     "flat_K16_os16",
     "flat_K64_os8_locate",
+    "K100_stationary_s7_campaign_threads1",
+    "K100_stationary_s7_campaign_threads2",
 )
+
+
+def campaign(cfg):
+    """Counts and warnings of ``run_campaign`` on rows 0.. of ``cfg``, at its thread count."""
+    assert cfg.rows == range(len(cfg.rows))
+    config = ExperimentConfig(
+        (cfg.K,), len(cfg.rows), IntervalSpec("original", *cfg.interval), seed=cfg.seed, ensemble=cfg.ensemble
+    )
+    with mock.patch.dict(os.environ, {"TRIGZERO_THREADS": str(cfg.threads)}):
+        result = run_campaign(config)
+    return result.counts[0], result.warnings[0]
 
 
 def scan(cfg, a, b):
@@ -192,16 +244,30 @@ def _sha(*arrays):
     return h.hexdigest()
 
 
+def counts_of(cfg):
+    """Per-row counts of ``cfg``."""
+    return campaign(cfg)[0] if cfg.threads else scan(cfg, *cfg.coefficients())[0]
+
+
 def digest(cfg):
-    """SHA-256 of the counts, tangencies (rows, brackets) and roots, per-row counts and totals."""
-    counts, (t_rows, t_lo, t_hi), roots = scan(cfg, *cfg.coefficients())
+    """SHA-256 of the counts, tangencies (rows, brackets) and roots, per-row counts and totals.
+
+    For a campaign, "tangencies" digests its per-row warning counts.
+    """
+    if cfg.threads:
+        counts, warns = campaign(cfg)
+        tangencies, n_warnings, roots = _sha(warns.astype("<i8")), int(warns.sum()), None
+    else:
+        counts, (t_rows, t_lo, t_hi), roots = scan(cfg, *cfg.coefficients())
+        tangencies = _sha(t_rows.astype("<i8"), t_lo.astype("<f8"), t_hi.astype("<f8"))
+        n_warnings = int(t_rows.size)
     return {
         "counts": _sha(counts.astype("<i8")),
-        "tangencies": _sha(t_rows.astype("<i8"), t_lo.astype("<f8"), t_hi.astype("<f8")),
+        "tangencies": tangencies,
         "roots": _sha(np.concatenate(roots).astype("<f8")) if cfg.locate else None,
         "zeros": int(counts.sum()),
-        "warnings": int(t_rows.size),
-        "per_row": counts.tolist(),
+        "warnings": n_warnings,
+        "per_row": counts.tolist() if cfg.pin_rows else None,
     }
 
 
@@ -224,20 +290,40 @@ def oracle_count(cfg, a, b):
     return None
 
 
+def print_rows(name, old):
+    """Print each row of ``name`` whose count moved from ``old``, its pinned
+    per-row counts, with the oracle's count.  Where those are not pinned,
+    rescan and print each row whose count differs from its partner's, or, if
+    none does, from the oracle's."""
+    cfg = CONFIGS[name]
+    a, b = cfg.coefficients()
+    new = counts_of(cfg).tolist()
+    other = old if old is not None else counts_of(CONFIGS[PARTNER[name]]).tolist()
+    rows = [r for r, (x, y) in enumerate(zip(new, other)) if x != y] or range(len(new))
+    for r in rows:
+        oracle = oracle_count(cfg, a[r], None if b is None else b[r])
+        if new[r] != other[r] or oracle not in (None, new[r]):
+            row = cfg.rows[r] if cfg.ensemble in ("cosine", "stationary") else r
+            was, partner = (f"{old[r]} -> ", "") if old is not None else ("", f"{PARTNER[name]} {other[r]}, ")
+            print(f"  row {row}: {was}{new[r]} ({partner}oracle {'-' if oracle is None else oracle})")
+
+
 def check():
-    """Scan every configuration and compare with ``corpus.json``; True if all agree."""
-    ref, ok = pinned(), True
+    """Scan every configuration and compare with ``corpus.json`` and with its
+    partner in ``PAIRS``; True if all agree."""
+    ref, got, ok = pinned(), {}, True
     for name, cfg in CONFIGS.items():
-        got = digest(cfg)
-        changed = [k for k in ("counts", "tangencies", "roots") if got[k] != ref[name][k]]
+        got[name] = digest(cfg)
+        changed = [k for k in ("counts", "tangencies", "roots") if got[name][k] != ref[name][k]]
         print(f"{name}: {'changed ' + ', '.join(changed) if changed else 'ok'}")
         ok &= not changed
         if "counts" in changed:
-            a, b = cfg.coefficients()
-            for r, (old, new) in enumerate(zip(ref[name]["per_row"], got["per_row"])):
-                if old != new:
-                    oracle = oracle_count(cfg, a[r], None if b is None else b[r])
-                    print(f"  row {r}: {old} -> {new} (oracle {'-' if oracle is None else oracle})")
+            print_rows(name, ref[name]["per_row"])
+    for name, partner, keys in PAIRS:
+        differ = [k for k in keys if got[name][k] != got[partner][k]]
+        if differ:
+            print(f"{name} and {partner}: {', '.join(differ)} differ")
+            ok = False
     return ok
 
 

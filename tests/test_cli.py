@@ -92,6 +92,25 @@ class TestSimulate:
         assert res.exit_code == 0, res.output
         assert (first / "records.csv").read_bytes() == (again / "records.csv").read_bytes()
 
+    def test_manifest_at_another_density_is_usage_error(self, runner, tmp_path):
+        # every count scans at the one lattice density: a manifest that asks
+        # for another is refused, and one written before the field replays
+        first = tmp_path / "first"
+        args = ["simulate", "--K", "25", "--reps", "120", "--seed", "9", "--out", str(first)]
+        assert runner.invoke(main, args).exit_code == 0
+        config = json.loads((first / "manifest.json").read_text(encoding="utf-8"))["config"]
+        assert config.pop("oversample") == 8
+        manifest = tmp_path / "manifest.json"
+        for extra, code in (({"oversample": 16}, 2), ({}, 0)):
+            manifest.write_text(json.dumps({"config": {**config, **extra}}), encoding="utf-8")
+            out = tmp_path / f"exit{code}"
+            res = runner.invoke(main, ["simulate", "--config", str(manifest), "--out", str(out)])
+            assert res.exit_code == code, res.output
+            if code:
+                assert "malformed manifest" in res.output and not out.exists()
+            else:
+                assert _digests(out) == _digests(first)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -175,6 +194,15 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", "--K", "5", "--reps", "10", "--seed", seed, "--out", str(tmp_path / "x")])
         assert res.exit_code == 2, res.output
         assert "seed" in res.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+    def test_reps_beyond_the_index_range_is_usage_error(self, runner, tmp_path, command):
+        # replicate indices are 56 bits of the Philox key
+        out = ["--out", str(tmp_path / "x")] if command == "simulate" else []
+        res = runner.invoke(main, [command, "--K", "5", "--reps", str((1 << 56) + 1)] + out)
+        assert res.exit_code == 2, res.output
+        assert "56-bit" in res.output and "passed" not in res.output
         assert not (tmp_path / "x").exists()
 
     def test_repeated_degree_is_usage_error(self, runner, tmp_path):

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from trigzero import experiments
+from trigzero import experiments, zeros
 from trigzero.errors import CampaignError, UsageError
 from trigzero.experiments import (
     ExperimentConfig,
@@ -81,6 +81,15 @@ class TestCampaign:
         for K_list in ((0,), (-3,), (20, 0), (10, 10), (20, 10, 20)):
             with pytest.raises(UsageError):
                 run_campaign(_config(K_list=K_list))
+
+    def test_replicates_beyond_the_index_range(self):
+        # replicate indices are 56 bits of the Philox key: a larger request
+        # is refused up front rather than submitted chunk by chunk
+        _config(replicates=1 << 56).validate()
+        with pytest.raises(UsageError, match="56-bit"):
+            _config(replicates=(1 << 56) + 1).validate()
+        with pytest.raises(UsageError, match="56-bit"):
+            run_campaign(_config(replicates=(1 << 56) + 1))
 
     def test_arrays_aligned_with_summaries(self):
         res = run_campaign(_config(K_list=(20, 40), replicates=300))
@@ -207,6 +216,23 @@ class TestWindowChop:
         # one replicate has no sample variance; none has no moments at all
         with pytest.raises(UsageError):
             window_chop_check(30, 0.25, replicates)
+
+    def test_replicates_beyond_the_index_range(self):
+        with pytest.raises(UsageError, match="56-bit"):
+            window_chop_check(30, 0.25, (1 << 56) + 1)
+
+    def test_scans_at_the_count_density(self, monkeypatch):
+        # both tails on the lattice every campaign counts on
+        seen, real = [], experiments.scan_count_batch
+
+        def spy(a, b, K, interval, **kw):
+            seen.append(kw["oversample"])
+            return real(a, b, K, interval, **kw)
+
+        monkeypatch.setattr(experiments, "scan_count_batch", spy)
+        window_chop_check(100, 0.25, 300, seed=1)
+        assert seen == [8] * 4
+        assert zeros.OVERSAMPLE == 8
 
     def test_worker_count_does_not_matter(self, monkeypatch):
         reports = []

@@ -128,7 +128,7 @@ def test_benchmark_wraps_names_that_exist(bench_modules):
             np.ones((1, 3)), None, 3, (0.0, 1.0)
         )
         bound.apply_defaults()
-        assert bound.arguments["oversample"] == 16
+        assert bound.arguments["oversample"] == trigzero.zeros.OVERSAMPLE
         assert bound.arguments["rescaled"] is False
     # the calls the benchmark's reference and correctness checks make untraced
     inspect.signature(trigzero.rice.rice_mean).bind(30, interval=(0.0, 1.0), rel_tol=1e-12)

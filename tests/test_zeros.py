@@ -131,6 +131,24 @@ class TestCrossValidation:
         with pytest.raises(UsageError):
             oracle_agreement(K_list, reps, seed=0)
 
+    def test_oracle_agreement_scans_at_the_count_density(self, monkeypatch):
+        # the oracle vouches for the lattice every campaign counts on
+        seen, real = [], zeros._scan_batch
+
+        def spy(a, b, K, lo, hi, oversample, rescaled, locate):
+            seen.append(oversample)
+            return real(a, b, K, lo, hi, oversample, rescaled, locate)
+
+        monkeypatch.setattr(zeros, "_scan_batch", spy)
+        assert oracle_agreement([5, 10], 3, seed=0)["passed"]
+        assert seen == [8] * 2
+        assert zeros.OVERSAMPLE == 8
+
+    def test_oracle_agreement_rejects_reps_beyond_the_index_range(self):
+        # replicate indices are 56 bits of the Philox key
+        with pytest.raises(UsageError, match="56-bit"):
+            oracle_agreement([5], (1 << 56) + 1, seed=0)
+
     def test_stationary_ensemble_agrees(self):
         for idx in range(25):
             cv = draw_coefficients(10, "stationary", 55, idx)
@@ -211,13 +229,13 @@ class TestTangency:
         # oversample 16: step pi/48)
         tstar = (15 + frac) * np.pi / 48
         cv, _ = self._tangent_vector(tstar)
-        res = count_zeros_scan(cv, (0.0, np.pi))
+        res = count_zeros_scan(cv, (0.0, np.pi), oversample=16)
         assert len(res.warnings) == 1
         lo, hi = res.warnings[0]
         assert lo < tstar < hi and hi - lo < np.pi / 48 / 4 * (1 + 1e-9)
         delta = 1e-6 / np.cos(tstar)
         shifted = _vector(3, cv.a - np.r_[delta, 0.0, 0.0])
-        res = count_zeros_scan(shifted, (0.0, np.pi))
+        res = count_zeros_scan(shifted, (0.0, np.pi), oversample=16)
         assert np.sum(np.abs(res.roots - tstar) < 0.05) == 2
         assert res.count == count_zeros_eigen(shifted, (0.0, np.pi)).count
 
@@ -245,12 +263,12 @@ class TestTangency:
         _, grid, err, _ = _scan_grid(cv.a[None, :], None, _freqs(3, False), 96, step, 0.0, np.pi)
         vals = grid[:, 1:-1]
         assert set(_classify(vals, err, False)[3]) == {15, 16}
-        res = count_zeros_scan(cv, (0.0, np.pi))
+        res = count_zeros_scan(cv, (0.0, np.pi), oversample=16)
         assert len(res.warnings) == 1
         lo, hi = res.warnings[0]
         assert lo < tstar < hi and hi - lo < step / 4 * (1 + 1e-9)
         shifted = _vector(3, cv.a - np.r_[1e-6 / np.cos(tstar), 0.0, 0.0])
-        res = count_zeros_scan(shifted, (0.0, np.pi))
+        res = count_zeros_scan(shifted, (0.0, np.pi), oversample=16)
         assert np.sum(np.abs(res.roots - tstar) < 0.05) == 2
         assert res.count == count_zeros_eigen(shifted, (0.0, np.pi)).count
 
@@ -263,7 +281,7 @@ class TestTangency:
         cv, _ = self._tangent_vector(tstar)
         cv = _vector(3, sign * cv.a)
         assert np.cos(np.arange(1, 4) * tstar) @ cv.a == 0.0
-        res = count_zeros_scan(cv, (0.0, np.pi))
+        res = count_zeros_scan(cv, (0.0, np.pi), oversample=16)
         assert res.count == 1 == res.roots.size
         assert len(res.warnings) == 1
         lo, hi = res.warnings[0]
@@ -333,9 +351,9 @@ class TestTwoStageVerdicts:
         scale = np.max(np.abs(np.cos(np.multiply.outer(np.arange(49) * self.STEP, n)) @ cv.a))
         delta = factor * zeros._TANGENCY_REL_TOL * scale / np.cos(tstar)
         low = _vector(3, cv.a - np.r_[delta, 0.0, 0.0])
-        counted = count_zeros_scan(low, (0.0, np.pi), locate_roots=False)
+        counted = count_zeros_scan(low, (0.0, np.pi), oversample=16, locate_roots=False)
         assert widths == [(pytest.approx(_SETTLE_WIDTH), 1), (pytest.approx(_BISECT_WIDTH / self.STEP), 1)]
-        located = count_zeros_scan(low, (0.0, np.pi))
+        located = count_zeros_scan(low, (0.0, np.pi), oversample=16)
         assert counted.count == located.count == located.roots.size
         assert counted.warnings == located.warnings
         assert len(located.warnings) == (factor < 1.0)
