@@ -10,6 +10,8 @@ assembled directly from the lag covariance:
 
     v(t)^2 = [c''(2t) - c''(0) - c'(2t)^2/(1+c(2t))] / (1 + c(2t)).
 
+Every path is even, so ``rice_mean`` folds an interval of [0, 2*K*pi] at K*pi.
+
 Second factorial moment: E[N(N-1)] over a window is the double integral of
 
     E[|D_s| |D_t| given values vanish at s and t] * p_{s,t}(0, 0),
@@ -157,23 +159,29 @@ def _count_cosine_roots(lo, hi):
 
 
 def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float = 1e-8) -> RiceResult:
-    """Expected zero count over an interval of the rescaled axis [0, K*pi].
+    """Expected zero count over an interval of the rescaled period [0, 2*K*pi].
 
-    ``interval=None`` means the full axis, or the alpha-window when ``alpha``
-    is given.  K = 1 is degenerate (the path is a deterministic cosine shape
-    with a random amplitude), so its zero count is the exact root count of the
-    cosine factor rather than a Rice integral.
+    ``interval=None`` means [0, K*pi], or the alpha-window when ``alpha`` is
+    given.  The part past K*pi is integrated as its mirror t -> 2*K*pi - t
+    (every path is even), so the intensity's zero at K*pi stays a panel end.
+    K = 1 is degenerate (a random amplitude times cos t), so its zero count
+    is the exact root count of cos on [lo, hi) rather than a Rice integral.
     """
     if K < 1:
         raise UsageError("K must be >= 1")
     if interval is None:
         interval = window_bounds(K, alpha) if alpha is not None else (0.0, K * np.pi)
     lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 <= lo < hi <= K * np.pi + 1e-9):
-        raise UsageError("interval must sit inside [0, K*pi]")
+    top = K * np.pi
+    if not (0.0 <= lo < hi <= 2.0 * top + 1e-9):
+        raise UsageError("interval must sit inside [0, 2*K*pi]")
     if K == 1:
         return RiceResult(float(_count_cosine_roots(lo, hi)), (lo, hi), 0.0, K)
-    val, err = _adaptive_gl(lambda t: zero_intensity(K, t), lo, hi, rel_tol=rel_tol)
+    val = err = 0.0
+    for a, b in ((lo, min(hi, top)), (2.0 * top - hi, min(2.0 * top - lo, top))):
+        if a < b:
+            v, e = _adaptive_gl(lambda t: zero_intensity(K, t), a, b, rel_tol=rel_tol)
+            val, err = val + v, err + e
     return RiceResult(val, (lo, hi), err, K)
 
 

@@ -39,8 +39,9 @@ oracle's count: the eigen oracle for K <= 256, else the colleague matrix of
 the Chebyshev series for a cosine row inside [0, pi], else none.  Where the
 per-row counts are not pinned, it rescans the rows and prints each one whose
 count differs from its partner configuration's (the other density or thread
-count) or from the oracle's.  ``test_zeros.py::TestCorpus`` checks
-``SUBSET`` in Tier-1.
+count) or from the oracle's.  It values the oracle on at most
+``ORACLE_ROWS`` rows of a configuration, and reports a pair that changed
+alike once.  ``test_zeros.py::TestCorpus`` checks ``SUBSET`` in Tier-1.
 """
 
 import argparse
@@ -72,6 +73,7 @@ TOUCHES = [1.0] + [(15 + f) * PI / 48 for f in (0.1, 0.35, 0.6, 0.85)]
 # stationary rows scanned in chunks at both densities: K, seed, rows, interval
 STATIONARY = ((100, 11, 40960, (0.0, PI)), (400, 0, 4096, (0.0, PI)), (1600, 3, 1024, (0.0, PI / 2)))
 CHUNK = 256
+ORACLE_ROWS = 32  # rows of one configuration that a --check report values by the oracle
 
 
 @dataclass(frozen=True)
@@ -294,31 +296,42 @@ def print_rows(name, old):
     """Print each row of ``name`` whose count moved from ``old``, its pinned
     per-row counts, with the oracle's count.  Where those are not pinned,
     rescan and print each row whose count differs from its partner's, or, if
-    none does, from the oracle's."""
+    none does, from the oracle's.  The oracle is valued on the first
+    ``ORACLE_ROWS`` of these rows in replicate order; the rest are counted
+    as unchecked."""
     cfg = CONFIGS[name]
     a, b = cfg.coefficients()
     new = counts_of(cfg).tolist()
     other = old if old is not None else counts_of(CONFIGS[PARTNER[name]]).tolist()
     rows = [r for r, (x, y) in enumerate(zip(new, other)) if x != y] or range(len(new))
+    oracles = {r: oracle_count(cfg, a[r], None if b is None else b[r]) for r in rows[:ORACLE_ROWS]}
     for r in rows:
-        oracle = oracle_count(cfg, a[r], None if b is None else b[r])
+        oracle = oracles.get(r)
         if new[r] != other[r] or oracle not in (None, new[r]):
             row = cfg.rows[r] if cfg.ensemble in ("cosine", "stationary") else r
             was, partner = (f"{old[r]} -> ", "") if old is not None else ("", f"{PARTNER[name]} {other[r]}, ")
             print(f"  row {row}: {was}{new[r]} ({partner}oracle {'-' if oracle is None else oracle})")
+    if len(rows) > ORACLE_ROWS:
+        print(f"  {len(rows) - ORACLE_ROWS} of {len(rows)} rows not checked against the oracle")
 
 
 def check():
     """Scan every configuration and compare with ``corpus.json`` and with its
-    partner in ``PAIRS``; True if all agree."""
-    ref, got, ok = pinned(), {}, True
+    partner in ``PAIRS``; True if all agree.  A configuration whose counts
+    changed alike with its partner's is reported once, with the first."""
+    ref, got, ok, reported = pinned(), {}, True, set()
     for name, cfg in CONFIGS.items():
         got[name] = digest(cfg)
         changed = [k for k in ("counts", "tangencies", "roots") if got[name][k] != ref[name][k]]
         print(f"{name}: {'changed ' + ', '.join(changed) if changed else 'ok'}")
         ok &= not changed
         if "counts" in changed:
-            print_rows(name, ref[name]["per_row"])
+            partner = PARTNER.get(name)
+            if partner in reported and got[partner]["counts"] == got[name]["counts"]:
+                print(f"  rows as reported for {partner}")
+            else:
+                print_rows(name, ref[name]["per_row"])
+                reported.add(name)
     for name, partner, keys in PAIRS:
         differ = [k for k in keys if got[name][k] != got[partner][k]]
         if differ:

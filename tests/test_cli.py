@@ -291,6 +291,22 @@ class TestRice:
         assert doc["error_estimate"] == want.quadrature_error_estimate
         assert doc["interval_rescaled"] == list(want.interval)
 
+    def test_folded_mean_is_one_rice_mean_call(self, runner):
+        res = runner.invoke(main, ["rice", "--K", "50", "--moment", "1", "--interval", "0.3:5.9"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        want = rice_mean(50, interval=(0.3 * 50, 5.9 * 50))
+        assert doc["value"] == want.value
+        assert doc["error_estimate"] == want.quadrature_error_estimate
+        assert doc["interval_rescaled"] == list(want.interval)
+
+    @pytest.mark.parametrize("interval, count", [("0:1.5pi", 1.0), ("0.5pi:1.5pi", 1.0), ("0:2pi", 2.0)])
+    def test_single_mode_counts_each_root_once(self, runner, interval, count):
+        # K = 1: cos(t) has roots pi/2 and 3 pi/2 on [0, 2 pi), counted on [lo, hi)
+        res = runner.invoke(main, ["rice", "--K", "1", "--moment", "1", "--interval", interval])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["value"] == count
+
     def test_unsupported_moment(self, runner):
         res = runner.invoke(main, ["rice", "--K", "10", "--moment", "3", "--interval", "0:pi"])
         assert res.exit_code == 2
@@ -455,7 +471,7 @@ class TestOutputBytes:
             (["bounds-check"], "80af92f006a673ac33a766aa0b1764190c88b4e1b262417f2f65bb0f3f12ac06"),
             (
                 ["rice", "--K", "50", "--moment", "1", "--interval", "0.3:5.9"],
-                "951ca36fedabfee378f9eadff6b766df272935a06e697a344d3b705220f14974",
+                "547d280c71304a648c4dc4fff0764d7ea29b1603d8d07d578691c9728e35fe27",
             ),
             (
                 ["rice", "--K", "30", "--moment", "2", "--interval", "0.2pi:0.75pi"],

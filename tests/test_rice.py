@@ -69,9 +69,23 @@ class TestMean:
         assert zero_intensity(K, 0.0) == pytest.approx(0.0, abs=1e-8)
         assert zero_intensity(K, K * np.pi) == pytest.approx(0.0, abs=1e-8)
 
+    def test_fold_past_half_period_adds_the_mirror(self):
+        # the part of (0, 11 pi) past K pi = 10 pi is integrated as its mirror
+        # about K pi, whose lower end is 2 K pi - 11 pi
+        K, top, hi = 10, 10 * np.pi, 11 * np.pi
+        whole = rice_mean(K, interval=(0.0, hi))
+        near, mirror = rice_mean(K, interval=(0.0, top)), rice_mean(K, interval=(2.0 * top - hi, top))
+        assert whole.value == near.value + mirror.value
+        assert whole.quadrature_error_estimate == near.quadrature_error_estimate + mirror.quadrature_error_estimate
+        assert whole.interval == (0.0, hi)
+        # the whole period is the half period and all of its mirror
+        full = rice_mean(K, interval=(0.0, 2.0 * top))
+        assert full.value == 2.0 * near.value
+        assert full.quadrature_error_estimate == 2.0 * near.quadrature_error_estimate
+
     def test_bad_interval(self):
         with pytest.raises(UsageError):
-            rice_mean(10, interval=(0.0, 11 * np.pi))
+            rice_mean(10, interval=(0.0, 21 * np.pi))
         with pytest.raises(UsageError):
             rice_mean(0)
 
