@@ -25,6 +25,8 @@ from .chaos_variance import total_variance_constant
 from .covariance import kernel_bounds_check
 from .errors import CampaignError, NumericError, UsageError
 from .experiments import (
+    MAX_DEGREE,
+    NORMALITY_MIN_REPLICATES,
     ExperimentConfig,
     IntervalSpec,
     run_campaign,
@@ -225,10 +227,8 @@ def simulate(k_values, reps, seed, interval_text, alpha, ensemble, config_path, 
             base = config_from_manifest(json.loads(Path(config_path).read_text(encoding="utf-8")))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed manifest {config_path}: {type(exc).__name__}: {exc}") from None
-    elif k_values:
-        base = ExperimentConfig(K_list=tuple(k_values))
     else:
-        raise UsageError("at least one --K is required")
+        base = ExperimentConfig(K_list=())
     given = {
         "K_list": tuple(k_values) or None,
         "replicates": reps,
@@ -248,15 +248,13 @@ def simulate(k_values, reps, seed, interval_text, alpha, ensemble, config_path, 
 
 @main.command()
 @click.option("--K", "k_value", type=int, required=True)
-@click.option("--moment", type=int, default=1)
+@click.option("--moment", type=click.IntRange(1, 2), default=1)
 @click.option("--interval", "interval_text", default=None,
               help="0:pi | 0:2pi | a:b | window [default: 0:pi for --moment 1, window for 2]")
 @click.option("--alpha", type=float, default=0.25)
 @_guarded
 def rice(k_value, moment, interval_text, alpha):
     """Print a Rice moment integral as JSON."""
-    if moment not in (1, 2):
-        raise UsageError("--moment must be 1 or 2")
     if interval_text is None:
         interval_text = "0:pi" if moment == 1 else "window"
     spec = parse_interval(interval_text)
@@ -292,14 +290,12 @@ def chaos_var(qmax, tail, outdir):
 
 @main.command()
 @click.option("--K", "k_value", type=int, required=True)
-@click.option("--reps", type=int, required=True)
+@click.option("--reps", type=click.IntRange(min=NORMALITY_MIN_REPLICATES), required=True)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "outdir", type=click.Path(), required=True)
 @_guarded
 def clt(k_value, reps, seed, outdir):
     """Normality report for standardized zero counts, plus plot data."""
-    if reps < 500:
-        raise UsageError("--reps must be at least 500")
     result = run_campaign(ExperimentConfig(K_list=(k_value,), replicates=reps, seed=seed))
     report = result.summaries[0].normality
     if report is None:
@@ -332,15 +328,11 @@ def oracle_check(k_values, reps, seed):
 
 
 @main.command("bounds-check")
-@click.option("--K", "k_values", type=int, multiple=True, default=(10, 50, 500))
-@click.option("--points", type=int, default=400)
+@click.option("--K", "k_values", type=click.IntRange(1, MAX_DEGREE), multiple=True, default=(10, 50, 500))
+@click.option("--points", type=click.IntRange(1, _MAX_POINTS), default=400)
 @_guarded
 def bounds_check(k_values, points):
     """Check the lag-covariance decay inequalities on log-spaced grids."""
-    if points < 1 or min(k_values) < 1:
-        raise UsageError("--K and --points must be at least 1")
-    if points > _MAX_POINTS:
-        raise UsageError(f"--points must be at most {_MAX_POINTS}")
     reports = [kernel_bounds_check(K, np.geomspace(0.05, K * math.pi, points)) for K in k_values]
     _dump_json([dataclasses.asdict(rep) for rep in reports])
     if not all(rep.passed for rep in reports):

@@ -9,6 +9,10 @@ processed in fixed-size chunks whose contents do not depend on the worker
 count, so counts and summaries are bit-identical however the work is
 scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
 variable (0 or unset means automatic; never more than the core count).
+
+Every rule on a request lives in ``ExperimentConfig.validate``, which both
+``run_campaign`` and ``window_chop_check`` call before any work, so they
+refuse the same requests with the same messages.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .zeros import OVERSAMPLE, scan_count_batch
 
 _CHUNK = 256
 _Z_995 = 2.575829303548901  # 99% two-sided normal quantile
+NORMALITY_MIN_REPLICATES = 500  # fewest replicates a normality verdict is made on
+# a 256-row chunk's scan holds about 29 KiB per unit of K, ~470 MiB per worker at this cap
+MAX_DEGREE = 1 << 14
 
 
 def worker_count() -> int:
@@ -78,9 +85,11 @@ class ExperimentConfig:
         if not (0.0 < self.alpha < 0.5):
             raise UsageError("alpha must lie in (0, 1/2)")
         if not self.K_list:
-            raise UsageError("empty K list")
+            raise UsageError("at least one degree K is required")
         if min(self.K_list) < 1:
             raise UsageError("degrees must be at least 1")
+        if max(self.K_list) > MAX_DEGREE:
+            raise UsageError(f"degrees must be at most {MAX_DEGREE}")
         if len(set(self.K_list)) < len(self.K_list):
             raise UsageError("each degree may be given only once")
 
@@ -198,8 +207,8 @@ def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=No
     from scipy import stats  # deferred: the import costs most of start-up
 
     x = np.asarray(counts, dtype=float)
-    if x.size < 500:
-        raise UsageError("normality verdict needs at least 500 replicates")
+    if x.size < NORMALITY_MIN_REPLICATES:
+        raise UsageError(f"normality verdict needs at least {NORMALITY_MIN_REPLICATES} replicates")
     z = standardize_counts(x, K, center=center)
     n, _, m2, m3, m4 = _moments(z)
     if variance_source == "empirical":
@@ -283,7 +292,7 @@ def run_campaign(config: ExperimentConfig) -> CampaignResult:
         if n >= 4 and m2 > 0.0:
             se_var = math.sqrt(max(m4 / n - var * var * (n - 3.0) / (n - 1.0), 0.0) / n)
         normality = None
-        if n >= 500 and var > 0.0:
+        if n >= NORMALITY_MIN_REPLICATES and var > 0.0:
             normality = clt_test(clean, K)
         summaries.append(
             KSummary(
@@ -327,16 +336,15 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     at OVERSAMPLE, like every count) and reports the mean divided by
     sqrt(K pi); the ratio shrinks as K grows.  Replicates with a
     tangency warning on either side are left out of the moments, and more
-    than 0.1% of them raises CampaignError, as in a campaign.
+    than 0.1% of them raises CampaignError, as in a campaign.  The request is
+    validated as the campaign config of the alpha-window, whose ends the
+    tails stop at.
     """
-    if K < 1:
-        raise UsageError(f"degree K must be >= 1, got {K}")
-    if replicates < 2:
-        raise UsageError("need at least 2 replicates")
-    if replicates > REPLICATE_LIMIT:
-        raise UsageError("replicates beyond the 56-bit replicate index range")
-    w0, w1 = window_bounds(K, alpha)
-    chunks = _count_chunks(K, "cosine", seed, replicates, [(0.0, w0 / K), (w1 / K, math.pi)])
+    interval = IntervalSpec("window")
+    config = ExperimentConfig(K_list=(K,), replicates=replicates, interval=interval, alpha=alpha, seed=seed)
+    config.validate()
+    lo, hi = config.interval.bounds_original(K, alpha)
+    chunks = _count_chunks(K, config.ensemble, seed, replicates, [(0.0, lo), (hi, math.pi)])
     _, _, clean = _clean_counts(chunks, K)
     n, mean, m2, _, _ = _moments(clean)
     var = m2 / (n - 1)

@@ -55,6 +55,11 @@ from .errors import NumericError, UsageError
 _PANEL = 0.5 * np.pi
 _BLOCK = 1024  # panels per integrand call of the mean: 24 nodes each, ~25k lags
 _MAX_PANELS = 20000  # no refinement round of the mean starts above this
+# request caps in half-period panels: the mean's memory grows with its panel
+# count (2**22 take ~10 s and ~320 MiB), the second moment's time with the
+# square of its window's (1,591 at K = 800 take ~35 s and ~170 MiB)
+_MAX_MEAN_PANELS = 1 << 22
+_MAX_PAIR_PANELS = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -96,9 +101,14 @@ def zero_intensity(K: int, t):
     return np.sqrt(np.maximum(v2, 0.0)) / np.pi
 
 
+def _panel_count(lo, hi):
+    """Number of equal panels, each at most a half period, that tile [lo, hi]."""
+    return max(math.ceil((hi - lo) / _PANEL), 1)
+
+
 def _panel_edges(lo, hi):
     """Ends a, b of the half-period panels tiling [lo, hi]: the edges of np.linspace."""
-    edges = np.linspace(lo, hi, max(math.ceil((hi - lo) / _PANEL), 1) + 1)
+    edges = np.linspace(lo, hi, _panel_count(lo, hi) + 1)
     return edges[:-1], edges[1:]
 
 
@@ -166,6 +176,8 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
     (every path is even), so the intensity's zero at K*pi stays a panel end.
     K = 1 is degenerate (a random amplitude times cos t), so its zero count
     is the exact root count of cos on [lo, hi) rather than a Rice integral.
+    An interval (both pieces together) of more than ``_MAX_MEAN_PANELS``
+    half-period panels is a UsageError, raised before any panel is built.
     """
     if K < 1:
         raise UsageError("K must be >= 1")
@@ -177,11 +189,14 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
         raise UsageError("interval must sit inside [0, 2*K*pi]")
     if K == 1:
         return RiceResult(float(_count_cosine_roots(lo, hi)), (lo, hi), 0.0, K)
+    pieces = [(a, b) for a, b in ((lo, min(hi, top)), (2.0 * top - hi, min(2.0 * top - lo, top))) if a < b]
+    panels = sum(_panel_count(a, b) for a, b in pieces)
+    if panels > _MAX_MEAN_PANELS:
+        raise UsageError(f"the interval spans {panels} half-period panels, more than {_MAX_MEAN_PANELS}")
     val = err = 0.0
-    for a, b in ((lo, min(hi, top)), (2.0 * top - hi, min(2.0 * top - lo, top))):
-        if a < b:
-            v, e = _adaptive_gl(lambda t: zero_intensity(K, t), a, b, rel_tol=rel_tol)
-            val, err = val + v, err + e
+    for a, b in pieces:
+        v, e = _adaptive_gl(lambda t: zero_intensity(K, t), a, b, rel_tol=rel_tol)
+        val, err = val + v, err + e
     return RiceResult(val, (lo, hi), err, K)
 
 
@@ -251,7 +266,7 @@ def _pair_integral(K, w0, w1, n_nodes):
     A pair of panels i < j = i + d takes the product rule; its lags are
     t - s = d h + rel_l - rel_k and t + s = 2 w0 + (i + j) h + rel_k + rel_l.
     """
-    m = max(math.ceil((w1 - w0) / _PANEL), 1)
+    m = _panel_count(w0, w1)
     h = (w1 - w0) / m
     x, gw = _gl(n_nodes)
     rel = 0.5 * h + 0.5 * h * x  # the nodes of _gl_panels(0, h, n_nodes)
@@ -293,6 +308,8 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
     The window defaults to the alpha-trimmed axis; explicit intervals must
     stay strictly inside (0, K*pi), where the standardized derivative is
     nondegenerate.  The error estimate is the gap to the rule of nodes // 2.
+    The time grows as the window's panel count squared, so more than
+    ``_MAX_PAIR_PANELS`` panels (K > 2053 on the default window) is a UsageError.
     """
     if K < 2:
         raise UsageError("second moment needs K >= 2")
@@ -305,6 +322,9 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
         raise UsageError("interval must sit strictly inside (0, K*pi)")
     if w1 - w0 <= 0.01:
         raise UsageError("interval must be longer than 0.01")
+    m = _panel_count(w0, w1)
+    if m > _MAX_PAIR_PANELS:
+        raise UsageError(f"the window spans {m} half-period panels, more than {_MAX_PAIR_PANELS}")
     value = _pair_integral(K, w0, w1, nodes)
     err = abs(value - _pair_integral(K, w0, w1, nodes // 2))
     if not np.isfinite(value):

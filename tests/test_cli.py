@@ -14,8 +14,10 @@ import pytest
 from click.testing import CliRunner
 
 import trigzero
+from trigzero import covariance, experiments, rice
 from trigzero.cli import _interval_text, main, parse_interval
 from trigzero.errors import UsageError
+from trigzero.experiments import MAX_DEGREE
 from trigzero.rice import rice_mean
 
 
@@ -382,6 +384,60 @@ class TestClt:
             main, ["clt", "--K", "40", "--reps", "100", "--seed", "2", "--out", str(tmp_path / "x")]
         )
         assert res.exit_code == 2
+
+
+class _Reached(Exception):
+    """Raised by a sentinel in place of the routine that would do the work."""
+
+
+class TestRequestBounds:
+    """Single-option ranges are declared on the options, and a degree or a
+    Rice panel count above its bound is refused before the work starts."""
+
+    @pytest.mark.parametrize(
+        "command, ranges",
+        [
+            ("rice", ["[1<=x<=2]"]),
+            ("clt", ["x>=500"]),
+            ("bounds-check", [f"[1<=x<={MAX_DEGREE}]", "[1<=x<=1000000]"]),
+        ],
+    )
+    def test_help_prints_the_ranges(self, runner, command, ranges):
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0, res.output
+        for text in ranges:
+            assert text in res.output
+
+    @pytest.mark.parametrize(
+        "args, module, name, largest",
+        [
+            (["simulate", "--reps", "2"], experiments, "_count_chunks", MAX_DEGREE),
+            (["clt", "--reps", "500"], experiments, "_count_chunks", MAX_DEGREE),
+            # 2K half-period panels on the default 0:pi, at most 2**22
+            (["rice", "--moment", "1"], rice, "_panel_edges", 1 << 21),
+            # the default window at K = 2053 spans 4,095 panels, at 2054 4,097 (at most 2**12)
+            (["rice", "--moment", "2"], rice, "_pair_integral", 2053),
+            (["bounds-check"], covariance, "c_k_derivs", MAX_DEGREE),
+        ],
+        ids=["simulate", "clt", "rice-mean", "rice-second", "bounds-check"],
+    )
+    def test_size_bound(self, runner, tmp_path, monkeypatch, args, module, name, largest):
+        calls = []
+
+        def sentinel(*a, **kw):
+            calls.append(a)
+            raise _Reached
+
+        monkeypatch.setattr(module, name, sentinel)
+        out = ["--out", str(tmp_path / "x")] if args[0] in ("simulate", "clt") else []
+        res = runner.invoke(main, args + ["--K", str(largest + 1)] + out)
+        assert res.exit_code == 2, res.output
+        assert not calls and not (tmp_path / "x").exists()
+        assert "{" not in res.output  # no JSON printed
+        # the largest allowed value passes every check and reaches the work
+        res = runner.invoke(main, args + ["--K", str(largest)] + out)
+        assert isinstance(res.exception, _Reached), res.output
+        assert len(calls) == 1
 
 
 class TestIoFailure:

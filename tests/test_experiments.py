@@ -9,6 +9,7 @@ import pytest
 from trigzero import experiments, zeros
 from trigzero.errors import CampaignError, UsageError
 from trigzero.experiments import (
+    MAX_DEGREE,
     ExperimentConfig,
     IntervalSpec,
     clt_test,
@@ -90,6 +91,10 @@ class TestCampaign:
             _config(replicates=(1 << 56) + 1).validate()
         with pytest.raises(UsageError, match="56-bit"):
             run_campaign(_config(replicates=(1 << 56) + 1))
+
+    def test_missing_degree_is_named(self):
+        with pytest.raises(UsageError, match="degree K"):
+            _config(K_list=()).validate()
 
     def test_arrays_aligned_with_summaries(self):
         res = run_campaign(_config(K_list=(20, 40), replicates=300))
@@ -220,6 +225,33 @@ class TestWindowChop:
     def test_replicates_beyond_the_index_range(self):
         with pytest.raises(UsageError, match="56-bit"):
             window_chop_check(30, 0.25, (1 << 56) + 1)
+
+    def test_refuses_what_a_campaign_refuses(self, monkeypatch):
+        # one rule set: the window-chop request is validated as the campaign
+        # config of the window, so both refuse with the same message
+        def never(*args):
+            raise AssertionError("an invalid request reached the count engine")
+
+        monkeypatch.setattr(experiments, "_count_chunks", never)
+        requests = [
+            (0, 0.25, 10),
+            (-3, 0.25, 10),
+            (30, 0.25, 1),
+            (30, 0.25, (1 << 56) + 1),
+            (30, 0.0, 10),
+            (30, 0.6, 10),
+            (MAX_DEGREE + 1, 0.25, 10),
+        ]
+        for K, alpha, replicates in requests:
+            with pytest.raises(UsageError) as campaign:
+                run_campaign(
+                    ExperimentConfig(
+                        K_list=(K,), replicates=replicates, interval=IntervalSpec("window"), alpha=alpha
+                    )
+                )
+            with pytest.raises(UsageError) as chop:
+                window_chop_check(K, alpha, replicates)
+            assert str(chop.value) == str(campaign.value), (K, alpha, replicates)
 
     def test_scans_at_the_count_density(self, monkeypatch):
         # both tails on the lattice every campaign counts on
