@@ -251,7 +251,7 @@ def simulate(k_values, reps, seed, interval_text, alpha, ensemble, config_path, 
 @click.option("--moment", type=click.IntRange(1, 2), default=1)
 @click.option("--interval", "interval_text", default=None,
               help="0:pi | 0:2pi | a:b | window [default: 0:pi for --moment 1, window for 2]")
-@click.option("--alpha", type=float, default=0.25)
+@click.option("--alpha", type=click.FloatRange(0, 0.5, min_open=True, max_open=True), default=0.25)
 @_guarded
 def rice(k_value, moment, interval_text, alpha):
     """Print a Rice moment integral as JSON."""

@@ -1,13 +1,13 @@
 """Monte Carlo campaigns over zero counts and their statistical verdicts.
 
 A campaign draws replicates, counts zeros with the scan method, and reduces
-the counts to their moments: ``_moments`` of each chunk's warning-free
-counts, folded in replicate order by ``_merge``.  Its result holds one int64
-array of counts and one of tangency warnings per degree, in replicate order.
-One engine counts every campaign and the window-chop check: replicates are
-processed in fixed-size chunks whose contents do not depend on the worker
-count, so counts and summaries are bit-identical however the work is
-scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
+the counts to their moments.  Its result holds one int64 array of counts and
+one of tangency warnings per degree, in replicate order.  One engine counts
+and one tally reduces every campaign and the window-chop check: replicates
+are processed in fixed-size chunks whose contents do not depend on the worker
+count, and ``_tally`` folds ``_moments`` of each chunk's warning-free counts
+in replicate order by ``_merge``, so counts and summaries are bit-identical
+however the work is scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
 variable (0 or unset means automatic; never more than the core count).
 
 Every rule on a request lives in ``ExperimentConfig.validate``, which both
@@ -196,13 +196,15 @@ def _anderson_darling(z, scale):
     return float(-n - np.mean((2 * i - 1) * (np.log(cdf) + np.log(1.0 - cdf[::-1]))))
 
 
-def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=None) -> NormalityReport:
+def clt_test(counts, K, variance=None, center=None) -> NormalityReport:
     """Normality verdict for standardized zero counts.
 
-    Standardizes by (x - center)/sqrt(pi K) (sample-mean centering unless an
-    explicit center, e.g. a Rice mean, is supplied), then runs a
-    Kolmogorov-Smirnov test against N(0, v) with v either the empirical
-    variance of the standardized sample or a supplied chaos constant.
+    Standardizes by (x - center)/sqrt(pi K), centering on the sample mean
+    unless ``center`` (e.g. a Rice mean) is given, then runs a
+    Kolmogorov-Smirnov test against N(0, v).  ``variance=None`` takes v as the
+    empirical variance of the standardized sample (reported as
+    ``"empirical"``); a number is a fixed null variance, e.g. a chaos
+    constant, which must be finite and positive (``"chaos_constant"``).
     """
     from scipy import stats  # deferred: the import costs most of start-up
 
@@ -211,21 +213,15 @@ def clt_test(counts, K, variance_source="empirical", chaos_value=None, center=No
         raise UsageError(f"normality verdict needs at least {NORMALITY_MIN_REPLICATES} replicates")
     z = standardize_counts(x, K, center=center)
     n, _, m2, m3, m4 = _moments(z)
-    if variance_source == "empirical":
-        v = m2 / (n - 1)
-        if v <= 0.0:
-            raise UsageError("sample is degenerate; no normality verdict")
-    elif variance_source == "chaos_constant":
-        if chaos_value is None or not 0.0 < chaos_value < math.inf:  # also rejects nan
-            raise UsageError("chaos_constant source needs a finite positive chaos_value")
-        v = float(chaos_value)
-    else:
-        raise UsageError(f"unknown variance source {variance_source!r}")
+    v = m2 / (n - 1) if variance is None else float(variance)
+    if not 0.0 < v < math.inf:  # also rejects nan
+        raise UsageError("sample is degenerate; no normality verdict" if variance is None
+                         else f"the null variance must be finite and positive, got {variance!r}")
     scale = math.sqrt(v)
     ks = stats.kstest(z, "norm", args=(0.0, scale))
     return NormalityReport(
         n=n,
-        variance_source=variance_source,
+        variance_source="empirical" if variance is None else "chaos_constant",
         variance_used=v,
         ks_statistic=float(ks.statistic),
         p_value=float(ks.pvalue),
@@ -260,19 +256,21 @@ def _count_chunks(K, ensemble, seed, replicates, intervals):
     return [work(start) for start in starts]
 
 
-def _clean_counts(chunks, K):
-    """All counts, all warnings and the warning-free counts of ``chunks``.
+def _tally(chunks, K):
+    """All counts and warnings of ``chunks``, and the moments of the warning-free counts.
 
-    Replicates with a tangency warning are left out of the moments; more
-    than 0.1% of them raises CampaignError.
+    The moments are ``_moments`` of each chunk's warning-free counts, folded in
+    replicate order by ``_merge``, so they do not depend on the worker count.
+    Replicates with a tangency warning are left out of them; more than 0.1%
+    of them raises CampaignError.
     """
     counts = np.concatenate([c for c, _ in chunks])
     warns = np.concatenate([w for _, w in chunks])
-    clean = counts[warns == 0]
-    excluded = counts.size - clean.size
+    moments = reduce(_merge, (_moments(c[w == 0]) for c, w in chunks))
+    excluded = counts.size - moments[0]
     if excluded > 0.001 * counts.size:
         raise CampaignError(f"{excluded} of {counts.size} replicates excluded at K={K}")
-    return counts, warns, clean
+    return counts, warns, moments
 
 
 def run_campaign(config: ExperimentConfig) -> CampaignResult:
@@ -282,10 +280,7 @@ def run_campaign(config: ExperimentConfig) -> CampaignResult:
     for K in config.K_list:
         bounds = config.interval.bounds_original(K, config.alpha)
         chunks = _count_chunks(K, config.ensemble, config.seed, config.replicates, [bounds])
-        counts, warns, clean = _clean_counts(chunks, K)
-        excluded = int(config.replicates - clean.size)
-        # chunk-wise accumulation in fixed chunk order; the cap leaves n >= 2
-        n, mean, m2, _, m4 = reduce(_merge, (_moments(c[w == 0]) for c, w in chunks))
+        counts, warns, (n, mean, m2, _, m4) = _tally(chunks, K)  # the cap leaves n >= 2
         var = m2 / (n - 1)
         kpi = K * math.pi
         se_var = float("inf")  # moment-based standard error of the sample variance
@@ -293,13 +288,13 @@ def run_campaign(config: ExperimentConfig) -> CampaignResult:
             se_var = math.sqrt(max(m4 / n - var * var * (n - 3.0) / (n - 1.0), 0.0) / n)
         normality = None
         if n >= NORMALITY_MIN_REPLICATES and var > 0.0:
-            normality = clt_test(clean, K)
+            normality = clt_test(counts[warns == 0], K)
         summaries.append(
             KSummary(
                 K=K,
                 n_total=config.replicates,
                 n_used=n,
-                n_excluded=excluded,
+                n_excluded=config.replicates - n,
                 mean=mean,
                 variance=var,
                 var_per_kpi=var / kpi,
@@ -334,9 +329,10 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     Counts zeros of cosine-ensemble replicates on [0, edge] and
     [K*pi - edge, K*pi] on the rescaled axis (scanned on the original axis
     at OVERSAMPLE, like every count) and reports the mean divided by
-    sqrt(K pi); the ratio shrinks as K grows.  Replicates with a
-    tangency warning on either side are left out of the moments, and more
-    than 0.1% of them raises CampaignError, as in a campaign.  The request is
+    sqrt(K pi); the ratio shrinks as K grows.  Its moments are the
+    campaign's tally: the replicate-order fold of each chunk's moments, with
+    replicates that carry a tangency warning on either side left out, and
+    more than 0.1% of them raising CampaignError.  The request is
     validated as the campaign config of the alpha-window, whose ends the
     tails stop at.
     """
@@ -345,8 +341,7 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     config.validate()
     lo, hi = config.interval.bounds_original(K, alpha)
     chunks = _count_chunks(K, config.ensemble, seed, replicates, [(0.0, lo), (hi, math.pi)])
-    _, _, clean = _clean_counts(chunks, K)
-    n, mean, m2, _, _ = _moments(clean)
+    _, _, (n, mean, m2, _, _) = _tally(chunks, K)
     var = m2 / (n - 1)
     root = math.sqrt(K * math.pi)
     return WindowChopReport(

@@ -60,6 +60,9 @@ _MAX_PANELS = 20000  # no refinement round of the mean starts above this
 # square of its window's (1,591 at K = 800 take ~35 s and ~170 MiB)
 _MAX_MEAN_PANELS = 1 << 22
 _MAX_PAIR_PANELS = 1 << 12
+# the lag kernel holds K-long arrays however short the interval; this is the
+# largest K whose default [0, K*pi] mean fits the mean's panel cap
+_MAX_DEGREE = _MAX_MEAN_PANELS // 2
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +179,14 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
     (every path is even), so the intensity's zero at K*pi stays a panel end.
     K = 1 is degenerate (a random amplitude times cos t), so its zero count
     is the exact root count of cos on [lo, hi) rather than a Rice integral.
-    An interval (both pieces together) of more than ``_MAX_MEAN_PANELS``
-    half-period panels is a UsageError, raised before any panel is built.
+    K above ``_MAX_DEGREE`` = 2**21, or an interval (both pieces together)
+    of more than ``_MAX_MEAN_PANELS`` half-period panels, is a UsageError,
+    raised before any panel is built.
     """
     if K < 1:
         raise UsageError("K must be >= 1")
+    if K > _MAX_DEGREE:
+        raise UsageError(f"K must be at most {_MAX_DEGREE}")
     if interval is None:
         interval = window_bounds(K, alpha) if alpha is not None else (0.0, K * np.pi)
     lo, hi = float(interval[0]), float(interval[1])
@@ -309,10 +315,13 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
     stay strictly inside (0, K*pi), where the standardized derivative is
     nondegenerate.  The error estimate is the gap to the rule of nodes // 2.
     The time grows as the window's panel count squared, so more than
-    ``_MAX_PAIR_PANELS`` panels (K > 2053 on the default window) is a UsageError.
+    ``_MAX_PAIR_PANELS`` panels (K > 2053 on the default window) is a
+    UsageError, as is K above ``_MAX_DEGREE`` on any window.
     """
     if K < 2:
         raise UsageError("second moment needs K >= 2")
+    if K > _MAX_DEGREE:
+        raise UsageError(f"K must be at most {_MAX_DEGREE}")
     if nodes < 2:
         raise UsageError("second moment needs nodes >= 2")
     if interval is None:

@@ -14,9 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 import trigzero
-from trigzero import covariance, experiments, rice
+from trigzero import covariance, experiments, rice, zeros
 from trigzero.cli import _interval_text, main, parse_interval
-from trigzero.errors import UsageError
+from trigzero.errors import NumericError, UsageError
 from trigzero.experiments import MAX_DEGREE
 from trigzero.rice import rice_mean
 
@@ -397,7 +397,7 @@ class TestRequestBounds:
     @pytest.mark.parametrize(
         "command, ranges",
         [
-            ("rice", ["[1<=x<=2]"]),
+            ("rice", ["[1<=x<=2]", "[0<x<0.5]"]),
             ("clt", ["x>=500"]),
             ("bounds-check", [f"[1<=x<={MAX_DEGREE}]", "[1<=x<=1000000]"]),
         ],
@@ -418,8 +418,11 @@ class TestRequestBounds:
             # the default window at K = 2053 spans 4,095 panels, at 2054 4,097 (at most 2**12)
             (["rice", "--moment", "2"], rice, "_pair_integral", 2053),
             (["bounds-check"], covariance, "c_k_derivs", MAX_DEGREE),
+            # a short interval passes both panel caps; the degree cap holds there
+            (["rice", "--moment", "1", "--interval", "0:1e-6"], rice, "_panel_edges", 1 << 21),
+            (["rice", "--moment", "2", "--interval", "1e-3:1.001e-3"], rice, "_pair_integral", 1 << 21),
         ],
-        ids=["simulate", "clt", "rice-mean", "rice-second", "bounds-check"],
+        ids=["simulate", "clt", "rice-mean", "rice-second", "bounds-check", "rice-mean-short", "rice-second-short"],
     )
     def test_size_bound(self, runner, tmp_path, monkeypatch, args, module, name, largest):
         calls = []
@@ -438,6 +441,50 @@ class TestRequestBounds:
         res = runner.invoke(main, args + ["--K", str(largest)] + out)
         assert isinstance(res.exception, _Reached), res.output
         assert len(calls) == 1
+
+    def test_alpha_outside_its_range(self, runner):
+        # the window exponent is refused whether or not the interval is the window
+        res = runner.invoke(main, ["rice", "--K", "5", "--moment", "1", "--interval", "0:2pi", "--alpha", "0.7"])
+        assert res.exit_code == 2, res.output
+        assert "0<x<0.5" in res.output and "{" not in res.output
+
+
+def _flag_every_row(a, b, K, interval, **kw):
+    counts, warns = zeros.scan_count_batch(a, b, K, interval, **kw)
+    return counts, warns + 1
+
+
+def _stalled(*args, **kwargs):
+    raise NumericError("quadrature stalled: estimate 1 on value 1")
+
+
+def _one_mismatch(K_list, reps, seed):
+    mismatch = {"K": 5, "index": 0, "scan": 4, "eigen": 6}
+    return {"runs": 1, "mismatches": [mismatch], "max_root_gap": 0.0, "passed": False}
+
+
+class TestNumericFailure:
+    """A numeric failure exits 3, says why and writes no file."""
+
+    @pytest.mark.parametrize(
+        "args, target, replacement, stream, why",
+        [
+            (["simulate", "--K", "10", "--reps", "20", "--out", "x"], "trigzero.experiments.scan_count_batch",
+             _flag_every_row, "stderr", "numeric failure: 20 of 20 replicates excluded at K=10"),
+            (["rice", "--K", "10", "--moment", "1"], "trigzero.rice._adaptive_gl",
+             _stalled, "stderr", "numeric failure: quadrature stalled"),
+            (["oracle-check", "--K", "5", "--reps", "1"], "trigzero.cli.oracle_agreement",
+             _one_mismatch, "stdout", '"eigen": 6'),
+        ],
+        ids=["simulate", "rice", "oracle-check"],
+    )
+    def test_exits_3(self, runner, tmp_path, monkeypatch, args, target, replacement, stream, why):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(target, replacement)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3, res.output
+        assert why in getattr(res, stream)
+        assert not list(tmp_path.iterdir())
 
 
 class TestIoFailure:

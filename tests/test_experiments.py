@@ -170,18 +170,16 @@ class TestCltHarness:
         rng = np.random.default_rng(0)
         counts = 100.0 + rng.normal(size=600) * 10.0
         emp = clt_test(counts, 50)
-        fixed = clt_test(counts, 50, variance_source="chaos_constant", chaos_value=emp.variance_used)
+        fixed = clt_test(counts, 50, variance=emp.variance_used)
+        assert (emp.variance_source, fixed.variance_source) == ("empirical", "chaos_constant")
+        assert fixed.variance_used == emp.variance_used
         assert fixed.ks_statistic == pytest.approx(emp.ks_statistic, rel=1e-12)
-        with pytest.raises(UsageError):
-            clt_test(counts, 50, variance_source="chaos_constant")
-        with pytest.raises(UsageError):
-            clt_test(counts, 50, variance_source="bogus")
 
-    @pytest.mark.parametrize("chaos_value", [math.nan, math.inf, 0.0, -1.0])
-    def test_chaos_value_must_be_finite_and_positive(self, chaos_value):
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, 0.0, -1.0])
+    def test_chaos_value_must_be_finite_and_positive(self, variance):
         counts = 100.0 + np.random.default_rng(0).normal(size=600) * 10.0
-        with pytest.raises(UsageError):
-            clt_test(counts, 50, variance_source="chaos_constant", chaos_value=chaos_value)
+        with pytest.raises(UsageError, match="null variance must be finite and positive"):
+            clt_test(counts, 50, variance=variance)
 
 
 class TestWindowChop:
@@ -265,6 +263,18 @@ class TestWindowChop:
         window_chop_check(100, 0.25, 300, seed=1)
         assert seen == [8] * 4
         assert zeros.OVERSAMPLE == 8
+
+    def test_moments_are_the_campaign_fold(self):
+        # the replicate-order fold of each chunk's moments, bit for bit; at
+        # this request the moments of the whole array differ in the last bit
+        K, reps, seed = 400, 1500, 5
+        rep = window_chop_check(K, 0.25, reps, seed=seed)
+        lo, hi = IntervalSpec("window").bounds_original(K, 0.25)
+        chunks = experiments._count_chunks(K, "cosine", seed, reps, [(0.0, lo), (hi, math.pi)])
+        n, mean, m2, _, _ = reduce(experiments._merge, (experiments._moments(c[w == 0]) for c, w in chunks))
+        assert (rep.mean_complement, rep.var_complement) == (mean, m2 / (n - 1))
+        whole = experiments._moments(np.concatenate([c[w == 0] for c, w in chunks]))
+        assert rep.mean_complement != whole[1]
 
     def test_worker_count_does_not_matter(self, monkeypatch):
         reports = []

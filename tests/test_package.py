@@ -45,6 +45,41 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def _private_names(tree):
+    """(name, node) of each module-level private function, class or constant in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def test_no_dead_private_helpers():
+    # a helper left behind by a refactor is referenced by nothing but its own definition
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(trigzero.__file__).parent.glob("*.py"))}
+    readers = {}  # name -> ids of the top-level statements that read it, as a name or an attribute
+    for tree in trees.values():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add(id(top))
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(id(top))
+    dead = [
+        f"{file}:{node.lineno} {name}"
+        for file, tree in trees.items()
+        for name, node in _private_names(tree)
+        if not readers.get(name, set()) - {id(node)}
+    ]
+    assert not dead, dead
+
+
 _STARTUP_PROBE = """
 import os
 import sys
