@@ -4,11 +4,22 @@ Randomness is counter-based: every replicate owns a Philox stream keyed by
 (experiment seed, replicate index, stream purpose), so draws are reproducible
 independently of execution order or worker count.  Gaussian variates come
 from the inverse normal CDF applied to the stream's uniforms; each normal
-consumes exactly one 64-bit word, which keeps streams alignable.  A batch
-of replicates is drawn by one generator, re-keyed per replicate, and a
-stream never depends on the batch it is drawn in.  The inverse CDF is
-``scipy.special.ndtri``, imported on the first draw rather than with the
-module, so commands that draw nothing never load scipy.
+consumes exactly one 64-bit word, which keeps streams alignable.  A word w
+maps to the uniform u = (float(w >> 11) + 0.5) * 2**-53, clamped to at most
+1 - 2**-53: below w >> 11 = 2**52 the sum is exact, so u is the centre of
+its bin; above it the half rounds to even, and the top value, which would
+round to 1.0, takes the largest double below 1.  So u lies in (0, 1) and
+every normal is finite.
+
+A batch of replicates is drawn by one generator, re-keyed per replicate
+from a state dict of plain Python ints, which its setter reads faster than
+the arrays ``state`` returns.  Rows are drawn one block of about 2**15 words
+at a time into one reused word buffer, and each block is converted while it
+is still in cache, straight into its slice of the output, so a batch
+allocates little beyond its normals.  A stream never depends on the batch
+or block it is drawn in.  The inverse CDF is ``scipy.special.ndtri``,
+imported on the first draw rather than with the module, so commands that
+draw nothing never load scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +35,32 @@ PURPOSE_COEFFS = 0
 REPLICATE_LIMIT = 1 << 56
 
 _ENSEMBLES = ("cosine", "stationary")
+# words per block of rows: the block is converted while it is in cache
+_BLOCK_WORDS = 1 << 15
+# the largest double below 1: the top 53-bit word's centre rounds to 1.0
+_U_MAX = 1.0 - 2.0 ** -53
+
+
+def _is_key_integer(value) -> bool:
+    """True for a Python or numpy integer; bool, float and the rest are refused."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _words_to_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Standard normals of raw 64-bit ``words`` written into ``out``.
+
+    ``words`` is shifted in place.  The map is the module docstring's: top
+    53 bits, plus one half, times 2**-53, clamped to 1 - 2**-53, then
+    ``ndtri``.
+    """
+    from scipy.special import ndtri  # deferred: commands that draw nothing never load scipy
+
+    words >>= np.uint64(11)
+    out[...] = words
+    out += 0.5
+    out *= 2.0 ** -53
+    np.minimum(out, _U_MAX, out=out)
+    return ndtri(out, out=out)
 
 
 def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
@@ -31,32 +68,42 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
 
     One Philox generator serves the whole call.  For each row it is re-keyed
     to (seed, index << 8 | purpose) with counter 0 and an empty buffer,
-    which is exactly the state of a fresh ``Philox(key=...)``.  The generator
-    is local, so concurrent calls share nothing.  The seed must be an
-    integer that fits the 64-bit key word as it is: no two seeds may key
-    the same streams.
+    which is exactly the state of a fresh ``Philox(key=...)``.  The rows are
+    drawn ``max(1, 2**15 // n)`` at a time into one uint64 block buffer,
+    which is converted into the rows' slice of the output before the next
+    block is drawn; the output and that buffer are the only arrays the call
+    keeps.  The generator and buffer are local, so concurrent calls share
+    nothing.  The seed and every index must be integers (not bool) that fit
+    their key bits as they are, the seed in [0, 2**64) and an index in
+    [0, 2**56): no two inputs may key the same stream.
     """
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 64):
+    if not (_is_key_integer(seed) and 0 <= seed < 1 << 64):
         raise UsageError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    from scipy.special import ndtri  # deferred: commands that draw nothing never load scipy
-
-    gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    state = gen.state  # counter 0, empty buffer
-    key = state["state"]["key"]
-    raw = np.empty((len(indices), n), dtype=np.uint64)
-    for i, index in enumerate(indices):
-        index = int(index)
-        if index < 0 or index >= REPLICATE_LIMIT:
-            raise UsageError("replicate index out of the 56-bit key range")
-        key[1] = (index << 8) | purpose
-        gen.state = state
-        raw[i] = gen.random_raw(n)
-    # top 53 bits, centered: u in (0, 1) strictly, so ndtri stays finite
-    raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return ndtri(u, out=u)
+    rows = len(indices)
+    out = np.empty((rows, n))
+    step = max(1, _BLOCK_WORDS // n)
+    block = np.empty((min(step, rows), n), dtype=np.uint64)
+    gen = np.random.Philox(key=0)  # re-keyed before every row
+    key = [int(seed), 0]
+    # counter 0, empty buffer: the state of a fresh generator for the key
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        for j, index in enumerate(indices[start:stop]):
+            if not (_is_key_integer(index) and 0 <= index < REPLICATE_LIMIT):
+                raise UsageError(f"replicate index must be an integer in [0, 2**56), got {index!r}")
+            key[1] = (int(index) << 8) | purpose
+            gen.state = state
+            block[j] = gen.random_raw(n)
+        _words_to_normals(block[: stop - start], out[start:stop])
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Deterministic draws and path evaluation."""
 
+import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy.special import ndtri
 
 from reference import Kernel, eval_path
+from trigzero import sampling
 from trigzero.errors import UsageError
 from trigzero.sampling import (
     CoefficientVector,
@@ -21,7 +24,8 @@ def _reference_normals(seed, index, purpose, n):
     """One fresh Philox generator per stream: the draw path, spelled out."""
     key = np.array([seed, (index << 8) | purpose], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(n)
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return ndtri(np.minimum(u, 1.0 - 2.0 ** -53))
 
 
 class TestDraws:
@@ -83,12 +87,76 @@ class TestDrawPath:
         for row, idx in zip(rows, indices):
             assert np.array_equal(row, _reference_normals(seed, idx, PURPOSE_COEFFS, per))
 
-    @pytest.mark.parametrize("index", [-1, 1 << 56])
+    @pytest.mark.parametrize(
+        "index",
+        [
+            -1,
+            1 << 56,
+            # int() would turn each of these into stream 1
+            pytest.param(1.5, id="float"),
+            pytest.param(1.7, id="float-1.7"),
+            pytest.param(True, id="bool"),
+            pytest.param(np.float64(1.9), id="float64"),
+            pytest.param(np.bool_(True), id="numpy-bool"),
+        ],
+    )
     def test_index_outside_key_range(self, index):
         with pytest.raises(UsageError):
             draw_coefficient_batch(4, "cosine", 0, [0, index])
+        with pytest.raises(UsageError):
+            draw_coefficients(4, "cosine", 0, index)
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5])
+    @pytest.mark.parametrize(
+        "K, ensemble, indices",
+        [
+            (1600, "stationary", range(300)),
+            # these end on a ragged block
+            (1600, "stationary", np.array([37, 5, 250, 0, 999, 12, 8, 301, 77, 64, 3, 1000, 41])),
+            (1600, "cosine", range(1000, 1301)),
+            (100, "cosine", range(700)),
+        ],
+        ids=["k1600-stationary-300", "k1600-stationary-shuffled", "k1600-cosine-ragged", "k100-cosine-ragged"],
+    )
+    def test_rows_across_blocks(self, K, ensemble, indices):
+        seed = 29
+        per = 2 * K if ensemble == "stationary" else K
+        step = max(1, sampling._BLOCK_WORDS // per)
+        assert len(indices) > step  # the batch crosses a block boundary
+        a, b = draw_coefficient_batch(K, ensemble, seed, indices)
+        rows = a if b is None else np.hstack((a, b))
+        assert rows.shape == (len(indices), per)
+        for row, idx in zip(rows, indices):
+            assert np.array_equal(row, _reference_normals(seed, idx, PURPOSE_COEFFS, per))
+
+    @pytest.mark.parametrize("ensemble", ["cosine", "stationary"])
+    def test_empty_indices(self, ensemble):
+        a, b = draw_coefficient_batch(1600, ensemble, 3, [])
+        assert a.shape == (0, 1600)
+        if ensemble == "stationary":
+            assert b.shape == (0, 1600)
+
+    def test_words_to_normals_edges(self):
+        # the top 53-bit word (2,048 of the 2**64 words) centred rounds to
+        # u = 1.0, where ndtri is +inf; it is clamped to 1 - 2**-53
+        words = np.array([0, 1 << 63, (1 << 64) - (1 << 11), (1 << 64) - 1], dtype=np.uint64)
+        z = sampling._words_to_normals(words.copy(), np.empty(4))
+        assert np.all(np.isfinite(z))
+        assert z[0] == ndtri(2.0 ** -54)
+        assert z[1] == 0.0  # 2**52 + 0.5 rounds to even: u = 0.5
+        assert z[2] == z[3] == ndtri(1.0 - 2.0 ** -53)
+        assert np.isinf(ndtri(((words[2:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)).all()
+
+    def test_draw_allocates_little_beyond_its_output(self):
+        draw_coefficient_batch(1600, "cosine", 0, range(256))  # warm: ndtri loaded
+        tracemalloc.start()
+        try:
+            a, _ = draw_coefficient_batch(1600, "cosine", 0, range(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * a.nbytes
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, pytest.param(True, id="bool")])
     def test_seed_outside_key_word(self, seed):
         # a masked or truncated seed would key the streams of another seed
         with pytest.raises(UsageError):
@@ -114,6 +182,34 @@ class TestDrawPath:
             sys.setswitchinterval(interval)
         for (a, b), (sa, sb) in zip(got, serial):
             assert np.array_equal(a, sa) and np.array_equal(b, sb)
+
+
+# SHA-256 of a 256-row draw (rows 0..255; a's bytes, then b's), little-endian
+# float64.  A numpy or scipy upgrade that moved a stream would change these,
+# and with them every committed count and record.
+_DRAW_DIGESTS = {
+    (1, "cosine", 0): "77c23db4c9c5bbdeca4a9328d36f56c6442dfd0ae162fb04910024f5a012d4d3",
+    (1, "stationary", 0): "eafe07f3ec20c3b4f317062fa11f942f78c7adf4a465fb8d720391b4bf10337b",
+    (100, "cosine", 0): "094d0bf688732f92386dc8b0fec3663a5f2a4b67d525328f61feccc9cf9ad0d8",
+    (100, "stationary", 0): "e6c15b14202a3e079652bb004a3a2c267d03bdefe021c43e488e7c66b235a4ae",
+    (1600, "cosine", 0): "006f2c712776bada1975b1c096cb37fa471309d09d79f1f09a656c101f64bcf6",
+    (1600, "stationary", 0): "b70674f62249a28d45f16846723bf8460ac623250b2d50d5cbe45646b732b716",
+    (1, "cosine", 2**64 - 1): "94de73fbe089440715a2abda34578721b190e7b090880a34a5dea5d0fbc6a399",
+    (1, "stationary", 2**64 - 1): "8401f7f62b1e2308411b9756cb834660a39a43e2eba1d4b3e460e53d6ecc3cd8",
+    (100, "cosine", 2**64 - 1): "15e5b6752d0620689b24772c91f0f648509c612f355b18e24b872a5cc965e09f",
+    (100, "stationary", 2**64 - 1): "e3269f7fecdef204b30b91c752579728d5f082958d1b8d0bc1c38b02ba690c0e",
+    (1600, "cosine", 2**64 - 1): "8ac2ad86b7e1ab3d5ba08299ef7c93f8d7c4497b5a33d712b116e64fe9a73377",
+    (1600, "stationary", 2**64 - 1): "b6b4e8a232ec33bbdc178537c7290ccd0ce7a3582234acfd4f3a55a6e2d65363",
+}
+
+
+@pytest.mark.parametrize("K, ensemble, seed", sorted(_DRAW_DIGESTS))
+def test_draw_bytes_are_pinned(K, ensemble, seed):
+    a, b = draw_coefficient_batch(K, ensemble, seed, range(256))
+    digest = hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    if b is not None:
+        digest.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _DRAW_DIGESTS[K, ensemble, seed]
 
 
 class TestEvalPath:
