@@ -1,15 +1,16 @@
 """Covariance kernels of random cosine polynomials and their large-degree limits.
 
 Everything lives on the rescaled time axis [0, K*pi], where the degree-K
-ensembles oscillate on an O(1) scale.  Every kernel is one lag function f,
-taken with its first two derivatives:
+ensembles oscillate on an O(1) scale.  Every kernel is one even lag function
+f, taken with its first two derivatives:
 
 * ``c_k(K, tau)`` -- the lag covariance (1/K) * sum_{n=1..K} cos(n*tau/K) of
-  the stationary (cosine+sine) ensemble.  ``c_k_derivs`` folds the lag into
-  [-pi K, pi K] by the period 2 pi K and evaluates c, c', c'' through the
-  Dirichlet-kernel closed form, or through the direct sums at folded lags
-  below _SMALL_LAG = 2,
+  the stationary (cosine+sine) ensemble, with the lag folded by its period,
 * ``sinc(x) = sin(x)/x`` -- its pointwise limit as K grows.
+
+Both come from a closed form (the Dirichlet kernel, sin x / x) and, below
+_SMALL_LAG = 2 where that cancels, from one even Taylor series with exact
+moments, so the cost per lag does not grow with K.
 
 The stationary ensemble's covariance surface is c_k(t-s) itself; the
 cosine ensemble's, (c_k(t-s) + c_k(t+s))/2, is assembled where it is used,
@@ -24,69 +25,82 @@ import numpy as np
 
 from .errors import UsageError
 
-# Switch to Taylor series below this argument to avoid 0/0 in sinc and its
-# derivatives; 6th-order truncation keeps ~1e-12 accuracy at the boundary.
-_SINC_TAYLOR_CUT = 1e-3
-
-# Folded lags with |tau| below this use the direct sums: the closed-form
-# derivatives lose about eps/tau^2 to cancellation as tau -> 0.
+# Lags with |u| below _SMALL_LAG use the even series of _TERMS terms: the
+# closed forms lose about eps/u^2 there, and with moments at most 1 the first
+# term left out is below 2e-19 in each of f, f', f''.
 _SMALL_LAG = 2.0
+_TERMS = 14
+_FACTORIAL = np.cumprod([1.0, *range(1, 2 * _TERMS)])  # 0!, 1!, ..., (2 _TERMS - 1)!
 
-# Lags-times-degree workspace cap for the direct sums.
-_CHUNK_BUDGET = 4_000_000
+
+def _series(m):
+    """Horner rows, top power of v = u^2 first, of f, f'/u and f'' for
+    f(u) = sum_j (-1)^j m_j u^(2j) / (2j)!; f(0) = m_0 and f''(0) = -m_1 exactly."""
+    a, k = np.append(np.multiply(m, (-1.0) ** np.arange(_TERMS)), 0.0), np.arange(_TERMS)
+    rows = (a[:-1] / _FACTORIAL[2 * k], a[1:] / _FACTORIAL[2 * k + 1], a[1:] / _FACTORIAL[2 * k])
+    table = np.stack(rows, axis=1)[::-1, :, None]
+    table.flags.writeable = False  # cached and shared by every call
+    return table
 
 
-def _as_array(x):
-    a = np.asarray(x, dtype=float)
-    return a, (a.ndim == 0)
+def _even_series(table, u):
+    """(f, f', f'') at lags u >= 0 from a ``_series`` table, by Horner's rule."""
+    v, out = u * u, np.zeros((3, u.size))
+    for row in table:
+        out *= v
+        out += row
+    out[1] *= u
+    return out
+
+
+_SINC_SERIES = _series([1.0 / (2 * j + 1) for j in range(_TERMS)])
+_C_K_SERIES = {}  # K -> its table, filled on first use
+
+
+def _lag_kernel(closed, table, lag):
+    """(f, f', f'') of an even f at ``lag``: the closed form at |lag|, patched
+    below _SMALL_LAG by the series, and f' flipped at negative lags."""
+    a = np.asarray(lag, dtype=float)
+    u = np.abs(a.reshape(-1))  # numpy's x ** 3 is slow, and not bit-odd, at x < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parts = closed(u)
+    small = u < _SMALL_LAG
+    if np.any(small):
+        for p, s in zip(parts, _even_series(table, u[small])):
+            p[small] = s
+    parts[1][a.reshape(-1) < 0.0] *= -1.0
+    if a.ndim == 0:
+        return tuple(float(p[0]) for p in parts)
+    return tuple(p.reshape(a.shape) for p in parts)
 
 
 def sinc(x):
-    """sin(x)/x with the removable singularity handled by series expansion."""
+    """sin(x)/x, the value part of ``sinc_derivs``."""
     return sinc_derivs(x)[0]
 
 
+def _sinc_closed(x):
+    """(sinc, sinc', sinc'') by their closed forms, at x != 0."""
+    sx, cx = np.sin(x), np.cos(x)
+    return sx / x, (x * cx - sx) / (x * x), ((2.0 - x * x) * sx - 2.0 * x * cx) / x ** 3
+
+
 def sinc_derivs(x):
-    """Return (sinc, sinc', sinc'') evaluated elementwise.
-
-    sinc'(x)  = (x cos x - sin x) / x^2
-    sinc''(x) = ((2 - x^2) sin x - 2x cos x) / x^3
-    """
-    a, scalar = _as_array(x)
-    a = np.atleast_1d(a)
-    small = np.abs(a) < _SINC_TAYLOR_CUT
-    s0, s1, s2 = (np.empty_like(a) for _ in range(3))
-
-    xl = a[~small]
-    sx, cx = np.sin(xl), np.cos(xl)
-    s0[~small] = sx / xl
-    s1[~small] = (xl * cx - sx) / (xl * xl)
-    s2[~small] = ((2.0 - xl * xl) * sx - 2.0 * xl * cx) / (xl ** 3)
-
-    xs = a[small]
-    x2 = xs * xs
-    s0[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    s1[small] = xs * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0)
-    s2[small] = -1.0 / 3.0 + x2 / 10.0 - x2 * x2 / 168.0
-
-    if scalar:
-        return float(s0[0]), float(s1[0]), float(s2[0])
-    return s0, s1, s2
+    """Return (sinc, sinc', sinc'') evaluated elementwise."""
+    return _lag_kernel(_sinc_closed, _SINC_SERIES, x)
 
 
-def _c_k_direct(K, tau):
-    """(c, c', c'') at 1-D lags by the direct sums over n, chunked over lags."""
-    n = np.arange(1, K + 1, dtype=float) / K
-    c, c1, c2 = (np.empty_like(tau) for _ in range(3))
-    step = max(1, _CHUNK_BUDGET // K)
-    for lo in range(0, tau.size, step):
-        sl = slice(lo, lo + step)
-        ang = np.multiply.outer(tau[sl], n)
-        cs = np.cos(ang)
-        c[sl] = cs.mean(axis=-1)
-        c1[sl] = -(np.sin(ang) @ n) / K
-        c2[sl] = -(cs @ (n * n)) / K
-    return c, c1, c2
+def _c_k_series(K):
+    """The ``_series`` table of c_K, once per K.  Its moments (1/K) sum_n (n/K)^(2j)
+    are correctly rounded from the power sums S_p = sum_{n<=K} n^p, exact
+    integers by (K+1)^(p+1) - 1 = sum_{i<=p} C(p+1, i) S_i."""
+    if K not in _C_K_SERIES:
+        sums, row = [], [1]
+        for p in range(2 * _TERMS - 1):
+            row = [1, *(a + b for a, b in zip(row, row[1:])), 1]  # C(p+1, i)
+            sums.append(((K + 1) ** (p + 1) - 1 - sum(c * s for c, s in zip(row, sums))) // (p + 1))
+        _C_K_SERIES[K] = _series([sums[2 * j] / K ** (2 * j + 1) for j in range(_TERMS)])
+    return _C_K_SERIES[K]
 
 
 def _c_k_closed(K, tau):
@@ -111,31 +125,16 @@ def c_k(K, tau):
 
 
 def c_k_derivs(K, tau):
-    """Return (c, c', c'') of ``c_k`` at lag ``tau``.
+    """Return (c, c', c'') of ``c_k`` at lag ``tau``, folded into [-pi K, pi K].
 
     c'(tau)  = -(1/K) sum (n/K)   sin(n tau / K)
     c''(tau) = -(1/K) sum (n/K)^2 cos(n tau / K)
-
-    The lag is folded into [-pi K, pi K] by the period 2 pi K; c and c'' are
-    even and c' is odd.  Folded lags with |tau| >= _SMALL_LAG use the
-    Dirichlet-kernel closed form, whose cost does not grow with K; smaller
-    ones use the direct sums, which keep c'(0) == 0 exactly.
     """
     if K < 1:
         raise UsageError(f"degree K must be >= 1, got {K}")
-    a, scalar = _as_array(tau)
-    a = np.atleast_1d(a)
-    f = a.ravel() - 2.0 * np.pi * K * np.rint(a.ravel() / (2.0 * np.pi * K))
-    u = np.abs(f)
-    small = u < _SMALL_LAG
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c, c1, c2 = _c_k_closed(K, u)
-    if np.any(small):
-        c[small], c1[small], c2[small] = _c_k_direct(K, u[small])
-    c1 = np.where(f < 0.0, -c1, c1)
-    if scalar:
-        return float(c[0]), float(c1[0]), float(c2[0])
-    return c.reshape(a.shape), c1.reshape(a.shape), c2.reshape(a.shape)
+    period = 2.0 * np.pi * K
+    a = np.asarray(tau, dtype=float)
+    return _lag_kernel(lambda u: _c_k_closed(K, u), _c_k_series(K), a - period * np.rint(a / period))
 
 
 def c_k_dd0(K):

@@ -60,8 +60,8 @@ _MAX_PANELS = 20000  # no refinement round of the mean starts above this
 # square of its window's (1,591 at K = 800 take ~35 s and ~170 MiB)
 _MAX_MEAN_PANELS = 1 << 22
 _MAX_PAIR_PANELS = 1 << 12
-# the lag kernel holds K-long arrays however short the interval; this is the
-# largest K whose default [0, K*pi] mean fits the mean's panel cap
+# the largest K whose default [0, K*pi] mean fits the mean's panel cap; the
+# lag kernel's cost per lag, and its one moment table per K, do not grow with K
 _MAX_DEGREE = _MAX_MEAN_PANELS // 2
 
 

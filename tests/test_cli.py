@@ -563,9 +563,9 @@ class TestOutputBytes:
     def test_chaos_var(self, runner, tmp_path):
         res = runner.invoke(main, ["chaos-var", "--qmax", "8", "--tail", "10000", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        assert _sha256(res.stdout) == "ade8d4da44e521dfb3983a989fda6bae1cbc7c0925265d265674603872332e74"
+        assert _sha256(res.stdout) == "f6699033f391c91514af59108192930dc1b0b62bf93c18d19cbb67f4b5b13b60"
         assert _digests(tmp_path) == {
-            "chaos_terms.csv": "7ae94428137d4873f1ed416e1846f3605e2d57192771965c905436eda4e6e144",
+            "chaos_terms.csv": "519f942181919fda27a1d25c5a896ab1549d082ded003ac80d3504b22ee4ac55",
         }
 
     @pytest.mark.parametrize(
@@ -574,11 +574,11 @@ class TestOutputBytes:
             (["bounds-check"], "80af92f006a673ac33a766aa0b1764190c88b4e1b262417f2f65bb0f3f12ac06"),
             (
                 ["rice", "--K", "50", "--moment", "1", "--interval", "0.3:5.9"],
-                "547d280c71304a648c4dc4fff0764d7ea29b1603d8d07d578691c9728e35fe27",
+                "e435c904bce9933f2f31eae21b96cf33fc73b189d4ea1171aa9708135456e502",
             ),
             (
                 ["rice", "--K", "30", "--moment", "2", "--interval", "0.2pi:0.75pi"],
-                "e537ec8e5887adfbe9aa45cfd4ac7bcf59d7dd5c08d5c0d3eb0508f344b904a9",
+                "a4fb89814d01bff41b3e7bca0178249b421c25dd8bb9b006fe3160a7ba4e0004",
             ),
         ],
         ids=["bounds-check", "rice-mean-folded", "rice-second"],

@@ -1,12 +1,20 @@
 """Covariance kernels: closed forms, derivatives, bounds and limits."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
 from reference import DegeneracyError, Kernel, StandardizedKernel
 from trigzero import covariance
 from trigzero.covariance import (
+    _SINC_SERIES,
     _SMALL_LAG,
+    _c_k_closed,
+    _c_k_series,
+    _even_series,
+    _sinc_closed,
     c_k,
     c_k_dd0,
     c_k_derivs,
@@ -48,10 +56,8 @@ class TestLagCovariance:
 
     def test_second_derivative_at_zero(self):
         assert c_k_dd0(2) == pytest.approx(-15.0 / 24.0, abs=0)
-        for K in (3, 10, 400):
-            _, c1, c2 = c_k_derivs(K, 0.0)
-            assert c1 == 0.0
-            assert c2 == pytest.approx(c_k_dd0(K), rel=1e-13)
+        for K in (1, 2, 3, 10, 400, 1600, 2**21):
+            assert c_k_derivs(K, 0.0) == (1.0, 0.0, c_k_dd0(K))
 
     def test_first_derivative_against_finite_difference(self):
         K, t, h = 100, 3.0, 1e-6
@@ -84,7 +90,7 @@ def _lag_grid(K):
 
 
 class TestLagKernelForms:
-    """Closed form plus small-lag direct sums against the term-wise sums."""
+    """Closed form plus small-lag series against the term-wise sums."""
 
     @pytest.mark.parametrize("K", [1, 2, 3, 30, 100, 1600])
     def test_matches_direct_sum(self, K):
@@ -123,14 +129,50 @@ class TestLagKernelForms:
         taus = (1.25, 3.0, 1234.5, 2.0 * np.pi * K + 1.5)
         with mp.workdps(30):
             for tau in taus:
-                x = mp.mpf(tau) / K
-                want = (
-                    mp.fsum(mp.cos(n * x) for n in range(1, K + 1)) / K,
-                    -mp.fsum(n * mp.sin(n * x) for n in range(1, K + 1)) / K ** 2,
-                    -mp.fsum(n * n * mp.cos(n * x) for n in range(1, K + 1)) / K ** 3,
-                )
-                for got, exact in zip(c_k_derivs(K, tau), want):
+                for got, exact in zip(c_k_derivs(K, tau), _mp_sums(mp, K, tau)):
                     assert abs(got - float(exact)) <= 1e-13
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 30, 1600, 2**21])
+    def test_mpmath_small_lags(self, K):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for tau in (0.0, 1e-6, 1e-3, 0.5, 1.999):
+                want = _mp_sums(mp, K, tau) if K <= 1600 else _mp_closed(mp, K, tau)
+                for got, exact in zip(c_k_derivs(K, tau), want):
+                    assert abs(got - float(exact)) <= 1e-15, (tau, got, exact)
+
+    def test_memory_does_not_grow_with_degree(self):
+        lags = np.linspace(0.0, 1.9, 10_000)
+        c_k_derivs(1600, lags)
+        tracemalloc.start()
+        try:
+            c_k_derivs(1600, lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * lags.nbytes
+
+
+def _mp_sums(mp, K, tau):
+    """(c, c', c'') by the K-term sums at the working precision."""
+    x = mp.mpf(tau) / K
+    return (
+        mp.fsum(mp.cos(n * x) for n in range(1, K + 1)) / K,
+        -mp.fsum(n * mp.sin(n * x) for n in range(1, K + 1)) / K ** 2,
+        -mp.fsum(n * n * mp.cos(n * x) for n in range(1, K + 1)) / K ** 3,
+    )
+
+
+def _mp_closed(mp, K, tau):
+    """(c, c', c'') by differentiating (sin(M x)/sin(x/2) - 1)/(2K), x = tau/K, M = K + 1/2."""
+    if tau == 0.0:
+        return mp.mpf(1), mp.mpf(0), -mp.mpf((K + 1) * (2 * K + 1)) / (6 * K * K)
+    M = mp.mpf(K) + mp.mpf(1) / 2
+
+    def c(t):
+        return (mp.sin(M * t / K) / mp.sin(t / (2 * K)) - 1) / (2 * K)
+
+    return tuple(mp.diff(c, mp.mpf(tau), n) for n in range(3))
 
 
 class TestSinc:
@@ -142,11 +184,34 @@ class TestSinc:
         assert s2 == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
     def test_series_matches_direct_at_cut(self):
-        # continuity across the Taylor switch
-        for x in (9.9e-4, 1.1e-3):
-            s0, s1, s2 = sinc_derivs(x)
-            assert s0 == pytest.approx(np.sin(x) / x, rel=1e-12)
-            assert s1 == pytest.approx((x * np.cos(x) - np.sin(x)) / x ** 2, rel=1e-8)
+        # the series and the closed form on both sides of _SMALL_LAG, for sinc
+        # and for c_K; the kernel takes the series below the cut only
+        forms = [(sinc_derivs, _sinc_closed, _SINC_SERIES)]
+        for K in (1, 3, 30, 1600, 2**21):
+            forms.append((partial(c_k_derivs, K), partial(_c_k_closed, K), _c_k_series(K)))
+        for kernel, closed, table in forms:
+            for x in (_SMALL_LAG - 1e-9, _SMALL_LAG + 1e-9):
+                u = np.array([x])
+                for got, series, exact in zip(kernel(u), _even_series(table, u), closed(u)):
+                    assert abs(series[0] - exact[0]) <= 1e-15
+                    assert got[0] == (series[0] if x < _SMALL_LAG else exact[0])
+
+    def test_mpmath_spot_check(self):
+        mp = pytest.importorskip("mpmath")
+        xs = (1e-3, 2e-3, 8.3e-3, 0.03, 0.1, 1.0, 1.999)
+        with mp.workdps(40):
+            for x in xs:
+                want = [mp.diff(lambda t: mp.sin(t) / t, mp.mpf(x), n) for n in range(3)]
+                for got, exact in zip(sinc_derivs(x), want):
+                    assert abs(got - float(exact)) <= 1e-15, (x, got, exact)
+
+    def test_parity(self):
+        xs = np.linspace(0.0, 40.0, 4001)
+        s0, s1, s2 = sinc_derivs(xs)
+        n0, n1, n2 = sinc_derivs(-xs)
+        assert np.array_equal(n0, s0)
+        assert np.array_equal(n1, -s1)
+        assert np.array_equal(n2, s2)
 
     def test_derivatives_by_finite_difference(self):
         xs = np.array([0.5, 2.0, 7.7, 30.0])
