@@ -11,7 +11,10 @@ __version__ = "0.1.0"
 from .chaos_variance import (
     ChaosTerm,
     VarianceConstant,
+    abs_coeff,
     chaos_lag_correlation,
+    dirac_coeff,
+    dirac_coeff_normalized,
     sigma_q_squared,
     total_variance_constant,
 )
@@ -41,11 +44,6 @@ from .experiments import (
     standardize_counts,
     window_chop_check,
 )
-from .hermite import (
-    abs_coeff,
-    dirac_coeff,
-    dirac_coeff_normalized,
-)
 from .rice import (
     RiceResult,
     RiceVariance,
@@ -71,15 +69,15 @@ from .zeros import (
 )
 
 __all__ = [
-    "ChaosTerm", "VarianceConstant", "chaos_lag_correlation",
-    "sigma_q_squared", "total_variance_constant",
+    "ChaosTerm", "VarianceConstant", "abs_coeff", "chaos_lag_correlation",
+    "dirac_coeff", "dirac_coeff_normalized", "sigma_q_squared",
+    "total_variance_constant",
     "BoundsReport", "c_k", "c_k_dd0", "c_k_derivs",
     "kernel_bounds_check", "sinc", "sinc_derivs",
     "CampaignError", "NumericError", "UsageError",
     "CampaignResult", "ExperimentConfig", "IntervalSpec", "KSummary",
     "NormalityReport", "WindowChopReport", "clt_test", "run_campaign",
     "standardize_counts", "window_chop_check",
-    "abs_coeff", "dirac_coeff", "dirac_coeff_normalized",
     "RiceResult", "RiceVariance", "conditional_abs_moment", "rice_mean",
     "rice_second_moment", "rice_variance", "wilkins_mean", "window_bounds",
     "zero_intensity",

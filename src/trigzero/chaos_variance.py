@@ -10,10 +10,20 @@ where 1/3 is the variance of the process derivative, and G_q is the lag
 correlation of the order-q integrand: a double sum over coefficient pairs of
 four-fold Hermite product expectations, evaluated through the pairing-diagram
 formula with the cross-correlations of (value, normalized derivative) at lag
-tau.  The coefficients combine the Hermite table of |x| with the normalized
-point-mass weights b_k / (k! sqrt(2 pi)); under this normalization the sum
-over q of sigma_q^2 is exactly the limit of Var(N[0, L]) / L, the constant
-the Monte Carlo campaigns estimate.
+tau.  The coefficients pair two sequences:
+
+* ``abs_coeff(l)`` = a_{2l}, the Hermite coefficients of |x|:
+      a_{2l} = sqrt(2/pi) * (-1)^{l+1} / (2^l l! (2l-1)),
+* ``dirac_coeff(k)`` = b_k = (-1)^{k/2} (k-1)!! for even k, 0 for odd k,
+  with (-1)!! = 1 so that b_0 = 1; the point-mass weights are
+  ``dirac_coeff_normalized(k)`` = b_k / (k! sqrt(2 pi)).
+
+Under this normalization the sum over q of sigma_q^2 is exactly the limit of
+Var(N[0, L]) / L, the constant the Monte Carlo campaigns estimate.
+``_mehler_terms`` enumerates the pairing diagrams of a four-fold Hermite
+product of jointly Gaussian variables; ``mehler_product_grid`` sums them over
+correlation arrays and is the reference the tests check the merged tables
+against.
 
 Every pairing diagram of order q has q edges, so G_q is a homogeneous
 polynomial of degree q in the four correlations.  Two of them are one
@@ -54,14 +64,9 @@ import numpy as np
 
 from .covariance import sinc_derivs
 from .errors import UsageError
-from .hermite import (
-    _mehler_terms,
-    abs_coeff,
-    dirac_coeff_normalized,
-    mehler_product_grid,  # noqa: F401  unused; perfbench/layers.py wraps this name
-)
 from .rice import _gl_panels
 
+_TWO_PI = 2.0 * math.pi
 _GL_NODES = 16
 _BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at q = 20
 # q^(3/2) sigma_q^2 steps evenly up to q = 116; above it float64 rounding takes over
@@ -69,6 +74,87 @@ _BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at
 _MAX_ORDER = 100
 # the lag grid, and with it time and memory, grows linearly with the tail
 _MAX_TAIL = 1e6
+
+
+def _double_factorial_odd(m: int) -> float:
+    # (2j-1)!! style product over odd factors up to m (m odd); (-1)!! := 1
+    out = 1.0
+    for j in range(1, m + 1, 2):
+        out *= j
+    return out
+
+
+def abs_coeff(ell: int) -> float:
+    """Hermite coefficient a_{2l} of |x|."""
+    if ell < 0:
+        raise UsageError("index must be >= 0")
+    return (
+        math.sqrt(2.0 / math.pi)
+        * (-1.0) ** (ell + 1)
+        / (2.0 ** ell * math.factorial(ell) * (2.0 * ell - 1.0))
+    )
+
+
+def dirac_coeff(k: int) -> float:
+    """Raw point-mass value b_k: (-1)^{k/2} (k-1)!! for even k, zero for odd k."""
+    if k < 0:
+        raise UsageError("index must be >= 0")
+    if k % 2 == 1:
+        return 0.0
+    return (-1.0) ** (k // 2) * _double_factorial_odd(k - 1)
+
+
+def dirac_coeff_normalized(k: int) -> float:
+    """Hermite coefficient of the point-mass limit: b_k / (k! sqrt(2 pi)).
+
+    This is lim_{eta->0} (1/k!) integral phi_eta(x) H_k(x) phi(x) dx
+    = H_k(0) phi(0) / k!, the weight that makes
+
+        sum_k coeff_k * H_k(x)
+
+    act as a Dirac factor at 0 inside Gaussian expectations.  It is the
+    normalization under which the order-0 term reproduces the zero-count
+    mean, and the one used by the variance-constant assembly.
+    """
+    return dirac_coeff(k) / (math.factorial(k) * math.sqrt(_TWO_PI))
+
+
+def _mehler_terms(orders):
+    """Pairing multiplicities and integer weights for the diagram sum.
+
+    For orders (n1, n2, n3, n4) of H_{n1}(Z1) H_{n2}(W1) H_{n3}(Z2) H_{n4}(W2)
+    with Z1 _|_ W1 and Z2 _|_ W2, every nonzero pairing assigns m1 edges
+    Z1-Z2, m2 edges Z1-W2, m3 edges W1-Z2, m4 edges W1-W2 subject to
+    m1+m2 = n1, m3+m4 = n2, m1+m3 = n3, m2+m4 = n4.  The system has rank 3,
+    so m1 alone enumerates all solutions (at most min(n1, n3)+1 of them).
+    """
+    n1, n2, n3, n4 = orders
+    if n1 + n2 != n3 + n4:
+        return []
+    terms = []
+    for m1 in range(max(0, n3 - n2), min(n1, n3) + 1):
+        m2 = n1 - m1
+        m3 = n3 - m1
+        m4 = n2 - m3  # >= 0, since m1 >= n3 - n2
+        w = (
+            math.factorial(n1) * math.factorial(n2) * math.factorial(n3) * math.factorial(n4)
+        ) // (
+            math.factorial(m1) * math.factorial(m2) * math.factorial(m3) * math.factorial(m4)
+        )
+        terms.append((m1, m2, m3, m4, float(w)))
+    return terms
+
+
+def mehler_product_grid(orders, rzz, rzw, rwz, rww):
+    """Vectorized diagram sum over correlation arrays (no validity checks).
+
+    Intended for integrands where the correlations come from an actual
+    Gaussian process, making the Gram condition automatic.
+    """
+    out = np.zeros(np.broadcast(rzz, rzw, rwz, rww).shape)
+    for m1, m2, m3, m4, w in _mehler_terms(orders):
+        out = out + w * rzz ** m1 * rzw ** m2 * rwz ** m3 * rww ** m4
+    return out
 
 
 def _order_pairs(q: int):
@@ -136,8 +222,8 @@ def chaos_lag_correlation(q: int, tau):
     Vectorized over tau; the lag 0 value is the integrand's variance and is
     perfectly regular (the diagram sum is a polynomial in the correlations).
     """
-    if q > _MAX_ORDER:
-        raise UsageError(f"order must be at most {_MAX_ORDER}")
+    if not 1 <= q <= _MAX_ORDER:
+        raise UsageError(f"order must lie in 1..{_MAX_ORDER}")
     tau = np.asarray(tau, dtype=float)
     flat = tau.ravel()
     out = np.empty(flat.shape)

@@ -142,12 +142,6 @@ def c_k_dd0(K):
     return -(K + 1.0) * (2.0 * K + 1.0) / (6.0 * K * K)
 
 
-def _deriv_var(c, c1, c2, K):
-    """v(t)^2 = [c'' - c''(0) - c'^2/(1+c)] / (1+c), from (c, c', c'') at lag 2t."""
-    denom = 1.0 + c
-    return (c2 - c_k_dd0(K) - c1 * c1 / denom) / denom
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Outcome of the lag-covariance inequality checks on a grid."""
@@ -167,7 +161,7 @@ def kernel_bounds_check(K, tau_grid) -> BoundsReport:
     tau = np.asarray(tau_grid, dtype=float).ravel()
     if tau.size == 0:
         raise UsageError("empty tau grid")
-    if np.any(tau <= 0.0) or np.any(tau > K * np.pi + 1e-12):
+    if not np.all((tau > 0.0) & (tau <= K * np.pi + 1e-12)):  # also rejects nan
         raise UsageError("tau grid must lie in (0, K*pi]")
     c, c1, _ = c_k_derivs(K, tau)
     for which, size, bound in (

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covariance import _deriv_var, c_k_derivs
+from .covariance import c_k_dd0, c_k_derivs
 from .errors import NumericError, UsageError
 
 _PANEL = 0.5 * np.pi
@@ -224,9 +224,13 @@ _MIN_DET = 1e-12
 
 
 def _node_factors(K, x):
-    """V, V'/V and v^2 of the standardized process at the points x/2, from the lag x = 2t."""
+    """V, V'/V and v^2 of the standardized process at the points x/2, from the lag x = 2t.
+
+    v(t)^2 = [c'' - c''(0) - c'^2/(1+c)] / (1+c), with (c, c', c'') at lag 2t.
+    """
     c, c1, c2 = c_k_derivs(K, x)
-    return np.sqrt(0.5 * (1.0 + c)), c1 / (1.0 + c), _deriv_var(c, c1, c2, K)
+    denom = 1.0 + c
+    return np.sqrt(0.5 * denom), c1 / denom, (c2 - c_k_dd0(K) - c1 * c1 / denom) / denom
 
 
 def _pair_core(minus, plus, fs, ft):

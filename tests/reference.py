@@ -7,10 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from trigzero.chaos_variance import _order_table
+from trigzero.chaos_variance import _order_table, mehler_product_grid
 from trigzero.covariance import c_k_derivs, sinc_derivs
 from trigzero.errors import NumericError, UsageError
-from trigzero.hermite import mehler_product_grid
 from trigzero.rice import _gl_panels, _node_factors, _pair_core
 from trigzero.sampling import CoefficientVector
 

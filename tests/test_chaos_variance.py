@@ -10,13 +10,13 @@ from trigzero import chaos_variance
 from trigzero.chaos_variance import (
     _order_pairs,
     chaos_lag_correlation,
+    mehler_product_grid,
     sigma_q_squared,
     total_variance_constant,
 )
 from trigzero.covariance import sinc_derivs
 from trigzero.errors import UsageError
 from trigzero.experiments import ExperimentConfig, IntervalSpec, run_campaign
-from trigzero.hermite import mehler_product_grid
 
 # sigma_q^2 of total_variance_constant(20, 1e4), pinned from the pairs x pairs
 # diagram sum and re-pinned when sinc'' below lag 2 moved to the even series
@@ -231,8 +231,10 @@ class TestSigmaQ:
             lambda: sigma_q_squared(102),
             lambda: total_variance_constant(q_max=101),
             lambda: chaos_lag_correlation(102, [0.0, 1.0]),
+            lambda: chaos_lag_correlation(0, [0.0, 1.0]),
+            lambda: chaos_lag_correlation(-2, [0.0, 1.0]),
         ],
-        ids=["sigma-102", "total-101", "lag-correlation-102"],
+        ids=["sigma-102", "total-101", "lag-correlation-102", "lag-correlation-0", "lag-correlation-minus-2"],
     )
     def test_orders_above_limit(self, call):
         with pytest.raises(UsageError, match="100"):

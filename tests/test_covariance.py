@@ -270,6 +270,8 @@ class TestBounds:
             kernel_bounds_check(10, [0.0, 1.0])
         with pytest.raises(UsageError):
             kernel_bounds_check(10, [40.0 * np.pi])
+        with pytest.raises(UsageError):
+            kernel_bounds_check(10, [1.0, np.nan])
 
 
 class TestLimitKernel:

@@ -8,12 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 from reference import hermite_eval, hermite_table, mehler_product_expectation
-from trigzero.errors import UsageError
-from trigzero.hermite import (
+from trigzero.chaos_variance import (
     abs_coeff,
     dirac_coeff,
     dirac_coeff_normalized,
 )
+from trigzero.errors import UsageError
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 

@@ -80,6 +80,20 @@ def test_no_dead_private_helpers():
     assert not dead, dead
 
 
+def test_no_private_names_imported_across_modules():
+    # a private helper lives with its caller; importing it elsewhere splits one job over two modules
+    allowed = {"chaos_variance.py: rice._gl_panels"}  # the sampling-theorem lag rule in ROADMAP.md deletes it
+    crossing = {
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(Path(trigzero.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    }
+    assert not crossing - allowed, sorted(crossing - allowed)
+
+
 _STARTUP_PROBE = """
 import os
 import sys
