@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import sinc_derivs
-from .errors import UsageError
+from .errors import UsageError, require_int
 from .rice import _gl_panels
 
 _TWO_PI = 2.0 * math.pi
@@ -86,8 +86,7 @@ def _double_factorial_odd(m: int) -> float:
 
 def abs_coeff(ell: int) -> float:
     """Hermite coefficient a_{2l} of |x|."""
-    if ell < 0:
-        raise UsageError("index must be >= 0")
+    require_int("index ell", ell, 0)
     return (
         math.sqrt(2.0 / math.pi)
         * (-1.0) ** (ell + 1)
@@ -97,8 +96,7 @@ def abs_coeff(ell: int) -> float:
 
 def dirac_coeff(k: int) -> float:
     """Raw point-mass value b_k: (-1)^{k/2} (k-1)!! for even k, zero for odd k."""
-    if k < 0:
-        raise UsageError("index must be >= 0")
+    require_int("index k", k, 0)
     if k % 2 == 1:
         return 0.0
     return (-1.0) ** (k // 2) * _double_factorial_odd(k - 1)
@@ -222,8 +220,7 @@ def chaos_lag_correlation(q: int, tau):
     Vectorized over tau; the lag 0 value is the integrand's variance and is
     perfectly regular (the diagram sum is a polynomial in the correlations).
     """
-    if not 1 <= q <= _MAX_ORDER:
-        raise UsageError(f"order must lie in 1..{_MAX_ORDER}")
+    require_int("order q", q, 1, _MAX_ORDER)
     tau = np.asarray(tau, dtype=float)
     flat = tau.ravel()
     out = np.empty(flat.shape)
@@ -297,8 +294,7 @@ def sigma_q_squared(q: int, tail: float = 1e4) -> ChaosTerm:
     coming from a C/tau^2 envelope fitted on the last decade before the
     cutoff.  Odd q vanish exactly.
     """
-    if not 1 <= q <= _MAX_ORDER:
-        raise UsageError(f"order must lie in 1..{_MAX_ORDER}")
+    require_int("order q", q, 1, _MAX_ORDER)
     return _chaos_terms([q], tail)[0]
 
 
@@ -357,8 +353,7 @@ def total_variance_constant(q_max: int = 20, tail: float = 1e4) -> VarianceConst
     per quadrature grid (even orders carry everything); the remaining series
     mass comes from the q^{-3/2} envelope.
     """
-    if not 2 <= q_max <= _MAX_ORDER:
-        raise UsageError(f"q_max must lie in 2..{_MAX_ORDER}")
+    require_int("q_max", q_max, 2, _MAX_ORDER)
     terms = _chaos_terms(range(2, q_max + 1), tail)
     partial = float(sum(t.sigma_sq for t in terms))
     series_tail = _series_tail(terms, q_max)

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .chaos_variance import total_variance_constant
 from .covariance import kernel_bounds_check
-from .errors import CampaignError, NumericError, UsageError
+from .errors import CampaignError, NumericError, UsageError, require_int
 from .experiments import (
     MAX_DEGREE,
     NORMALITY_MIN_REPLICATES,
@@ -189,16 +189,12 @@ def _manifest_payload(cfg: ExperimentConfig):
 
 def config_from_manifest(doc) -> ExperimentConfig:
     c = doc["config"]
-    # int() would read "12" as the degrees 1 and 2, 7.9 as 7, true as 1 and "40" as 40
-    if not (isinstance(c["K"], list) and all(type(k) is int for k in c["K"])):
-        raise TypeError(f"K must be a list of integers, not {c['K']!r}")
-    kinds = {"reps": (int,), "seed": (int,), "oversample": (int,), "interval": (str,), "alpha": (int, float)}
-    for key, allowed in kinds.items():
+    for key, allowed in {"interval": (str,), "alpha": (int, float)}.items():
         if key in c and type(c[key]) not in allowed:  # type(), not isinstance: true is not 1
             raise TypeError(f"{key} has the wrong type: {c[key]!r}")
-    if c.get("oversample", OVERSAMPLE) != OVERSAMPLE:  # every count scans at the one density
-        raise ValueError(f"oversample must be {OVERSAMPLE}, not {c['oversample']!r}")
-    return ExperimentConfig(
+    # every count scans at the one density
+    require_int("oversample", c.get("oversample", OVERSAMPLE), OVERSAMPLE, OVERSAMPLE)
+    config = ExperimentConfig(
         K_list=tuple(c["K"]),
         replicates=c["reps"],
         interval=parse_interval(c["interval"]),
@@ -207,6 +203,8 @@ def config_from_manifest(doc) -> ExperimentConfig:
         # manifests written before the ensemble field existed take its default
         **({"ensemble": str(c["ensemble"])} if "ensemble" in c else {}),
     )
+    config.validate()  # the whole request: "12" is no list of degrees, 7.9 no seed, true no count
+    return config
 
 
 @main.command()

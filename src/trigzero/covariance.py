@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_int
 
 # Lags with |u| below _SMALL_LAG use the even series of _TERMS terms: the
 # closed forms lose about eps/u^2 there, and with moments at most 1 the first
@@ -94,6 +94,7 @@ def _c_k_series(K):
     """The ``_series`` table of c_K, once per K.  Its moments (1/K) sum_n (n/K)^(2j)
     are correctly rounded from the power sums S_p = sum_{n<=K} n^p, exact
     integers by (K+1)^(p+1) - 1 = sum_{i<=p} C(p+1, i) S_i."""
+    K = int(K)  # a numpy integer overflows the power sums, and the table is cached for int K too
     if K not in _C_K_SERIES:
         sums, row = [], [1]
         for p in range(2 * _TERMS - 1):
@@ -130,8 +131,7 @@ def c_k_derivs(K, tau):
     c'(tau)  = -(1/K) sum (n/K)   sin(n tau / K)
     c''(tau) = -(1/K) sum (n/K)^2 cos(n tau / K)
     """
-    if K < 1:
-        raise UsageError(f"degree K must be >= 1, got {K}")
+    require_int("degree K", K, 1)
     period = 2.0 * np.pi * K
     a = np.asarray(tau, dtype=float)
     return _lag_kernel(lambda u: _c_k_closed(K, u), _c_k_series(K), a - period * np.rint(a / period))
@@ -139,6 +139,7 @@ def c_k_derivs(K, tau):
 
 def c_k_dd0(K):
     """c''_K(0) = -(K+1)(2K+1) / (6 K^2); tends to -1/3."""
+    require_int("degree K", K, 1)
     return -(K + 1.0) * (2.0 * K + 1.0) / (6.0 * K * K)
 
 
@@ -158,6 +159,7 @@ def kernel_bounds_check(K, tau_grid) -> BoundsReport:
     ``tau_grid`` must lie in (0, K*pi].  Returns the first violation, if any;
     comparisons carry no slack, the inequalities hold exactly.
     """
+    require_int("degree K", K, 1)
     tau = np.asarray(tau_grid, dtype=float).ravel()
     if tau.size == 0:
         raise UsageError("empty tau grid")

@@ -10,9 +10,10 @@ in replicate order by ``_merge``, so counts and summaries are bit-identical
 however the work is scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
 variable (0 or unset means automatic; never more than the core count).
 
-Every rule on a request lives in ``ExperimentConfig.validate``, which both
-``run_campaign`` and ``window_chop_check`` call before any work, so they
-refuse the same requests with the same messages.
+Every rule on a request lives in ``ExperimentConfig.validate`` (degrees,
+replicate count and seed by ``require_int``, the ensemble in ``ENSEMBLES``),
+which both ``run_campaign`` and ``window_chop_check`` call before any work,
+so they refuse the same requests with the same messages.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CampaignError, UsageError
+from .errors import CampaignError, UsageError, require_int
 from .rice import window_bounds
-from .sampling import REPLICATE_LIMIT, draw_coefficient_batch
+from .sampling import ENSEMBLES, REPLICATE_LIMIT, draw_coefficient_batch
 from .zeros import OVERSAMPLE, scan_count_batch
 
 _CHUNK = 256
@@ -78,18 +79,16 @@ class ExperimentConfig:
     ensemble: str = "cosine"
 
     def validate(self):
-        if self.replicates < 2:
-            raise UsageError("need at least 2 replicates")
-        if self.replicates > REPLICATE_LIMIT:
-            raise UsageError("replicates beyond the 56-bit replicate index range")
+        require_int("replicates (56-bit indices)", self.replicates, 2, REPLICATE_LIMIT)
+        require_int("seed", self.seed, 0, (1 << 64) - 1)
+        if self.ensemble not in ENSEMBLES:
+            raise UsageError(f"unknown ensemble {self.ensemble!r}")
         if not (0.0 < self.alpha < 0.5):
             raise UsageError("alpha must lie in (0, 1/2)")
         if not self.K_list:
             raise UsageError("at least one degree K is required")
-        if min(self.K_list) < 1:
-            raise UsageError("degrees must be at least 1")
-        if max(self.K_list) > MAX_DEGREE:
-            raise UsageError(f"degrees must be at most {MAX_DEGREE}")
+        for K in self.K_list:
+            require_int("degree K", K, 1, MAX_DEGREE)
         if len(set(self.K_list)) < len(self.K_list):
             raise UsageError("each degree may be given only once")
 
@@ -180,6 +179,7 @@ class CampaignResult:
 
 def standardize_counts(counts, K, center=None):
     """Counts centered (sample mean by default) and scaled by sqrt(pi K)."""
+    require_int("degree K", K, 1)
     x = np.asarray(counts, dtype=float)
     c = float(x.mean()) if center is None else float(center)
     return (x - c) / math.sqrt(math.pi * K)

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import c_k_dd0, c_k_derivs
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, require_int
 
 _PANEL = 0.5 * np.pi
 _BLOCK = 1024  # panels per integrand call of the mean: 24 nodes each, ~25k lags
@@ -82,6 +82,7 @@ class RiceResult:
 
 def window_bounds(K: int, alpha: float) -> tuple:
     """Window [ (K pi)^alpha, K pi - (K pi)^alpha ] on the rescaled axis."""
+    require_int("degree K", K, 1)
     if not (0.0 < alpha < 0.5):
         raise UsageError("window exponent must lie in (0, 1/2)")
     edge = (K * np.pi) ** alpha
@@ -93,8 +94,7 @@ def window_bounds(K: int, alpha: float) -> tuple:
 
 def wilkins_mean(K: int) -> float:
     """Two-term asymptotic zero-count mean on [0, 2*pi]: ((2K+1) + 0.23)/sqrt(3)."""
-    if K < 1:
-        raise UsageError("K must be >= 1")
+    require_int("degree K", K, 1)
     return (2.0 * K + 1.0 + 0.23) / math.sqrt(3.0)
 
 
@@ -183,10 +183,7 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
     of more than ``_MAX_MEAN_PANELS`` half-period panels, is a UsageError,
     raised before any panel is built.
     """
-    if K < 1:
-        raise UsageError("K must be >= 1")
-    if K > _MAX_DEGREE:
-        raise UsageError(f"K must be at most {_MAX_DEGREE}")
+    require_int("degree K", K, 1, _MAX_DEGREE)
     if interval is None:
         interval = window_bounds(K, alpha) if alpha is not None else (0.0, K * np.pi)
     lo, hi = float(interval[0]), float(interval[1])
@@ -322,12 +319,8 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
     ``_MAX_PAIR_PANELS`` panels (K > 2053 on the default window) is a
     UsageError, as is K above ``_MAX_DEGREE`` on any window.
     """
-    if K < 2:
-        raise UsageError("second moment needs K >= 2")
-    if K > _MAX_DEGREE:
-        raise UsageError(f"K must be at most {_MAX_DEGREE}")
-    if nodes < 2:
-        raise UsageError("second moment needs nodes >= 2")
+    require_int("degree K", K, 2, _MAX_DEGREE)
+    require_int("nodes", nodes, 2)
     if interval is None:
         interval = window_bounds(K, alpha)
     w0, w1 = float(interval[0]), float(interval[1])

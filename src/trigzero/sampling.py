@@ -28,22 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_int
 
 PURPOSE_COEFFS = 0
 # replicate indices lie in [0, REPLICATE_LIMIT): the key word's top 56 bits
 REPLICATE_LIMIT = 1 << 56
 
-_ENSEMBLES = ("cosine", "stationary")
+ENSEMBLES = ("cosine", "stationary")
 # words per block of rows: the block is converted while it is in cache
 _BLOCK_WORDS = 1 << 15
 # the largest double below 1: the top 53-bit word's centre rounds to 1.0
 _U_MAX = 1.0 - 2.0 ** -53
-
-
-def _is_key_integer(value) -> bool:
-    """True for a Python or numpy integer; bool, float and the rest are refused."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _words_to_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -73,12 +68,11 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
     which is converted into the rows' slice of the output before the next
     block is drawn; the output and that buffer are the only arrays the call
     keeps.  The generator and buffer are local, so concurrent calls share
-    nothing.  The seed and every index must be integers (not bool) that fit
-    their key bits as they are, the seed in [0, 2**64) and an index in
-    [0, 2**56): no two inputs may key the same stream.
+    nothing.  The seed and every index must be integers (``require_int``)
+    that fit their key bits as they are, the seed in [0, 2**64) and an index
+    in [0, 2**56): no two inputs may key the same stream.
     """
-    if not (_is_key_integer(seed) and 0 <= seed < 1 << 64):
-        raise UsageError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    require_int("seed", seed, 0, (1 << 64) - 1)
     rows = len(indices)
     out = np.empty((rows, n))
     step = max(1, _BLOCK_WORDS // n)
@@ -97,8 +91,7 @@ def _normal_rows(seed: int, indices, purpose: int, n: int) -> np.ndarray:
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         for j, index in enumerate(indices[start:stop]):
-            if not (_is_key_integer(index) and 0 <= index < REPLICATE_LIMIT):
-                raise UsageError(f"replicate index must be an integer in [0, 2**56), got {index!r}")
+            require_int("replicate index", index, 0, REPLICATE_LIMIT - 1)
             key[1] = (int(index) << 8) | purpose
             gen.state = state
             block[j] = gen.random_raw(n)
@@ -111,12 +104,17 @@ class CoefficientVector:
     """Gaussian coefficients of one polynomial replicate.
 
     ``b`` is present exactly when the replicate belongs to the stationary
-    (cosine+sine) ensemble.
+    (cosine+sine) ensemble; ``a`` and ``b`` hold K coefficients each.
     """
 
     K: int
     a: np.ndarray
     b: np.ndarray | None
+
+    def __post_init__(self):
+        require_int("degree K", self.K, 1)
+        if any(np.shape(c) != (self.K,) for c in (self.a, self.b) if c is not None):
+            raise UsageError(f"coefficient vectors must hold K = {self.K} entries each")
 
 
 def draw_coefficients(K: int, ensemble: str = "cosine", seed: int = 0, index: int = 0) -> CoefficientVector:
@@ -130,9 +128,8 @@ def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:
 
     Returns (a, b) with shapes (B, K); ``b`` is None for the cosine ensemble.
     """
-    if K < 1:
-        raise UsageError(f"degree K must be >= 1, got {K}")
-    if ensemble not in _ENSEMBLES:
+    require_int("degree K", K, 1)
+    if ensemble not in ENSEMBLES:
         raise UsageError(f"unknown ensemble {ensemble!r}")
     per = 2 * K if ensemble == "stationary" else K
     rows = _normal_rows(seed, indices, PURPOSE_COEFFS, per)

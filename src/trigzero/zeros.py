@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_int
 from .sampling import REPLICATE_LIMIT, CoefficientVector
 
 _EIGEN_MAX_K = 256
@@ -465,10 +465,12 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     ``tangencies`` is (rows, lo, hi): one entry per tangency bracket
     [lo, hi] of row ``rows[i]``.
     """
-    if oversample < OVERSAMPLE:
-        raise UsageError(f"oversample must be >= {OVERSAMPLE}")
-    if hi <= lo:
-        raise UsageError("empty interval")
+    require_int("degree K", K, 1)
+    require_int("oversample", oversample, OVERSAMPLE)
+    if not -np.inf < lo < hi < np.inf:  # also rejects nan
+        raise UsageError(f"interval must be finite and non-empty, got ({lo}, {hi})")
+    if np.shape(a)[1:] != (K,) or (b is not None and np.shape(b) != np.shape(a)):
+        raise UsageError(f"coefficient rows must hold K = {K} entries each")
     freqs = _freqs(K, rescaled)
     N = 2 * oversample * K
     step = 2.0 * np.pi * (K if rescaled else 1.0) / N
@@ -616,8 +618,7 @@ def count_zeros_eigen(coeffs: CoefficientVector, interval) -> ZeroCountResult:
     z^K * sum_n [(a_n - i b_n)/2 z^n + (a_n + i b_n)/2 z^{-n}] and keeps
     eigen-roots within 1e-8 of |z| = 1 whose angle falls in the interval.
     """
-    if coeffs.K > _EIGEN_MAX_K:
-        raise UsageError(f"eigen oracle limited to K <= {_EIGEN_MAX_K}")
+    require_int("eigen oracle degree K", coeffs.K, 1, _EIGEN_MAX_K)
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 2.0 * np.pi + 1e-9):
         raise UsageError("interval must sit inside one period starting at 0")
@@ -642,12 +643,11 @@ def oracle_agreement(K_list, reps, seed):
     from .sampling import draw_coefficient_batch
 
     K_list = list(K_list)
-    if reps < 1 or not K_list:
-        raise UsageError("oracle agreement needs reps >= 1 and at least one degree")
-    if reps > REPLICATE_LIMIT:
-        raise UsageError("reps beyond the 56-bit replicate index range")
-    if not all(1 <= K <= _EIGEN_MAX_K for K in K_list):
-        raise UsageError(f"oracle degrees must lie in 1..{_EIGEN_MAX_K}")
+    if not K_list:
+        raise UsageError("oracle agreement needs at least one degree")
+    require_int("reps (56-bit indices)", reps, 1, REPLICATE_LIMIT)
+    for K in K_list:
+        require_int("eigen oracle degree K", K, 1, _EIGEN_MAX_K)
     mismatches = []
     worst_gap = 0.0
     for K in K_list:

@@ -49,6 +49,17 @@ class TestLagCovariance:
         direct = float(np.cos(5.0 * n).mean())
         assert abs(c_k(K, 5.0) - direct) < 1e-12
 
+    @pytest.mark.parametrize("K", [37, 1601])
+    def test_numpy_degree_equals_int_degree(self, K, monkeypatch):
+        # the small-lag moments are exact integer sums: a numpy K overflowed
+        # them (NaN at 1601) and left its table cached for the int K as well
+        monkeypatch.setattr(covariance, "_C_K_SERIES", {})
+        lags = np.array([0.0, 0.5, 1.9, 3.0])
+        numpy_first = c_k_derivs(np.int64(K), lags)
+        monkeypatch.setattr(covariance, "_C_K_SERIES", {})
+        for got, want in zip(numpy_first, c_k_derivs(K, lags)):
+            assert np.array_equal(got, want)
+
     def test_resonance_fallback(self):
         # tau = 2*pi*K sits exactly on the Dirichlet singularity
         K = 31

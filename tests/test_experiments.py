@@ -82,6 +82,16 @@ class TestCampaign:
         for K_list in ((0,), (-3,), (20, 0), (10, 10), (20, 10, 20)):
             with pytest.raises(UsageError):
                 run_campaign(_config(K_list=K_list))
+        # refused by validate itself, not by the first draw inside the thread pool
+        for field, value, named in (
+            ("seed", -1, "seed"),
+            ("seed", 1 << 64, "seed"),
+            ("ensemble", "foo", "ensemble"),
+            ("K_list", (2.5,), "degree K"),
+        ):
+            with pytest.raises(UsageError, match=named):
+                _config(**{field: value}).validate()
+        _config(seed=(1 << 64) - 1, ensemble="stationary").validate()
 
     def test_replicates_beyond_the_index_range(self):
         # replicate indices are 56 bits of the Philox key: a larger request

@@ -1,6 +1,7 @@
 """Package namespace: the public names exported by ``trigzero``."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -186,3 +187,82 @@ def test_benchmark_wraps_names_that_exist(bench_modules):
     assert isinstance(trigzero.zeros.count_zeros_eigen(coeffs, (0.0, np.pi)).count, int)
     for module, attr, original in saved:
         assert getattr(module, attr) is original, attr
+
+
+_COUNTS = 200 + np.arange(500) % 17
+_CV = trigzero.CoefficientVector(3, np.array([0.3, -1.0, 0.5]), None)
+# (public callable, integer parameter) -> (the call with that parameter set to v, a valid v)
+_INTEGER_PARAMETERS = {
+    ("abs_coeff", "ell"): (lambda v: trigzero.abs_coeff(v), 3),
+    ("dirac_coeff", "k"): (lambda v: trigzero.dirac_coeff(v), 4),
+    ("dirac_coeff_normalized", "k"): (lambda v: trigzero.dirac_coeff_normalized(v), 4),
+    ("chaos_lag_correlation", "q"): (lambda v: trigzero.chaos_lag_correlation(v, [0.0, 1.0]), 4),
+    ("sigma_q_squared", "q"): (lambda v: trigzero.sigma_q_squared(v, tail=100.0), 2),
+    ("total_variance_constant", "q_max"): (lambda v: trigzero.total_variance_constant(v, tail=100.0), 2),
+    ("c_k", "K"): (lambda v: trigzero.c_k(v, [0.5, 3.0]), 5),
+    ("c_k_dd0", "K"): (lambda v: trigzero.c_k_dd0(v), 5),
+    ("c_k_derivs", "K"): (lambda v: trigzero.c_k_derivs(v, [0.5, 3.0]), 5),
+    ("kernel_bounds_check", "K"): (lambda v: trigzero.kernel_bounds_check(v, [0.5, 3.0]), 5),
+    ("ExperimentConfig", "K_list"): (lambda v: trigzero.ExperimentConfig(K_list=(v,)).validate(), 5),
+    ("ExperimentConfig", "replicates"): (lambda v: trigzero.ExperimentConfig((5,), replicates=v).validate(), 10),
+    ("ExperimentConfig", "seed"): (lambda v: trigzero.ExperimentConfig((5,), seed=v).validate(), 3),
+    ("clt_test", "K"): (lambda v: trigzero.clt_test(_COUNTS, v), 100),
+    ("standardize_counts", "K"): (lambda v: trigzero.standardize_counts(_COUNTS, v), 100),
+    ("window_chop_check", "K"): (lambda v: trigzero.window_chop_check(v, 0.25, 10), 30),
+    ("window_chop_check", "replicates"): (lambda v: trigzero.window_chop_check(30, 0.25, v), 10),
+    ("window_chop_check", "seed"): (lambda v: trigzero.window_chop_check(30, 0.25, 10, seed=v), 3),
+    ("rice_mean", "K"): (lambda v: trigzero.rice_mean(v, interval=(0.0, 1.0)), 5),
+    ("rice_second_moment", "K"): (lambda v: trigzero.rice_second_moment(v, interval=(0.5, 1.0)), 5),
+    ("rice_second_moment", "nodes"): (lambda v: trigzero.rice_second_moment(5, interval=(0.5, 1.0), nodes=v), 4),
+    ("rice_variance", "K"): (lambda v: trigzero.rice_variance(v), 5),
+    ("wilkins_mean", "K"): (lambda v: trigzero.wilkins_mean(v), 5),
+    ("window_bounds", "K"): (lambda v: trigzero.window_bounds(v, 0.25), 5),
+    ("zero_intensity", "K"): (lambda v: trigzero.zero_intensity(v, [0.5, 1.0]), 5),
+    ("CoefficientVector", "K"): (lambda v: trigzero.CoefficientVector(v, np.ones(3), None), 3),
+    ("draw_coefficient_batch", "K"): (lambda v: trigzero.draw_coefficient_batch(v, "cosine", 0, [0]), 3),
+    ("draw_coefficient_batch", "seed"): (lambda v: trigzero.draw_coefficient_batch(3, "cosine", v, [0]), 3),
+    ("draw_coefficients", "K"): (lambda v: trigzero.draw_coefficients(v), 3),
+    ("draw_coefficients", "seed"): (lambda v: trigzero.draw_coefficients(3, seed=v), 3),
+    ("draw_coefficients", "index"): (lambda v: trigzero.draw_coefficients(3, index=v), 3),
+    ("count_zeros_scan", "oversample"): (lambda v: trigzero.count_zeros_scan(_CV, (0.0, 3.0), oversample=v), 8),
+    ("oracle_agreement", "K_list"): (lambda v: trigzero.oracle_agreement([v], 1, 0), 3),
+    ("oracle_agreement", "reps"): (lambda v: trigzero.oracle_agreement([3], v, 0), 2),
+    ("oracle_agreement", "seed"): (lambda v: trigzero.oracle_agreement([3], 1, v), 3),
+    ("scan_count_batch", "K"): (lambda v: trigzero.scan_count_batch(_CV.a[None, :], None, v, (0.0, 3.0)), 3),
+    ("scan_count_batch", "oversample"): (
+        lambda v: trigzero.scan_count_batch(_CV.a[None, :], None, 3, (0.0, 3.0), oversample=v),
+        8,
+    ),
+}
+_INTEGER_NAMES = {"K", "q", "q_max", "nodes", "reps", "replicates", "seed", "index", "ell", "k", "K_list", "oversample"}
+# result records: they hold what a checked call returns and check nothing themselves
+_RESULT_RECORDS = {"ChaosTerm", "BoundsReport", "KSummary", "WindowChopReport", "RiceResult"}
+
+
+def _plain(result):
+    """``result`` with its dataclasses as dicts, for ``np.testing.assert_equal``."""
+    return dataclasses.asdict(result) if dataclasses.is_dataclass(result) else result
+
+
+def test_integer_table_covers_every_public_parameter():
+    # a new public callable with a degree, order, count, seed or index parameter
+    # must join the table below, and so pass its integer rule
+    found = set()
+    for name in trigzero.__all__:
+        obj = getattr(trigzero, name)
+        if name in _RESULT_RECORDS or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = inspect.signature(obj).parameters
+        found |= {(name, p) for p in params if p in _INTEGER_NAMES}
+    assert found == set(_INTEGER_PARAMETERS)
+
+
+@pytest.mark.parametrize("key", sorted(_INTEGER_PARAMETERS), ids="-".join)
+def test_integer_parameters_refuse_non_integers(key):
+    call, valid = _INTEGER_PARAMETERS[key]
+    named = key[1].removesuffix("_list")  # K_list names each of its degrees K
+    for bad in (2.5, True, "3"):
+        with pytest.raises(trigzero.UsageError, match=rf"\b{named}\b.* must be an integer"):
+            call(bad)
+    # a numpy integer is an integer, and gives what the Python int gives
+    np.testing.assert_equal(_plain(call(np.int64(valid))), _plain(call(valid)))

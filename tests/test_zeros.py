@@ -501,6 +501,21 @@ class TestValidation:
             count_zeros_scan(cv, (0.0, np.pi), oversample=4)
         with pytest.raises(UsageError):
             scan_count_batch(cv.a[None, :], None, 5, (0.0, np.pi), oversample=4)
+        for oversample in (8.0, 16.5, True, "8"):
+            with pytest.raises(UsageError, match="oversample"):
+                count_zeros_scan(cv, (0.0, np.pi), oversample=oversample)
+
+    def test_rows_of_another_degree(self):
+        # a row of 5 coefficients is no degree-7 polynomial, and a 5-entry
+        # vector is no degree-3 one: neither is counted as if it were
+        with pytest.raises(UsageError, match="K = 7"):
+            scan_count_batch(np.ones((1, 5)), None, 7, (0.0, 1.0))
+        with pytest.raises(UsageError, match="K = 5"):
+            scan_count_batch(np.ones((1, 5)), np.ones((1, 4)), 5, (0.0, 1.0))
+        with pytest.raises(UsageError, match="K = 3"):
+            count_zeros_eigen(CoefficientVector(3, np.ones(5), None), (0.0, 1.0))
+        with pytest.raises(UsageError, match="K = 3"):
+            CoefficientVector(3, np.ones(3), np.ones(2))
 
     def test_eigen_degree_budget(self):
         cv = draw_coefficients(300, "cosine", 0, 0)
@@ -513,6 +528,12 @@ class TestValidation:
         cv = draw_coefficients(5, "cosine", 0, 0)
         with pytest.raises(UsageError):
             count_zeros_scan(cv, (1.0, 1.0))
+        # a non-finite end is no interval either (nan raised ValueError, inf OverflowError)
+        for interval in ((0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)):
+            with pytest.raises(UsageError, match="finite"):
+                count_zeros_scan(cv, interval)
+            with pytest.raises(UsageError, match="finite"):
+                scan_count_batch(cv.a[None, :], None, 5, interval)
 
 
 # intervals on the original axis; the rescaled axis multiplies them by K
