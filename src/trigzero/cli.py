@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .chaos_variance import total_variance_constant
 from .covariance import kernel_bounds_check
-from .errors import CampaignError, NumericError, UsageError, require_int
+from .errors import CampaignError, NumericError, UsageError, require_int, require_interval
 from .experiments import (
     MAX_DEGREE,
     NORMALITY_MIN_REPLICATES,
@@ -33,6 +33,7 @@ from .experiments import (
     standardize_counts,
 )
 from .rice import rice_mean, rice_second_moment
+from .sampling import ENSEMBLES
 from .zeros import OVERSAMPLE, oracle_agreement
 
 _EXIT_NUMERIC = 3
@@ -66,9 +67,7 @@ def parse_interval(text: str) -> IntervalSpec:
         lo, hi = _parse_pi_token(lo_s), _parse_pi_token(hi_s)
     except ValueError as exc:
         raise UsageError(f"bad interval {text!r}: {exc}") from None
-    if not 0.0 <= lo < hi <= 2.0 * math.pi + 1e-12:
-        raise UsageError("interval must satisfy 0 <= lo < hi <= 2pi")
-    return IntervalSpec("original", lo, hi)
+    return IntervalSpec("original", *require_interval((lo, hi), 0.0, 2.0 * math.pi + 1e-12))
 
 
 def _interval_text(spec: IntervalSpec) -> str:
@@ -213,7 +212,7 @@ def config_from_manifest(doc) -> ExperimentConfig:
 @click.option("--seed", type=int, default=None)
 @click.option("--interval", "interval_text", default=None, help="0:pi | 0:2pi | a:b | window")
 @click.option("--alpha", type=float, default=None, help="window exponent in (0, 1/2)")
-@click.option("--ensemble", type=click.Choice(["cosine", "stationary"]), default=None)
+@click.option("--ensemble", type=click.Choice(ENSEMBLES), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="manifest JSON; explicit flags override its fields")
 @click.option("--out", "outdir", type=click.Path(), required=True)

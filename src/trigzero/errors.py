@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and ``require_int``, the one rule
-for every degree, order, count, seed and index an entry point takes."""
+"""Exception types shared across the package, and one rule per input an entry point takes:
+``require_int`` for a degree, order, count, seed or index, ``require_interval`` for an interval."""
 
 import numpy as np
 
@@ -23,3 +23,15 @@ def require_int(name, value, lo, hi=None):
             return
     span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
     raise UsageError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def require_interval(interval, lo=-np.inf, hi=np.inf):
+    """The ends a < b of ``interval`` as floats; UsageError unless it is a tuple,
+    list or array of exactly two finite real numbers (not bools) in [lo, hi]."""
+    ends = interval.tolist() if isinstance(interval, np.ndarray) else interval
+    if isinstance(ends, (tuple, list)) and len(ends) == 2:
+        if all(isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) for x in ends):
+            a, b = map(float, ends)
+            if -np.inf < a < b < np.inf and lo <= a and b <= hi:
+                return a, b
+    raise UsageError(f"interval must be two finite numbers lo < hi in [{lo:g}, {hi:g}], got {interval!r}")

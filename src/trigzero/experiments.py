@@ -10,10 +10,10 @@ in replicate order by ``_merge``, so counts and summaries are bit-identical
 however the work is scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
 variable (0 or unset means automatic; never more than the core count).
 
-Every rule on a request lives in ``ExperimentConfig.validate`` (degrees,
-replicate count and seed by ``require_int``, the ensemble in ``ENSEMBLES``),
-which both ``run_campaign`` and ``window_chop_check`` call before any work,
-so they refuse the same requests with the same messages.
+Every rule on a request lives in ``ExperimentConfig.validate`` (degrees, replicate
+count and seed by ``require_int``, the ensemble, every degree's interval by
+``require_interval`` or ``window_bounds``), which returns each degree's bounds: both
+``run_campaign`` and ``window_chop_check`` scan them, so they refuse alike before any draw.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CampaignError, UsageError, require_int
+from .errors import CampaignError, UsageError, require_int, require_interval
 from .rice import window_bounds
 from .sampling import ENSEMBLES, REPLICATE_LIMIT, draw_coefficient_batch
 from .zeros import OVERSAMPLE, scan_count_batch
@@ -62,7 +62,7 @@ class IntervalSpec:
     def bounds_original(self, K: int, alpha: float):
         """Bounds on the original [0, 2*pi) axis for degree K."""
         if self.kind == "original":
-            return float(self.lo), float(self.hi)
+            return require_interval((self.lo, self.hi))
         if self.kind == "window":
             w0, w1 = window_bounds(K, alpha)
             return w0 / K, w1 / K
@@ -79,6 +79,7 @@ class ExperimentConfig:
     ensemble: str = "cosine"
 
     def validate(self):
+        """Refuse a malformed request; return each degree's bounds on the original axis."""
         require_int("replicates (56-bit indices)", self.replicates, 2, REPLICATE_LIMIT)
         require_int("seed", self.seed, 0, (1 << 64) - 1)
         if self.ensemble not in ENSEMBLES:
@@ -91,6 +92,7 @@ class ExperimentConfig:
             require_int("degree K", K, 1, MAX_DEGREE)
         if len(set(self.K_list)) < len(self.K_list):
             raise UsageError("each degree may be given only once")
+        return [self.interval.bounds_original(K, self.alpha) for K in self.K_list]
 
 
 def _moments(x):
@@ -275,10 +277,8 @@ def _tally(chunks, K):
 
 def run_campaign(config: ExperimentConfig) -> CampaignResult:
     """Execute a campaign; deterministic in ``config`` whatever the worker count."""
-    config.validate()
     summaries, all_counts, all_warnings = [], [], []
-    for K in config.K_list:
-        bounds = config.interval.bounds_original(K, config.alpha)
+    for K, bounds in zip(config.K_list, config.validate()):
         chunks = _count_chunks(K, config.ensemble, config.seed, config.replicates, [bounds])
         counts, warns, (n, mean, m2, _, m4) = _tally(chunks, K)  # the cap leaves n >= 2
         var = m2 / (n - 1)
@@ -336,10 +336,8 @@ def window_chop_check(K, alpha, replicates, seed=0) -> WindowChopReport:
     validated as the campaign config of the alpha-window, whose ends the
     tails stop at.
     """
-    interval = IntervalSpec("window")
-    config = ExperimentConfig(K_list=(K,), replicates=replicates, interval=interval, alpha=alpha, seed=seed)
-    config.validate()
-    lo, hi = config.interval.bounds_original(K, alpha)
+    config = ExperimentConfig((K,), replicates, IntervalSpec("window"), alpha=alpha, seed=seed)
+    ((lo, hi),) = config.validate()
     chunks = _count_chunks(K, config.ensemble, seed, replicates, [(0.0, lo), (hi, math.pi)])
     _, _, (n, mean, m2, _, _) = _tally(chunks, K)
     var = m2 / (n - 1)

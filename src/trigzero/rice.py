@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import c_k_dd0, c_k_derivs
-from .errors import NumericError, UsageError, require_int
+from .errors import NumericError, UsageError, require_int, require_interval
 
 _PANEL = 0.5 * np.pi
 _BLOCK = 1024  # panels per integrand call of the mean: 24 nodes each, ~25k lags
@@ -186,10 +186,8 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
     require_int("degree K", K, 1, _MAX_DEGREE)
     if interval is None:
         interval = window_bounds(K, alpha) if alpha is not None else (0.0, K * np.pi)
-    lo, hi = float(interval[0]), float(interval[1])
     top = K * np.pi
-    if not (0.0 <= lo < hi <= 2.0 * top + 1e-9):
-        raise UsageError("interval must sit inside [0, 2*K*pi]")
+    lo, hi = require_interval(interval, 0.0, 2.0 * top + 1e-9)
     if K == 1:
         return RiceResult(float(_count_cosine_roots(lo, hi)), (lo, hi), 0.0, K)
     pieces = [(a, b) for a, b in ((lo, min(hi, top)), (2.0 * top - hi, min(2.0 * top - lo, top))) if a < b]
@@ -323,11 +321,9 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
     require_int("nodes", nodes, 2)
     if interval is None:
         interval = window_bounds(K, alpha)
-    w0, w1 = float(interval[0]), float(interval[1])
-    if not (0.0 < w0 < w1 < K * np.pi):
-        raise UsageError("interval must sit strictly inside (0, K*pi)")
-    if w1 - w0 <= 0.01:
-        raise UsageError("interval must be longer than 0.01")
+    w0, w1 = require_interval(interval, 0.0, K * np.pi)
+    if w0 == 0.0 or w1 == K * np.pi or w1 - w0 <= 0.01:
+        raise UsageError("interval must sit strictly inside (0, K*pi) and be longer than 0.01")
     m = _panel_count(w0, w1)
     if m > _MAX_PAIR_PANELS:
         raise UsageError(f"the window spans {m} half-period panels, more than {_MAX_PAIR_PANELS}")

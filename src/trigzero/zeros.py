@@ -57,8 +57,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError, require_int
-from .sampling import REPLICATE_LIMIT, CoefficientVector
+from .errors import UsageError, require_int, require_interval
+from .sampling import REPLICATE_LIMIT, CoefficientVector, draw_coefficient_batch
 
 _EIGEN_MAX_K = 256
 _CIRCLE_TOL = 1e-8
@@ -467,8 +467,6 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     """
     require_int("degree K", K, 1)
     require_int("oversample", oversample, OVERSAMPLE)
-    if not -np.inf < lo < hi < np.inf:  # also rejects nan
-        raise UsageError(f"interval must be finite and non-empty, got ({lo}, {hi})")
     if np.shape(a)[1:] != (K,) or (b is not None and np.shape(b) != np.shape(a)):
         raise UsageError(f"coefficient rows must hold K = {K} entries each")
     freqs = _freqs(K, rescaled)
@@ -565,7 +563,7 @@ def count_zeros_scan(
     locate_roots: bool = True,
 ) -> ZeroCountResult:
     """Count (and locate) zeros on [lo, hi) by grid scan plus bisection."""
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = require_interval(interval)
     a = coeffs.a[None, :]
     b = coeffs.b[None, :] if coeffs.b is not None else None
     counts, (_, t_lo, t_hi), roots = _scan_batch(
@@ -576,7 +574,7 @@ def count_zeros_scan(
 
 def scan_count_batch(a, b, K, interval, oversample=OVERSAMPLE, rescaled=False):
     """Counts and tangency-warning counts for a batch of replicates."""
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = require_interval(interval)
     counts, (t_rows, _, _), _ = _scan_batch(a, b, K, lo, hi, oversample, rescaled, False)
     return counts, np.bincount(t_rows, minlength=a.shape[0])
 
@@ -619,9 +617,7 @@ def count_zeros_eigen(coeffs: CoefficientVector, interval) -> ZeroCountResult:
     eigen-roots within 1e-8 of |z| = 1 whose angle falls in the interval.
     """
     require_int("eigen oracle degree K", coeffs.K, 1, _EIGEN_MAX_K)
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 <= lo < hi <= 2.0 * np.pi + 1e-9):
-        raise UsageError("interval must sit inside one period starting at 0")
+    lo, hi = require_interval(interval, 0.0, 2.0 * np.pi + 1e-9)
     a, b = coeffs.a, coeffs.b
     nz = np.flatnonzero(a if b is None else a + 1j * b)
     if nz.size == 0:
@@ -640,8 +636,6 @@ def oracle_agreement(K_list, reps, seed):
     An empty request (no degree, or reps < 1) raises UsageError rather than
     passing vacuously.
     """
-    from .sampling import draw_coefficient_batch
-
     K_list = list(K_list)
     if not K_list:
         raise UsageError("oracle agreement needs at least one degree")

@@ -190,6 +190,18 @@ class TestSimulate:
         assert res.exit_code == 2, res.output
         assert not any(tmp_path.iterdir())
 
+    def test_empty_window_of_a_later_degree_is_refused_before_the_first(self, runner, tmp_path, monkeypatch):
+        # every degree's window is resolved up front: K = 200 is not counted
+        # before the K = 1 window is found empty
+        drawn = []
+        monkeypatch.setattr(experiments, "draw_coefficient_batch", lambda *args: drawn.append(args))
+        args = ["--K", "200", "--K", "1", "--reps", "2000", "--interval", "window", "--alpha", "0.49"]
+        res = runner.invoke(main, ["simulate", *args, "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert "window is empty" in res.output
+        assert drawn == []
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_key_word_is_usage_error(self, runner, tmp_path, seed):
         # -3 and 2**64 - 3 would otherwise key the same streams

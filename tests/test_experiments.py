@@ -93,6 +93,25 @@ class TestCampaign:
                 _config(**{field: value}).validate()
         _config(seed=(1 << 64) - 1, ensemble="stationary").validate()
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"interval": IntervalSpec("original", 1.0, 0.5)},
+            {"interval": IntervalSpec("original", math.nan, 1.0)},
+            {"interval": IntervalSpec("bogus")},
+            {"K_list": (200, 1), "interval": IntervalSpec("window"), "alpha": 0.49},
+        ],
+        ids=["reversed", "nan-end", "unknown-kind", "empty-window-of-a-later-degree"],
+    )
+    def test_bad_interval_refused_before_any_draw(self, monkeypatch, kw):
+        # every degree's interval is resolved by validate, so nothing is drawn
+        # for a request that a later degree's interval makes invalid
+        drawn = []
+        monkeypatch.setattr(experiments, "draw_coefficient_batch", lambda *args: drawn.append(args))
+        with pytest.raises(UsageError):
+            run_campaign(_config(**kw))
+        assert drawn == []
+
     def test_replicates_beyond_the_index_range(self):
         # replicate indices are 56 bits of the Philox key: a larger request
         # is refused up front rather than submitted chunk by chunk
@@ -260,6 +279,13 @@ class TestWindowChop:
             with pytest.raises(UsageError) as chop:
                 window_chop_check(K, alpha, replicates)
             assert str(chop.value) == str(campaign.value), (K, alpha, replicates)
+
+    def test_empty_window_refused_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(experiments, "draw_coefficient_batch", lambda *args: drawn.append(args))
+        with pytest.raises(UsageError, match="window is empty"):
+            window_chop_check(1, 0.49, 10)
+        assert drawn == []
 
     def test_scans_at_the_count_density(self, monkeypatch):
         # both tails on the lattice every campaign counts on

@@ -266,3 +266,45 @@ def test_integer_parameters_refuse_non_integers(key):
             call(bad)
     # a numpy integer is an integer, and gives what the Python int gives
     np.testing.assert_equal(_plain(call(np.int64(valid))), _plain(call(valid)))
+
+
+def _campaign_on(v):
+    """``validate()`` of a campaign on ``v`` as its explicit interval: at most two
+    ends go in as the spec's ends, anything else as its lower end alone."""
+    ends = v if isinstance(v, (tuple, list, np.ndarray)) and len(v) <= 2 else (v,)
+    return trigzero.ExperimentConfig((5,), replicates=10, interval=trigzero.IntervalSpec("original", *ends)).validate()
+
+
+# (public callable, interval parameter) -> (the call with that interval set to v, a valid v)
+_INTERVAL_PARAMETERS = {
+    ("rice_mean", "interval"): (lambda v: trigzero.rice_mean(5, interval=v), (0.5, 2.0)),
+    ("rice_second_moment", "interval"): (lambda v: trigzero.rice_second_moment(5, interval=v), (0.5, 1.0)),
+    ("count_zeros_scan", "interval"): (lambda v: trigzero.count_zeros_scan(_CV, v), (0.0, 3.0)),
+    ("count_zeros_eigen", "interval"): (lambda v: trigzero.count_zeros_eigen(_CV, v), (0.0, 3.0)),
+    ("scan_count_batch", "interval"): (lambda v: trigzero.scan_count_batch(_CV.a[None, :], None, 3, v), (0.0, 3.0)),
+    ("ExperimentConfig", "interval"): (_campaign_on, (0.0, 3.0)),
+}
+
+
+def test_interval_table_covers_every_public_parameter():
+    # a new public callable that takes an interval must join the table below,
+    # and so pass the interval rule
+    found = set()
+    for name in trigzero.__all__:
+        obj = getattr(trigzero, name)
+        if name in _RESULT_RECORDS or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        found |= {(name, p) for p in inspect.signature(obj).parameters if p == "interval"}
+    assert found == set(_INTERVAL_PARAMETERS)
+
+
+@pytest.mark.parametrize("key", sorted(_INTERVAL_PARAMETERS), ids="-".join)
+def test_interval_parameters_refuse_malformed_intervals(key):
+    call, valid = _INTERVAL_PARAMETERS[key]
+    for bad in (("a", 1.0), (0.0,), 5.0, (0.0, 1.0, 7.0), (1.0, 0.5), (np.nan, 1.0), (0.0, None), (True, 2.0)):
+        with pytest.raises(trigzero.UsageError, match=r"\binterval\b"):
+            call(bad)
+    # a list or an array of the two ends gives what the tuple gives
+    want = _plain(call(valid))
+    np.testing.assert_equal(_plain(call(list(valid))), want)
+    np.testing.assert_equal(_plain(call(np.array(valid))), want)
