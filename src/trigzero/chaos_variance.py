@@ -63,10 +63,9 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import sinc_derivs
-from .errors import UsageError, require_int
+from .errors import require_int, require_real
 from .rice import _gl_panels
 
-_TWO_PI = 2.0 * math.pi
 _GL_NODES = 16
 _BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at q = 20
 # q^(3/2) sigma_q^2 steps evenly up to q = 116; above it float64 rounding takes over
@@ -74,14 +73,6 @@ _BLOCK = 4096  # lag nodes per block: power tables of 1.5 MB at q = 8, 5.7 MB at
 _MAX_ORDER = 100
 # the lag grid, and with it time and memory, grows linearly with the tail
 _MAX_TAIL = 1e6
-
-
-def _double_factorial_odd(m: int) -> float:
-    # (2j-1)!! style product over odd factors up to m (m odd); (-1)!! := 1
-    out = 1.0
-    for j in range(1, m + 1, 2):
-        out *= j
-    return out
 
 
 def abs_coeff(ell: int) -> float:
@@ -99,7 +90,7 @@ def dirac_coeff(k: int) -> float:
     require_int("index k", k, 0)
     if k % 2 == 1:
         return 0.0
-    return (-1.0) ** (k // 2) * _double_factorial_odd(k - 1)
+    return (-1.0) ** (k // 2) * math.prod(range(1, k, 2), start=1.0)  # (k-1)!!
 
 
 def dirac_coeff_normalized(k: int) -> float:
@@ -114,11 +105,11 @@ def dirac_coeff_normalized(k: int) -> float:
     normalization under which the order-0 term reproduces the zero-count
     mean, and the one used by the variance-constant assembly.
     """
-    return dirac_coeff(k) / (math.factorial(k) * math.sqrt(_TWO_PI))
+    return dirac_coeff(k) / (math.factorial(k) * math.sqrt(math.tau))
 
 
 def _mehler_terms(orders):
-    """Pairing multiplicities and integer weights for the diagram sum.
+    """Pairing multiplicities and weights n1! n2! n3! n4! / (m1! m2! m3! m4!) of the diagram sum.
 
     For orders (n1, n2, n3, n4) of H_{n1}(Z1) H_{n2}(W1) H_{n3}(Z2) H_{n4}(W2)
     with Z1 _|_ W1 and Z2 _|_ W2, every nonzero pairing assigns m1 edges
@@ -134,11 +125,7 @@ def _mehler_terms(orders):
         m2 = n1 - m1
         m3 = n3 - m1
         m4 = n2 - m3  # >= 0, since m1 >= n3 - n2
-        w = (
-            math.factorial(n1) * math.factorial(n2) * math.factorial(n3) * math.factorial(n4)
-        ) // (
-            math.factorial(m1) * math.factorial(m2) * math.factorial(m3) * math.factorial(m4)
-        )
+        w = math.comb(n1, m1) * math.comb(n2, m3) * math.factorial(n3) * math.factorial(n4)
         terms.append((m1, m2, m3, m4, float(w)))
     return terms
 
@@ -269,9 +256,7 @@ def _chaos_terms(orders, tail):
     The 16-node pass gives sigma_q^2 and the tail fit; the 8-node pass gives
     the quadrature error estimate.
     """
-    if not 100.0 <= tail <= _MAX_TAIL:  # also rejects nan
-        raise UsageError(f"tail cutoff must be a number in [100, {_MAX_TAIL:g}]")
-    tail = float(tail)
+    tail = require_real("tail", tail, 100.0, _MAX_TAIL)
     even = [q for q in orders if q % 2 == 0]
     if even:
         body, c_fit = _grid_sums(even, _GL_NODES, tail)
@@ -339,8 +324,6 @@ def _hurwitz_zeta(s, a):
 def _series_tail(terms, q_max):
     """Estimated sum of sigma_q^2 over even q > q_max from the C q^{-3/2} law."""
     anchors = [(t.q, t.sigma_sq) for t in terms if t.sigma_sq > 0.0][-2:]
-    if not anchors:
-        return 0.0
     c_fit = float(np.mean([s * q ** _TAIL_EXPONENT for q, s in anchors]))
     m0 = q_max // 2 + 1  # next even order is 2*m0
     return c_fit * 2.0 ** -_TAIL_EXPONENT * _hurwitz_zeta(_TAIL_EXPONENT, m0)
@@ -357,8 +340,7 @@ def total_variance_constant(q_max: int = 20, tail: float = 1e4) -> VarianceConst
     terms = _chaos_terms(range(2, q_max + 1), tail)
     partial = float(sum(t.sigma_sq for t in terms))
     series_tail = _series_tail(terms, q_max)
-    nonzero = [abs(t.sigma_sq) for t in terms if t.sigma_sq != 0.0]
-    indicator = nonzero[-1] if nonzero else 0.0
+    indicator = [abs(t.sigma_sq) for t in terms if t.sigma_sq != 0.0][-1]  # sigma_2^2 > 0
     return VarianceConstant(
         total=partial + series_tail,
         terms=terms,

@@ -10,9 +10,9 @@ in replicate order by ``_merge``, so counts and summaries are bit-identical
 however the work is scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
 variable (0 or unset means automatic; never more than the core count).
 
-Every rule on a request lives in ``ExperimentConfig.validate`` (degrees, replicate
-count and seed by ``require_int``, the ensemble, every degree's interval by
-``require_interval`` or ``window_bounds``), which returns each degree's bounds: both
+Every rule on a request lives in ``ExperimentConfig.validate`` (degrees, replicate count
+and seed by ``require_int``, alpha by ``require_real``, the ensemble, each degree's interval
+by ``require_interval`` or ``window_bounds``), which returns each degree's bounds: both
 ``run_campaign`` and ``window_chop_check`` scan them, so they refuse alike before any draw.
 """
 
@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import CampaignError, UsageError, require_int, require_interval
+from .errors import CampaignError, UsageError, require_int, require_interval, require_real
 from .rice import window_bounds
 from .sampling import ENSEMBLES, REPLICATE_LIMIT, draw_coefficient_batch
 from .zeros import OVERSAMPLE, scan_count_batch
@@ -84,15 +85,14 @@ class ExperimentConfig:
         require_int("seed", self.seed, 0, (1 << 64) - 1)
         if self.ensemble not in ENSEMBLES:
             raise UsageError(f"unknown ensemble {self.ensemble!r}")
-        if not (0.0 < self.alpha < 0.5):
-            raise UsageError("alpha must lie in (0, 1/2)")
-        if not self.K_list:
-            raise UsageError("at least one degree K is required")
+        alpha = require_real("alpha", self.alpha, 0.0, 0.5, open=True)
+        if not isinstance(self.K_list, Collection) or len(self.K_list) == 0:
+            raise UsageError(f"K_list must be a collection of at least one degree K, got {self.K_list!r}")
         for K in self.K_list:
             require_int("degree K", K, 1, MAX_DEGREE)
         if len(set(self.K_list)) < len(self.K_list):
             raise UsageError("each degree may be given only once")
-        return [self.interval.bounds_original(K, self.alpha) for K in self.K_list]
+        return [self.interval.bounds_original(K, alpha) for K in self.K_list]
 
 
 def _moments(x):
@@ -183,7 +183,7 @@ def standardize_counts(counts, K, center=None):
     """Counts centered (sample mean by default) and scaled by sqrt(pi K)."""
     require_int("degree K", K, 1)
     x = np.asarray(counts, dtype=float)
-    c = float(x.mean()) if center is None else float(center)
+    c = float(x.mean()) if center is None else require_real("center", center)
     return (x - c) / math.sqrt(math.pi * K)
 
 
@@ -215,10 +215,10 @@ def clt_test(counts, K, variance=None, center=None) -> NormalityReport:
         raise UsageError(f"normality verdict needs at least {NORMALITY_MIN_REPLICATES} replicates")
     z = standardize_counts(x, K, center=center)
     n, _, m2, m3, m4 = _moments(z)
-    v = m2 / (n - 1) if variance is None else float(variance)
-    if not 0.0 < v < math.inf:  # also rejects nan
-        raise UsageError("sample is degenerate; no normality verdict" if variance is None
-                         else f"the null variance must be finite and positive, got {variance!r}")
+    if variance is not None:
+        v = require_real("null variance", variance, 0.0, math.inf, open=True)
+    elif not 0.0 < (v := m2 / (n - 1)) < math.inf:  # also rejects nan
+        raise UsageError("sample is degenerate; no normality verdict")
     scale = math.sqrt(v)
     ks = stats.kstest(z, "norm", args=(0.0, scale))
     return NormalityReport(

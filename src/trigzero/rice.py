@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import c_k_dd0, c_k_derivs
-from .errors import NumericError, UsageError, require_int, require_interval
+from .errors import NumericError, UsageError, require_int, require_interval, require_real
 
 _PANEL = 0.5 * np.pi
 _BLOCK = 1024  # panels per integrand call of the mean: 24 nodes each, ~25k lags
@@ -83,9 +83,7 @@ class RiceResult:
 def window_bounds(K: int, alpha: float) -> tuple:
     """Window [ (K pi)^alpha, K pi - (K pi)^alpha ] on the rescaled axis."""
     require_int("degree K", K, 1)
-    if not (0.0 < alpha < 0.5):
-        raise UsageError("window exponent must lie in (0, 1/2)")
-    edge = (K * np.pi) ** alpha
+    edge = (K * np.pi) ** require_real("alpha", alpha, 0.0, 0.5, open=True)
     hi = K * np.pi - edge
     if hi <= edge:
         raise UsageError("window is empty at this K and alpha")
@@ -184,6 +182,7 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
     raised before any panel is built.
     """
     require_int("degree K", K, 1, _MAX_DEGREE)
+    rel_tol = require_real("rel_tol", rel_tol, 0.0, 1.0, open=True)
     if interval is None:
         interval = window_bounds(K, alpha) if alpha is not None else (0.0, K * np.pi)
     top = K * np.pi

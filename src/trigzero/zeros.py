@@ -52,6 +52,7 @@ up to eigenvalue accuracy and is the reference for the scan method.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -467,6 +468,8 @@ def _scan_batch(a, b, K, lo, hi, oversample, rescaled, locate):
     """
     require_int("degree K", K, 1)
     require_int("oversample", oversample, OVERSAMPLE)
+    if not all(isinstance(flag, (bool, np.bool_)) for flag in (rescaled, locate)):
+        raise UsageError(f"rescaled and locate_roots must be bools, got {rescaled!r} and {locate!r}")
     if np.shape(a)[1:] != (K,) or (b is not None and np.shape(b) != np.shape(a)):
         raise UsageError(f"coefficient rows must hold K = {K} entries each")
     freqs = _freqs(K, rescaled)
@@ -636,9 +639,8 @@ def oracle_agreement(K_list, reps, seed):
     An empty request (no degree, or reps < 1) raises UsageError rather than
     passing vacuously.
     """
-    K_list = list(K_list)
-    if not K_list:
-        raise UsageError("oracle agreement needs at least one degree")
+    if not isinstance(K_list, Collection) or len(K_list) == 0:
+        raise UsageError(f"K_list must be a collection of at least one degree K, got {K_list!r}")
     require_int("reps (56-bit indices)", reps, 1, REPLICATE_LIMIT)
     for K in K_list:
         require_int("eigen oracle degree K", K, 1, _EIGEN_MAX_K)

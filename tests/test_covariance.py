@@ -284,6 +284,11 @@ class TestBounds:
         with pytest.raises(UsageError):
             kernel_bounds_check(10, [1.0, np.nan])
 
+    def test_empty_grid_is_refused(self):
+        # an empty grid would otherwise pass vacuously with checked = 0
+        with pytest.raises(UsageError, match="empty tau grid"):
+            kernel_bounds_check(10, [])
+
 
 class TestLimitKernel:
     def test_origin(self):

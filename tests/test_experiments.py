@@ -125,6 +125,11 @@ class TestCampaign:
         with pytest.raises(UsageError, match="degree K"):
             _config(K_list=()).validate()
 
+    @pytest.mark.parametrize("K_list", [5, None, iter([5])], ids=["int", "None", "iterator"])
+    def test_degree_list_that_is_no_collection_is_refused(self, K_list):
+        with pytest.raises(UsageError, match="K_list"):
+            _config(K_list=K_list).validate()
+
     def test_arrays_aligned_with_summaries(self):
         res = run_campaign(_config(K_list=(20, 40), replicates=300))
         for row, counts, warns in zip(res.summaries, res.counts, res.warnings):

@@ -308,3 +308,85 @@ def test_interval_parameters_refuse_malformed_intervals(key):
     want = _plain(call(valid))
     np.testing.assert_equal(_plain(call(list(valid))), want)
     np.testing.assert_equal(_plain(call(np.array(valid))), want)
+
+
+# (public callable, real parameter) -> (the call with that parameter set to v,
+# a valid float v, an out-of-range v or None if the domain is every finite number,
+# an int in the domain or None if there is none)
+_REAL_PARAMETERS = {
+    ("ExperimentConfig", "alpha"): (
+        lambda v: trigzero.ExperimentConfig((5,), replicates=10, alpha=v).validate(), 0.25, 0.5, None
+    ),
+    ("window_chop_check", "alpha"): (lambda v: trigzero.window_chop_check(30, v, 10), 0.25, 0.0, None),
+    ("rice_mean", "alpha"): (lambda v: trigzero.rice_mean(5, alpha=v), 0.25, 0.7, None),
+    ("rice_second_moment", "alpha"): (lambda v: trigzero.rice_second_moment(5, alpha=v), 0.25, -0.1, None),
+    ("rice_variance", "alpha"): (lambda v: trigzero.rice_variance(5, alpha=v), 0.25, 0.5, None),
+    ("window_bounds", "alpha"): (lambda v: trigzero.window_bounds(5, v), 0.25, 0.5, None),
+    ("sigma_q_squared", "tail"): (lambda v: trigzero.sigma_q_squared(2, tail=v), 100.0, 99.0, 100),
+    ("total_variance_constant", "tail"): (lambda v: trigzero.total_variance_constant(2, tail=v), 100.0, 1.5e6, 100),
+    ("rice_mean", "rel_tol"): (lambda v: trigzero.rice_mean(5, interval=(0.0, 1.0), rel_tol=v), 1e-6, 0.0, None),
+    ("clt_test", "variance"): (lambda v: trigzero.clt_test(_COUNTS, 100, variance=v), 0.5, 0.0, 1),
+    ("clt_test", "center"): (lambda v: trigzero.clt_test(_COUNTS, 100, center=v), 207.0, None, 207),
+    ("standardize_counts", "center"): (lambda v: trigzero.standardize_counts(_COUNTS, 100, center=v), 207.0, None, 207),
+}
+_REAL_NAMES = {"alpha", "tail", "rel_tol", "variance", "center"}
+# parameters that take no scalar rule, by name
+_OTHER_PARAMETERS = {
+    # arrays
+    "tau", "x", "t", "counts", "a", "b", "indices", "tau_grid", "sigma_u", "sigma_v", "rho",
+    # objects, checked where they are made
+    "coeffs", "config",
+    # flags
+    "rescaled", "locate_roots",
+    # choices
+    "ensemble", "kind",
+    # an IntervalSpec's ends, which ExperimentConfig's interval entry above puts through the interval rule
+    "lo", "hi",
+}
+
+
+# every result record, including those whose fields match none of the names above
+_ALL_RESULT_RECORDS = _RESULT_RECORDS | {
+    "CampaignResult", "NormalityReport", "RiceVariance", "VarianceConstant", "ZeroCountResult",
+}
+
+
+def _public_parameters():
+    """(callable name, parameter) of every public callable but the result records and exceptions."""
+    for name in trigzero.__all__:
+        obj = getattr(trigzero, name)
+        if name in _ALL_RESULT_RECORDS or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        yield from ((name, p) for p in inspect.signature(obj).parameters)
+
+
+def test_real_table_covers_every_public_parameter():
+    # a new public callable with a window exponent, tail, tolerance, variance or
+    # center must join the table below, and so pass the real-number rule
+    assert {(name, p) for name, p in _public_parameters() if p in _REAL_NAMES} == set(_REAL_PARAMETERS)
+
+
+def test_every_public_parameter_has_a_rule():
+    # a new scalar parameter cannot arrive without joining one of the three tables
+    tables = set(_INTEGER_PARAMETERS) | set(_INTERVAL_PARAMETERS) | set(_REAL_PARAMETERS)
+    loose = [key for key in _public_parameters() if key not in tables and key[1] not in _OTHER_PARAMETERS]
+    assert not loose, loose
+
+
+@pytest.mark.parametrize("key", sorted(_REAL_PARAMETERS), ids="-".join)
+def test_real_parameters_refuse_non_reals(key):
+    call, valid, out_of_range, valid_int = _REAL_PARAMETERS[key]
+    name, param = key
+    bad = ["0.25", True, np.nan, np.inf, 10**400]
+    if out_of_range is not None:
+        bad.append(out_of_range)
+    if inspect.signature(getattr(trigzero, name)).parameters[param].default is not None:
+        bad.append(None)
+    for v in bad:
+        with pytest.raises(trigzero.UsageError, match=rf"\b{param}\b.* must be finite"):
+            call(v)
+    # a numpy float, and an int in the domain, give what the float gives
+    want = _plain(call(valid))
+    np.testing.assert_equal(_plain(call(np.float64(valid))), want)
+    if valid_int is not None:
+        np.testing.assert_equal(_plain(call(valid_int)), _plain(call(float(valid_int))))

@@ -95,6 +95,45 @@ class TestCrossValidation:
         assert report["passed"], report["mismatches"]
         assert report["max_root_gap"] < 1e-8
 
+    def test_oracle_agreement_reports_a_count_mismatch(self, monkeypatch):
+        # the eigen oracle loses one root of the first row that has any
+        real, dropped = zeros._eigen_roots, []
+
+        def lose_one(a, b, K, lo, hi):
+            out = real(a, b, K, lo, hi)
+            i = next(i for i, r in enumerate(out) if r.size)
+            dropped.append((i, out[i].size))
+            out[i] = out[i][1:]
+            return out
+
+        monkeypatch.setattr(zeros, "_eigen_roots", lose_one)
+        report = oracle_agreement([5], 3, seed=0)
+        ((i, size),) = dropped
+        assert report["mismatches"] == [{"K": 5, "index": i, "scan": size, "eigen": size - 1}]
+        assert report["passed"] is False
+
+    def test_zero_polynomial_is_refused(self):
+        with pytest.raises(UsageError, match="zero polynomial"):
+            count_zeros_eigen(_vector(3, np.zeros(3)), (0.0, np.pi))
+
+    @pytest.mark.parametrize("K_list", [5, None, iter([5])], ids=["int", "None", "iterator"])
+    def test_oracle_agreement_refuses_a_degree_list_that_is_no_collection(self, K_list):
+        with pytest.raises(UsageError, match="K_list"):
+            oracle_agreement(K_list, 10, seed=0)
+
+    @pytest.mark.parametrize("flag", ["rescaled", "locate_roots"])
+    def test_scan_flags_must_be_bools(self, flag):
+        cv = draw_coefficients(5, "cosine", 0, 0)
+        for bad in ("no", 0, 1.0, None):
+            with pytest.raises(UsageError, match="rescaled and locate_roots must be bools"):
+                count_zeros_scan(cv, (0.0, 1.0), **{flag: bad})
+        # a numpy bool is a bool, and gives what the Python bool gives
+        for value in (False, True):
+            want = count_zeros_scan(cv, (0.0, 1.0), **{flag: value})
+            got = count_zeros_scan(cv, (0.0, 1.0), **{flag: np.bool_(value)})
+            assert (got.count, got.warnings) == (want.count, want.warnings)
+            np.testing.assert_array_equal(got.roots, want.roots)
+
     def test_oracle_agreement_emits_no_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
