@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and one rule per kind of input an entry point takes:
-``require_int`` for an integer, ``require_interval`` for an interval, ``require_real`` for a real number."""
+"""Exception types shared across the package, and one rule per kind of input an entry point takes, each
+refusing with one UsageError ``<name> must be <what>, got <value>``: ``require_int`` (an integer in <lo>..<hi>),
+``require_interval`` (``interval``: two finite numbers lo < hi in [<lo>, <hi>]), ``require_real`` (finite and in
+(<lo>, <hi>)), ``require_degrees`` (``K_list``: a tuple, list, range or 1-d array of at least one <name>, then
+``require_int`` on each) and ``require_choice`` (one of (<choices>))."""
 
 import math
 import sys
@@ -26,6 +29,20 @@ def require_int(name, value, lo, hi=None):
             return
     span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
     raise UsageError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def require_degrees(name, values, hi):
+    """UsageError unless ``values`` is a nonempty tuple, list, range or 1-d array of integers in [1, hi]."""
+    if not isinstance(values, (tuple, list, range, np.ndarray)) or getattr(values, "ndim", 1) != 1 or not len(values):
+        raise UsageError(f"K_list must be a tuple, list, range or 1-d array of at least one {name}, got {values!r}")
+    for K in values:
+        require_int(name, K, 1, hi)
+
+
+def require_choice(name, value, choices):
+    """UsageError unless ``value`` equals one of ``choices`` and is an instance of that choice's type."""
+    if not any(isinstance(value, type(c)) and value == c for c in choices):
+        raise UsageError(f"{name} must be one of {choices!r}, got {value!r}")
 
 
 def _finite_float(x):

@@ -10,24 +10,23 @@ in replicate order by ``_merge``, so counts and summaries are bit-identical
 however the work is scheduled.  Parallelism is capped by the TRIGZERO_THREADS environment
 variable (0 or unset means automatic; never more than the core count).
 
-Every rule on a request lives in ``ExperimentConfig.validate`` (degrees, replicate count
-and seed by ``require_int``, alpha by ``require_real``, the ensemble, each degree's interval
-by ``require_interval`` or ``window_bounds``), which returns each degree's bounds: both
-``run_campaign`` and ``window_chop_check`` scan them, so they refuse alike before any draw.
+Every rule on a request lives in ``ExperimentConfig.validate``, which puts each field through its
+rule in ``errors`` and returns each degree's bounds: both ``run_campaign`` and
+``window_chop_check`` scan them, so they refuse alike before any draw.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import CampaignError, UsageError, require_int, require_interval, require_real
+from .errors import CampaignError, UsageError, require_choice, require_degrees, require_int
+from .errors import require_interval, require_real
 from .rice import window_bounds
 from .sampling import ENSEMBLES, REPLICATE_LIMIT, draw_coefficient_batch
 from .zeros import OVERSAMPLE, scan_count_batch
@@ -62,12 +61,11 @@ class IntervalSpec:
 
     def bounds_original(self, K: int, alpha: float):
         """Bounds on the original [0, 2*pi) axis for degree K."""
+        require_choice("kind", self.kind, ("original", "window"))
         if self.kind == "original":
             return require_interval((self.lo, self.hi))
-        if self.kind == "window":
-            w0, w1 = window_bounds(K, alpha)
-            return w0 / K, w1 / K
-        raise UsageError(f"unknown interval kind {self.kind!r}")
+        w0, w1 = window_bounds(K, alpha)
+        return w0 / K, w1 / K
 
 
 @dataclass(frozen=True)
@@ -83,13 +81,11 @@ class ExperimentConfig:
         """Refuse a malformed request; return each degree's bounds on the original axis."""
         require_int("replicates (56-bit indices)", self.replicates, 2, REPLICATE_LIMIT)
         require_int("seed", self.seed, 0, (1 << 64) - 1)
-        if self.ensemble not in ENSEMBLES:
-            raise UsageError(f"unknown ensemble {self.ensemble!r}")
+        require_choice("ensemble", self.ensemble, ENSEMBLES)
         alpha = require_real("alpha", self.alpha, 0.0, 0.5, open=True)
-        if not isinstance(self.K_list, Collection) or len(self.K_list) == 0:
-            raise UsageError(f"K_list must be a collection of at least one degree K, got {self.K_list!r}")
-        for K in self.K_list:
-            require_int("degree K", K, 1, MAX_DEGREE)
+        require_degrees("degree K", self.K_list, MAX_DEGREE)
+        if not isinstance(self.interval, IntervalSpec):
+            raise UsageError(f"interval must be an IntervalSpec, got {self.interval!r}")
         if len(set(self.K_list)) < len(self.K_list):
             raise UsageError("each degree may be given only once")
         return [self.interval.bounds_original(K, alpha) for K in self.K_list]

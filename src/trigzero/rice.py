@@ -183,6 +183,8 @@ def rice_mean(K: int, interval=None, alpha: float | None = None, rel_tol: float 
     """
     require_int("degree K", K, 1, _MAX_DEGREE)
     rel_tol = require_real("rel_tol", rel_tol, 0.0, 1.0, open=True)
+    # checked even where an explicit interval wins, and not by window_bounds: K = 1 may have no window
+    alpha = None if alpha is None else require_real("alpha", alpha, 0.0, 0.5, open=True)
     if interval is None:
         interval = window_bounds(K, alpha) if alpha is not None else (0.0, K * np.pi)
     top = K * np.pi
@@ -318,9 +320,8 @@ def rice_second_moment(K: int, alpha: float = 0.25, interval=None, nodes: int = 
     """
     require_int("degree K", K, 2, _MAX_DEGREE)
     require_int("nodes", nodes, 2)
-    if interval is None:
-        interval = window_bounds(K, alpha)
-    w0, w1 = require_interval(interval, 0.0, K * np.pi)
+    window = window_bounds(K, alpha)  # alpha is checked even where an explicit interval wins
+    w0, w1 = require_interval(window if interval is None else interval, 0.0, K * np.pi)
     if w0 == 0.0 or w1 == K * np.pi or w1 - w0 <= 0.01:
         raise UsageError("interval must sit strictly inside (0, K*pi) and be longer than 0.01")
     m = _panel_count(w0, w1)
@@ -344,8 +345,7 @@ class RiceVariance:
 
 def rice_variance(K: int, alpha: float = 0.25) -> RiceVariance:
     """Var N = E[N(N-1)] + E[N] - (E[N])^2 over the alpha-window."""
-    window = window_bounds(K, alpha)
-    m1 = rice_mean(K, interval=window)
+    m1 = rice_mean(K, alpha=alpha)
     m2 = rice_second_moment(K, alpha=alpha)
     var = m2.value + m1.value - m1.value ** 2
     return RiceVariance(mean=m1, second_factorial=m2, variance=var)

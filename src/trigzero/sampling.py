@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, require_int
+from .errors import UsageError, require_choice, require_int
 
 PURPOSE_COEFFS = 0
 # replicate indices lie in [0, REPLICATE_LIMIT): the key word's top 56 bits
@@ -129,8 +129,7 @@ def draw_coefficient_batch(K: int, ensemble: str, seed: int, indices) -> tuple:
     Returns (a, b) with shapes (B, K); ``b`` is None for the cosine ensemble.
     """
     require_int("degree K", K, 1)
-    if ensemble not in ENSEMBLES:
-        raise UsageError(f"unknown ensemble {ensemble!r}")
+    require_choice("ensemble", ensemble, ENSEMBLES)
     per = 2 * K if ensemble == "stationary" else K
     rows = _normal_rows(seed, indices, PURPOSE_COEFFS, per)
     if ensemble == "stationary":

@@ -52,13 +52,12 @@ up to eigenvalue accuracy and is the reference for the scan method.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError, require_int, require_interval
+from .errors import UsageError, require_degrees, require_int, require_interval
 from .sampling import REPLICATE_LIMIT, CoefficientVector, draw_coefficient_batch
 
 _EIGEN_MAX_K = 256
@@ -639,11 +638,8 @@ def oracle_agreement(K_list, reps, seed):
     An empty request (no degree, or reps < 1) raises UsageError rather than
     passing vacuously.
     """
-    if not isinstance(K_list, Collection) or len(K_list) == 0:
-        raise UsageError(f"K_list must be a collection of at least one degree K, got {K_list!r}")
+    require_degrees("eigen oracle degree K", K_list, _EIGEN_MAX_K)
     require_int("reps (56-bit indices)", reps, 1, REPLICATE_LIMIT)
-    for K in K_list:
-        require_int("eigen oracle degree K", K, 1, _EIGEN_MAX_K)
     mismatches = []
     worst_gap = 0.0
     for K in K_list:

@@ -112,6 +112,11 @@ class TestCampaign:
             run_campaign(_config(**kw))
         assert drawn == []
 
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), "0:pi", None])
+    def test_interval_must_be_an_interval_spec(self, interval):
+        with pytest.raises(UsageError, match="interval must be an IntervalSpec"):
+            ExperimentConfig((5,), 4, interval=interval).validate()
+
     def test_replicates_beyond_the_index_range(self):
         # replicate indices are 56 bits of the Philox key: a larger request
         # is refused up front rather than submitted chunk by chunk
@@ -199,6 +204,11 @@ class TestCltHarness:
     def test_minimum_replicates(self):
         with pytest.raises(UsageError):
             clt_test(np.ones(100), 10)
+
+    def test_degenerate_sample(self):
+        # equal counts have no spread to test against an empirical null
+        with pytest.raises(UsageError, match="sample is degenerate"):
+            clt_test(np.full(600, 30), 30)
 
     def test_variance_sources(self):
         rng = np.random.default_rng(0)

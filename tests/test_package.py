@@ -330,6 +330,20 @@ _REAL_PARAMETERS = {
     ("standardize_counts", "center"): (lambda v: trigzero.standardize_counts(_COUNTS, 100, center=v), 207.0, None, 207),
 }
 _REAL_NAMES = {"alpha", "tail", "rel_tol", "variance", "center"}
+# (public callable, degree-list parameter) -> (the call with that list set to v, a valid tuple v of consecutive degrees)
+_DEGREE_LIST_PARAMETERS = {
+    ("ExperimentConfig", "K_list"): (lambda v: trigzero.ExperimentConfig(v, replicates=10).validate(), (5, 6)),
+    ("oracle_agreement", "K_list"): (lambda v: trigzero.oracle_agreement(v, 1, 0), (3, 4)),
+}
+# (public callable, choice parameter) -> (the call with that choice set to v, a valid v)
+_CHOICE_PARAMETERS = {
+    ("ExperimentConfig", "ensemble"): (
+        lambda v: trigzero.ExperimentConfig((5,), replicates=10, ensemble=v).validate(), "stationary"
+    ),
+    ("draw_coefficient_batch", "ensemble"): (lambda v: trigzero.draw_coefficient_batch(3, v, 0, [0, 1]), "stationary"),
+    ("draw_coefficients", "ensemble"): (lambda v: trigzero.draw_coefficients(3, v), "stationary"),
+    ("IntervalSpec", "kind"): (lambda v: trigzero.IntervalSpec(v, 0.5, 1.0).bounds_original(30, 0.25), "window"),
+}
 # parameters that take no scalar rule, by name
 _OTHER_PARAMETERS = {
     # arrays
@@ -338,8 +352,6 @@ _OTHER_PARAMETERS = {
     "coeffs", "config",
     # flags
     "rescaled", "locate_roots",
-    # choices
-    "ensemble", "kind",
     # an IntervalSpec's ends, which ExperimentConfig's interval entry above puts through the interval rule
     "lo", "hi",
 }
@@ -366,9 +378,18 @@ def test_real_table_covers_every_public_parameter():
     assert {(name, p) for name, p in _public_parameters() if p in _REAL_NAMES} == set(_REAL_PARAMETERS)
 
 
+def test_degree_list_and_choice_tables_cover_every_public_parameter():
+    # a new public callable with a degree list, ensemble or interval kind must
+    # join the tables below, and so pass the degree-list or the choice rule
+    found = {(name, p) for name, p in _public_parameters()}
+    assert {key for key in found if key[1] == "K_list"} == set(_DEGREE_LIST_PARAMETERS)
+    assert {key for key in found if key[1] in ("ensemble", "kind")} == set(_CHOICE_PARAMETERS)
+
+
 def test_every_public_parameter_has_a_rule():
-    # a new scalar parameter cannot arrive without joining one of the three tables
+    # a new scalar parameter cannot arrive without joining one of the tables
     tables = set(_INTEGER_PARAMETERS) | set(_INTERVAL_PARAMETERS) | set(_REAL_PARAMETERS)
+    tables |= set(_DEGREE_LIST_PARAMETERS) | set(_CHOICE_PARAMETERS)
     loose = [key for key in _public_parameters() if key not in tables and key[1] not in _OTHER_PARAMETERS]
     assert not loose, loose
 
@@ -390,3 +411,26 @@ def test_real_parameters_refuse_non_reals(key):
     np.testing.assert_equal(_plain(call(np.float64(valid))), want)
     if valid_int is not None:
         np.testing.assert_equal(_plain(call(valid_int)), _plain(call(float(valid_int))))
+
+
+@pytest.mark.parametrize("key", sorted(_DEGREE_LIST_PARAMETERS), ids="-".join)
+def test_degree_list_parameters_refuse_non_lists(key):
+    call, valid = _DEGREE_LIST_PARAMETERS[key]
+    for bad in (np.array(valid[0]), set(valid), dict.fromkeys(valid), str(valid[0]), (K for K in valid), ()):
+        with pytest.raises(trigzero.UsageError, match=r"\bK_list\b.* must be a tuple, list, range or 1-d array"):
+            call(bad)
+    # a list, a range, a 1-d integer array and numpy integer entries give what the tuple gives
+    want = _plain(call(valid))
+    for same in (list(valid), range(valid[0], valid[-1] + 1), np.array(valid)):
+        np.testing.assert_equal(_plain(call(same)), want)
+    np.testing.assert_equal(_plain(call(tuple(map(np.int64, valid)))), want)
+
+
+@pytest.mark.parametrize("key", sorted(_CHOICE_PARAMETERS), ids="-".join)
+def test_choice_parameters_refuse_non_choices(key):
+    call, valid = _CHOICE_PARAMETERS[key]
+    for bad in (valid.capitalize(), valid.encode(), None, 1):
+        with pytest.raises(trigzero.UsageError, match=rf"\b{key[1]}\b must be one of \(.*\), got {bad!r}"):
+            call(bad)
+    # a numpy string is a string, and gives what the Python str gives
+    np.testing.assert_equal(_plain(call(np.str_(valid))), _plain(call(valid)))

@@ -7,7 +7,7 @@ import pytest
 from reference import ragged_pair_integral
 
 from trigzero import rice
-from trigzero.errors import UsageError
+from trigzero.errors import NumericError, UsageError
 from trigzero.experiments import ExperimentConfig, IntervalSpec, run_campaign
 from trigzero.rice import (
     _BLOCK,
@@ -88,6 +88,32 @@ class TestMean:
             rice_mean(10, interval=(0.0, 21 * np.pi))
         with pytest.raises(UsageError):
             rice_mean(0)
+
+    def test_panel_cap(self):
+        # both pieces of the full period at K = 2**21 take 2**22 panels each,
+        # refused before any panel is built
+        with pytest.raises(UsageError, match="spans 8388608 half-period panels"):
+            rice_mean(2 ** 21, interval=(0.0, 2.0 ** 22 * np.pi))
+
+    def test_quadrature_stall(self, monkeypatch):
+        # an integrand of pure noise never settles, so the gaps stay large
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(rice, "zero_intensity", lambda K, t: rng.normal(size=np.shape(t)))
+        with pytest.raises(NumericError, match="quadrature stalled"):
+            rice_mean(30)
+
+    @pytest.mark.parametrize("alpha", ["junk", True, 0.5, math.nan])
+    def test_alpha_is_checked_beside_an_explicit_interval(self, alpha):
+        with pytest.raises(UsageError, match="alpha must be finite"):
+            rice_mean(30, interval=(0.0, 1.0), alpha=alpha)
+        with pytest.raises(UsageError, match="alpha must be finite"):
+            rice_second_moment(30, alpha=alpha, interval=(1.0, 3.0))
+
+    def test_explicit_interval_wins_over_alpha(self):
+        assert rice_mean(30, interval=(0.0, 1.0), alpha=0.1) == rice_mean(30, interval=(0.0, 1.0))
+        assert rice_second_moment(30, alpha=0.1, interval=(1.0, 3.0)) == rice_second_moment(30, interval=(1.0, 3.0))
+        # K = 1 has no window at alpha = 0.45, but the interval needs none
+        assert rice_mean(1, interval=(0.0, np.pi), alpha=0.45).value == 1.0
 
 
 class TestPanelRule:
@@ -250,6 +276,11 @@ class TestSecondMoment:
             rice_second_moment(20, interval=(0.0, 20 * np.pi))
         with pytest.raises(UsageError):
             rice_second_moment(20, interval=(1.0, 1.005))
+
+    def test_non_finite_integral_is_a_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(rice, "_pair_integral", lambda K, w0, w1, n_nodes: math.nan)
+        with pytest.raises(NumericError, match="non-finite"):
+            rice_second_moment(30)
 
     def test_integrand_at_first_lag_node_matches_mpmath(self):
         # the lag integral starts at the diagonal u = 0; that is sound while
